@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steiner3.permgrp import GeneratorSet, Permutation, format_generators, group_order, orbit
+from steiner3.permgrp import GeneratorSet, format_generators, group_order, orbit
 
 SEED = 20240229
 TARGET_ORDER = 2520
@@ -47,8 +47,8 @@ def random_invertible(rng: random.Random) -> list[int]:
             return rows
 
 
-def matrix_permutation(rows: list[int]) -> Permutation:
-    """The permutation x -> xM of GF(2)^4, vectors as integers."""
+def matrix_permutation(rows: list[int]) -> tuple[int, ...]:
+    """The image tuple of x -> xM on GF(2)^4, vectors as integers."""
     images = []
     for x in range(16):
         y = 0
@@ -56,7 +56,7 @@ def matrix_permutation(rows: list[int]) -> Permutation:
             if (x >> i) & 1:
                 y ^= rows[i]
         images.append(y)
-    return Permutation(images)
+    return tuple(images)
 
 
 def main() -> int:
@@ -70,7 +70,7 @@ def main() -> int:
         summary = group_order(gens)
         if summary.order != TARGET_ORDER:
             continue
-        if len(orbit(gens, 1)) != 15:
+        if len(orbit(gens.gens, [1])) != 15:
             continue
         break
     out = Path(__file__).resolve().parent.parent / "src" / "steiner3" / "data" / "a7_gl42.gens"

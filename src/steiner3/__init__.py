@@ -36,7 +36,6 @@ from .permgrp import (
     FlagReport,
     GeneratorSet,
     GroupSummary,
-    Permutation,
     PermutationError,
     SearchBudgetExceeded,
     SetNotPreserved,

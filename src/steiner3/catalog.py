@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import Iterable
 
 import numpy as np
 
-from .design import Design, derived_design
+from .design import MAX_POINTS, Design, derived_design
 from .gf import FieldContext, prime_power
-from .permgrp import GeneratorSet, Permutation, orbit, parse_generators
-
-MAX_POINTS = 128
+from .permgrp import GeneratorSet, orbit, parse_generators
 
 AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
 PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
@@ -56,22 +55,22 @@ class ProjectiveLine:
         self.size = ctx.order + 1
         self.infinity = ctx.order
 
-    def translation(self) -> Permutation:
+    def translation(self) -> tuple[int, ...]:
         """x -> x + 1."""
         ctx = self.ctx
         images = [ctx._add(i, 1) for i in range(ctx.order)] + [self.infinity]
-        return Permutation(images)
+        return tuple(images)
 
-    def scaling(self, factor_index: int) -> Permutation:
+    def scaling(self, factor_index: int) -> tuple[int, ...]:
         """x -> c x for a fixed nonzero c."""
         ctx = self.ctx
         if factor_index == 0:
             raise CatalogError("scaling factor must be nonzero")
         images = [ctx._mul(factor_index, i) for i in range(ctx.order)]
         images.append(self.infinity)
-        return Permutation(images)
+        return tuple(images)
 
-    def inversion(self, negate: bool = False) -> Permutation:
+    def inversion(self, negate: bool = False) -> tuple[int, ...]:
         """x -> 1/x, or x -> -1/x with negate=True."""
         ctx = self.ctx
         images = [self.infinity]  # 0 -> inf
@@ -79,17 +78,17 @@ class ProjectiveLine:
             j = ctx._inv(i)
             images.append(ctx._neg(j) if negate else j)
         images.append(0)  # inf -> 0
-        return Permutation(images)
+        return tuple(images)
 
-    def frobenius_map(self) -> Permutation:
+    def frobenius_map(self) -> tuple[int, ...]:
         """x -> x^p."""
         ctx = self.ctx
         images = [ctx._pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity]
-        return Permutation(images)
+        return tuple(images)
 
 
-def _set_action(g: Permutation, block: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(g.images[x] for x in block))
+def _set_images(g: tuple[int, ...], blocks: Iterable[tuple[int, ...]]) -> Iterable:
+    return (tuple(sorted(map(g.__getitem__, block))) for block in blocks)
 
 
 # -- design constructors -------------------------------------------------------
@@ -125,7 +124,7 @@ def construct_spherical(q: int, e: int) -> Design:
     line = ProjectiveLine(ctx)
     base = tuple(sorted(ctx.subfield_indices(q) + [line.infinity]))
     gens = projective_group_generators("PGL", q, e)
-    blocks = orbit(gens, base, _set_action)
+    blocks = orbit(gens.gens, [base], _set_images)
     return Design(line.size, 3, blocks)
 
 
@@ -142,7 +141,7 @@ def construct_netto_extension(q: int) -> Design:
     eps = ctx.primitive_sixth_root()
     base = tuple(sorted((0, 1, eps.index, line.infinity)))
     gens = projective_group_generators("PSL", q, 1)
-    blocks = orbit(gens, base, _set_action)
+    blocks = orbit(gens.gens, [base], _set_images)
     return Design(line.size, 3, blocks)
 
 
@@ -300,28 +299,28 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
         raise CatalogError(f"need 1 <= d <= 7, got {d}")
     n = 1 << d
     if kind == "AGL_d_2":
-        gens = [Permutation(x ^ (1 << i) for x in range(n)) for i in range(d)]
+        gens = [tuple(x ^ (1 << i) for x in range(n)) for i in range(d)]
         for i in range(d):
             for j in range(d):
                 if i != j:
                     gens.append(
-                        Permutation(x ^ (((x >> j) & 1) << i) for x in range(n))
+                        tuple(x ^ (((x >> j) & 1) << i) for x in range(n))
                     )
-        return GeneratorSet(n, tuple(gens))
+        return GeneratorSet(n, gens)
     if kind == "T_A7":
         if d != 4:
             raise CatalogError("the A7 point stabilizer lives in GL(4,2); need d = 4")
-        translations = [Permutation(x ^ (1 << i) for x in range(n)) for i in range(4)]
+        translations = [tuple(x ^ (1 << i) for x in range(n)) for i in range(4)]
         a7 = load_a7_generators()
         return GeneratorSet(n, tuple(translations) + a7.gens)
     ctx = FieldContext(2, d)
     gens = [
-        Permutation(ctx._add(x, 1) for x in range(n)),
-        Permutation(ctx._mul(ctx._omega_idx, x) for x in range(n)),
+        tuple(ctx._add(x, 1) for x in range(n)),
+        tuple(ctx._mul(ctx._omega_idx, x) for x in range(n)),
     ]
     if kind == "AGammaL_1":
-        gens.append(Permutation(ctx._pow(x, 2) for x in range(n)))
-    return GeneratorSet(n, tuple(gens))
+        gens.append(tuple(ctx._pow(x, 2) for x in range(n)))
+    return GeneratorSet(n, gens)
 
 
 def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
@@ -351,7 +350,7 @@ def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
         gens = [line.translation(), line.scaling(omega2), line.inversion(negate=True)]
     if kind in ("PSigmaL", "PGammaL"):
         gens.append(line.frobenius_map())
-    return GeneratorSet(line.size, tuple(gens))
+    return GeneratorSet(line.size, gens)
 
 
 def load_a7_generators() -> GeneratorSet:
@@ -370,7 +369,7 @@ def load_a7_generators() -> GeneratorSet:
     if gens.degree != 16 or not gens.gens:
         raise CatalogError("a7_gl42.gens is corrupt: expected degree-16 generators")
     for g in gens.gens:
-        if g.images[0] != 0:
+        if g[0] != 0:
             raise CatalogError("a7_gl42.gens is corrupt: generators must fix 0")
     return gens
 

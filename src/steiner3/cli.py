@@ -35,6 +35,7 @@ from .design import (
 from .gf import FieldError
 from .permgrp import (
     PermutationError,
+    SearchBudgetExceeded,
     SetNotPreserved,
     automorphism_group,
     format_generators,
@@ -328,10 +329,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (CatalogError, DesignError, FieldError, PermutationError, SieveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (
+        CatalogError,
+        DesignError,
+        FieldError,
+        PermutationError,
+        SearchBudgetExceeded,
+        SieveError,
+        OSError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from .gf import FieldContext
 
-VERIFY_MAX_POINTS = 128
+MAX_POINTS = 128
 
 CAMERON_EQUALITY_CASES = (
     (3, 4, 8),
@@ -165,9 +165,11 @@ def verify_steiner(design: Design, t: int | None = None) -> SteinerReport:
     """Exhaustively check that every t-subset lies in exactly one block."""
     if t is None:
         t = design.t
+    if not 1 <= t <= design.k:
+        raise DesignError(f"strength must lie in 1..{design.k}, got {t}")
     v = design.v
-    if v > VERIFY_MAX_POINTS:
-        raise DesignError(f"verification budget is {VERIFY_MAX_POINTS} points, got {v}")
+    if v > MAX_POINTS:
+        raise DesignError(f"verification budget is {MAX_POINTS} points, got {v}")
     counts: dict[tuple[int, ...], int] = {}
     for block in design.blocks:
         for sub in combinations(block, t):
@@ -270,6 +272,21 @@ def from_json(text: str) -> Design:
             raise DesignError(f"design JSON is missing {key!r}")
     if payload.get("lambda", 1) != 1:
         raise DesignError("only lambda = 1 designs are supported")
-    return Design(
-        payload["v"], payload["t"], payload["blocks"], payload.get("labels")
-    )
+    for key in ("v", "t"):
+        if not _is_int(payload[key]):
+            raise DesignError(f"{key!r} must be an integer, got {payload[key]!r}")
+    blocks = payload["blocks"]
+    if not isinstance(blocks, list) or not all(
+        isinstance(block, list) and all(map(_is_int, block)) for block in blocks
+    ):
+        raise DesignError("'blocks' must be a list of lists of integers")
+    labels = payload.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise DesignError("'labels' must be a list of strings")
+    return Design(payload["v"], payload["t"], blocks, labels)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)

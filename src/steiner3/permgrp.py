@@ -1,4 +1,8 @@
-"""Permutation groups on {0..n-1}: orbits, exact orders, design actions.
+"""Groups of permutations on {0..n-1}: orbits, exact orders, design actions.
+
+A permutation is its image tuple g, sending x to g[x]; `GeneratorSet`
+checks each one, and `orbit` is the single breadth-first closure that
+every orbit computation goes through.
 
 Group order uses a deterministic Schreier-Sims construction: no
 randomness, so stabilizer chains (and everything derived from them) are
@@ -10,7 +14,6 @@ returning one coset representative per stabilizer-chain level.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -34,107 +37,27 @@ class SearchBudgetExceeded(RuntimeError):
     """Automorphism search refused: degree above the supported bound."""
 
 
-class Permutation:
-    """A bijection on {0..n-1} stored as its image tuple."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: Iterable[int]):
-        images = tuple(images)
-        n = len(images)
-        seen = [False] * n
-        for x in images:
-            if not 0 <= x < n or seen[x]:
-                raise PermutationError(f"not a bijection on 0..{n - 1}: {images}")
-            seen[x] = True
-        self.images = images
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(n))
-
-    @classmethod
-    def from_cycles(cls, cycles: Sequence[Sequence[int]], n: int) -> "Permutation":
-        images = list(range(n))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:]):
-                images[a] = b
-            if cycle:
-                images[cycle[-1]] = cycle[0]
-        return cls(images)
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition acting left to right: (p*q)(x) = q(p(x))."""
-        if self.degree != other.degree:
-            raise PermutationError("degree mismatch")
-        o = other.images
-        return Permutation(o[x] for x in self.images)
-
-    def inverse(self) -> "Permutation":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Permutation(out)
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Non-trivial cycles, each rotated to start at its minimum."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start] or self.images[start] == start:
-                continue
-            cycle = [start]
-            seen[start] = True
-            nxt = self.images[start]
-            while nxt != start:
-                cycle.append(nxt)
-                seen[nxt] = True
-                nxt = self.images[nxt]
-            out.append(tuple(cycle))
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        cyc = self.cycles()
-        if not cyc:
-            return f"Permutation(identity on {self.degree})"
-        body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
-        return f"Permutation({body})"
-
-
 @dataclass(frozen=True)
 class GeneratorSet:
+    """Permutations of {0..degree-1}, each stored as its image tuple:
+    g sends x to g[x].  Every generator is checked here to be a
+    bijection of the right degree."""
+
     degree: int
-    gens: tuple[Permutation, ...]
+    gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for g in self.gens:
-            if g.degree != self.degree:
+        gens = tuple(tuple(g) for g in self.gens)
+        for i, g in enumerate(gens):
+            if len(g) != self.degree:
                 raise PermutationError(
-                    f"generator degree {g.degree} != {self.degree}"
+                    f"generator {i + 1} has degree {len(g)}, expected {self.degree}"
                 )
-
-    @classmethod
-    def build(cls, degree: int, gens: Iterable[Permutation | Sequence[int]]):
-        out = tuple(
-            g if isinstance(g, Permutation) else Permutation(g) for g in gens
-        )
-        return cls(degree, out)
+            if sorted(g) != list(range(len(g))):
+                raise PermutationError(
+                    f"generator {i + 1} is not a bijection on 0..{self.degree - 1}: {g}"
+                )
+        object.__setattr__(self, "gens", gens)
 
 
 @dataclass(frozen=True)
@@ -144,36 +67,30 @@ class GroupSummary:
     stabilizer_orders: tuple[int, ...]  # |G|, |G_b1|, |G_b1b2|, ..., 1
 
 
-def orbit(gens: GeneratorSet, seed, act: Callable | None = None) -> list:
-    """Canonically sorted closure of seed under the generators.
+def _point_images(g: tuple, states: Iterable) -> Iterable:
+    return map(g.__getitem__, states)
 
-    `act(g, state) -> state` defaults to the point action g(state).
+
+def orbit(gens: Sequence, seeds: Iterable, act: Callable | None = None) -> list:
+    """Sorted closure of the seed states under the generators.
+
+    Breadth-first, one frontier at a time: `act(g, states)` lazily maps
+    a whole frontier through generator g, and defaults to point images
+    g[x].  The generators are whatever `act` accepts.
     """
     if act is None:
-        act = lambda g, x: g.images[x]
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        state = queue.popleft()
-        for g in gens.gens:
-            nxt = act(g, state)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        act = _point_images
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for g in gens:
+            for state in act(g, frontier):
+                if state not in seen:
+                    seen.add(state)
+                    new.append(state)
+        frontier = new
     return sorted(seen)
-
-
-def _orbit_partition(gens: GeneratorSet, states: Sequence, act: Callable) -> list[list]:
-    """Orbits of the given states in first-seen order."""
-    remaining = set(states)
-    parts = []
-    for seed in states:
-        if seed not in remaining:
-            continue
-        part = orbit(gens, seed, act)
-        remaining.difference_update(part)
-        parts.append(part)
-    return parts
 
 
 # -- Schreier-Sims --------------------------------------------------------
@@ -267,7 +184,7 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
         return None
 
     for g in gens.gens:
-        residue, j = sift(g.images, 0)
+        residue, j = sift(g, 0)
         if residue == ident:
             continue
         place(residue, 0, j)
@@ -292,19 +209,19 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
 # -- actions on designs ----------------------------------------------------
 
 
-def block_action(design: Design, g: Permutation) -> Permutation:
+def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
     """The permutation induced on block indices, if g preserves the blocks."""
-    if g.degree != design.v:
+    if len(g) != design.v:
         raise PermutationError(
-            f"permutation degree {g.degree} != point count {design.v}"
+            f"permutation degree {len(g)} != point count {design.v}"
         )
     images = []
     for block in design.blocks:
-        target = design.block_index([g.images[x] for x in block])
+        target = design.block_index([g[x] for x in block])
         if target < 0:
             raise SetNotPreserved(block)
         images.append(target)
-    return Permutation(images)
+    return tuple(images)
 
 
 @dataclass(frozen=True)
@@ -337,34 +254,31 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
         )
     v, b, k = design.v, design.b, design.k
     induced = [block_action(design, g) for g in gens.gens]
-    pair = list(zip(gens.gens, induced))
 
-    # flag encoding: point * b + block index
-    seed = design.blocks[0][0] * b + 0
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        state = queue.popleft()
-        x, bi = divmod(state, b)
-        for g, gb in pair:
-            nxt = g.images[x] * b + gb.images[bi]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    flag_orbit_size = len(seen)
+    def flag_images(pair, flags):
+        g, gb = pair
+        return (g[f // b] * b + gb[f % b] for f in flags)
+
+    def pair_images(g, pairs):
+        return (g[s // v] * v + g[s % v] for s in pairs)
+
+    def orbit_sizes(perms, states, act=None):
+        """Orbit sizes of the given states, in first-seen order."""
+        sizes, covered = [], set()
+        for seed in states:
+            if seed not in covered:
+                part = orbit(perms, [seed], act)
+                covered.update(part)
+                sizes.append(len(part))
+        return sizes
+
+    flag_gens = list(zip(gens.gens, induced))
+    flag_orbit_size = len(orbit(flag_gens, [design.blocks[0][0] * b], flag_images))
     flag_count = b * k
-
-    block_gens = GeneratorSet(b, tuple(induced))
-    block_orbits = _orbit_partition(
-        block_gens, range(b), lambda g, x: g.images[x]
-    )
-    point_orbits = _orbit_partition(gens, range(v), lambda g, x: g.images[x])
-    pairs = [x * v + y for x in range(v) for y in range(v) if x != y]
-    pair_orbits = _orbit_partition(
-        gens,
-        pairs,
-        lambda g, s: g.images[s // v] * v + g.images[s % v],
-    )
+    block_orbit_sizes = orbit_sizes(induced, range(b))
+    point_orbit_sizes = orbit_sizes(gens.gens, range(v))
+    pairs = (x * v + y for x in range(v) for y in range(v) if x != y)
+    pair_orbit_sizes = orbit_sizes(gens.gens, pairs, pair_images)
 
     return FlagReport(
         v=v,
@@ -373,14 +287,14 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
         preserves_blocks=True,
         flag_count=flag_count,
         flag_orbit_size=flag_orbit_size,
-        block_orbit_count=len(block_orbits),
-        block_orbit_sizes=tuple(len(p) for p in block_orbits),
-        point_orbit_count=len(point_orbits),
-        point_pair_orbit_count=len(pair_orbits),
+        block_orbit_count=len(block_orbit_sizes),
+        block_orbit_sizes=tuple(block_orbit_sizes),
+        point_orbit_count=len(point_orbit_sizes),
+        point_pair_orbit_count=len(pair_orbit_sizes),
         flag_transitive=flag_orbit_size == flag_count,
-        block_transitive=len(block_orbits) == 1,
-        point_transitive=len(point_orbits) == 1,
-        point_2_transitive=len(pair_orbits) == 1,
+        block_transitive=len(block_orbit_sizes) == 1,
+        point_transitive=len(point_orbit_sizes) == 1,
+        point_2_transitive=len(pair_orbit_sizes) == 1,
     )
 
 
@@ -536,20 +450,9 @@ def automorphism_group(design: Design) -> GeneratorSet:
     gens: list[tuple[int, ...]] = []
     prefix: dict[int, int] = {}
 
-    def close_orbit(points: set[int], perms: list[tuple[int, ...]]) -> set[int]:
-        stack = list(points)
-        while stack:
-            p = stack.pop()
-            for g in perms:
-                q = g[p]
-                if q not in points:
-                    points.add(q)
-                    stack.append(q)
-        return points
-
     for base in range(v):
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-        done = close_orbit({base}, fixing)
+        done = set(orbit(fixing, [base]))
         # an automorphism fixing 0..base-1 pointwise cannot send base below itself
         for y in range(base + 1, v):
             if y in done:
@@ -560,9 +463,9 @@ def automorphism_group(design: Design) -> GeneratorSet:
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
-            done = close_orbit(done | {y}, fixing)
+            done = set(orbit(fixing, done | {y}))
         prefix[base] = base
-    return GeneratorSet.build(v, gens)
+    return GeneratorSet(v, gens)
 
 
 # -- generator file format ---------------------------------------------------
@@ -575,7 +478,7 @@ def parse_generators(text: str) -> GeneratorSet:
     per line, either 1-based cycles "(1 2 3)(5 6)" or an image list
     "img: 2,0,1".  '#' starts a comment."""
     degree = None
-    perms: list[Permutation] = []
+    perms: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -589,31 +492,36 @@ def parse_generators(text: str) -> GeneratorSet:
             degree = int(m.group(1))
             continue
         if line.startswith("img:"):
-            images = [int(tok) for tok in line[4:].replace(",", " ").split()]
-            if len(images) != degree:
-                raise PermutationError(
-                    f"line {lineno}: image list has {len(images)} entries, degree is {degree}"
-                )
-            perms.append(Permutation(images))
+            perms.append(_integers(line[4:], lineno))
             continue
         if line.startswith("("):
             consumed = _CYCLE_RE.sub("", line).strip()
             if consumed:
                 raise PermutationError(f"line {lineno}: trailing junk {consumed!r}")
-            cycles = []
+            images = list(range(degree))
             for body in _CYCLE_RE.findall(line):
-                pts = [int(tok) - 1 for tok in body.replace(",", " ").split()]
+                pts = [p - 1 for p in _integers(body, lineno)]
                 if any(p < 0 or p >= degree for p in pts):
                     raise PermutationError(
                         f"line {lineno}: cycle entry out of range 1..{degree}"
                     )
-                cycles.append(pts)
-            perms.append(Permutation.from_cycles(cycles, degree))
+                for a, b in zip(pts, pts[1:] + pts[:1]):
+                    images[a] = b
+            perms.append(images)
             continue
         raise PermutationError(f"line {lineno}: unrecognized permutation {line!r}")
     if degree is None:
         raise PermutationError("missing 'degree: n' header")
-    return GeneratorSet(degree, tuple(perms))
+    return GeneratorSet(degree, perms)
+
+
+def _integers(text: str, lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise PermutationError(
+            f"line {lineno}: expected integers, got {text.strip()!r}"
+        ) from None
 
 
 def format_generators(gens: GeneratorSet, comment: str | None = None) -> str:
@@ -623,5 +531,5 @@ def format_generators(gens: GeneratorSet, comment: str | None = None) -> str:
         lines.extend(f"# {c}" for c in comment.splitlines())
     lines.append(f"degree: {gens.degree}")
     for g in gens.gens:
-        lines.append("img: " + ",".join(map(str, g.images)))
+        lines.append("img: " + ",".join(map(str, g)))
     return "\n".join(lines) + "\n"

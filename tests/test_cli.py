@@ -200,6 +200,50 @@ class TestErrorContract:
     def test_out_of_range_sieve(self, capsys):
         assert run(capsys, "sieve", "--v-min", "3", "--v-max", "5")[0] == 2
 
+    @staticmethod
+    def assert_usage_error(result):
+        code, _, err = result
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_autgroup_above_search_bound(self, tmp_path, capsys):
+        path = tmp_path / "n67.json"
+        run(capsys, "construct", "--family", "netto", "--q", "67", "--out", str(path))
+        self.assert_usage_error(
+            run(capsys, "autgroup", str(path), "--out", str(tmp_path / "aut.gens"))
+        )
+
+    def test_verify_on_a_directory(self, tmp_path, capsys):
+        self.assert_usage_error(run(capsys, "verify", str(tmp_path)))
+
+    def test_verify_on_non_utf8_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"v": 8, "t": 3, "labels": ["\xe9"]}')
+        self.assert_usage_error(run(capsys, "verify", str(path)))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"v": 8, "t": 3, "blocks": [["0", 1, 2, 3]]},
+            {"v": 8.0, "t": 3, "blocks": [[0, 1, 2, 3]]},
+            {"v": 8, "t": True, "blocks": [[0, 1, 2, 3]]},
+            {"v": 8, "t": 3, "blocks": [[0, 1, 2, 3.0]]},
+            {"v": 8, "t": 3, "blocks": "0123"},
+            {"v": 2, "t": 1, "blocks": [[0], [1]], "labels": ["a", 2]},
+        ],
+        ids=["string-point", "float-v", "bool-t", "float-point", "string-blocks", "int-label"],
+    )
+    def test_design_json_with_wrong_types(self, payload, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        self.assert_usage_error(run(capsys, "verify", str(path)))
+
+    @pytest.mark.parametrize("t", ["-1", "0", "5"])
+    def test_verify_strength_outside_one_to_k(self, t, tmp_path, capsys):
+        path = tmp_path / "aff.json"
+        run(capsys, "construct", "--family", "affine", "--d", "3", "--out", str(path))
+        self.assert_usage_error(run(capsys, "verify", str(path), "--t", t))
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path, capsys):

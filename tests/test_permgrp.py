@@ -1,4 +1,4 @@
-"""Permutations, orbits, Schreier-Sims, design actions, generator files."""
+"""Generator sets, orbits, Schreier-Sims, design actions, generator files."""
 
 import random
 
@@ -12,7 +12,6 @@ from steiner3.catalog import (
 )
 from steiner3.permgrp import (
     GeneratorSet,
-    Permutation,
     PermutationError,
     SearchBudgetExceeded,
     SetNotPreserved,
@@ -26,49 +25,65 @@ from steiner3.permgrp import (
 )
 
 
+def compose(p: tuple, q: tuple) -> tuple:
+    """Left to right: x -> q(p(x))."""
+    return tuple(q[x] for x in p)
+
+
 class TestPermutation:
-    def test_composition_is_left_to_right(self):
-        p = Permutation((1, 0, 2))
-        q = Permutation((0, 2, 1))
-        assert (p * q).images == (2, 0, 1)  # x -> q(p(x))
-
-    def test_inverse(self):
-        p = Permutation((2, 0, 1))
-        assert (p * p.inverse()).is_identity()
-
-    def test_cycles(self):
-        p = Permutation((1, 2, 0, 3, 5, 4))
-        assert p.cycles() == [(0, 1, 2), (4, 5)]
-
     def test_from_cycles(self):
-        p = Permutation.from_cycles([(0, 1, 2), (4, 5)], 6)
-        assert p.images == (1, 2, 0, 3, 5, 4)
+        gens = parse_generators("degree: 4\n()\n(2 4)(3)\n")
+        assert gens.gens == ((0, 1, 2, 3), (0, 3, 2, 1))
 
     def test_rejects_non_bijection(self):
         with pytest.raises(PermutationError):
-            Permutation((0, 0, 1))
+            GeneratorSet(3, ((0, 0, 1),))
+        with pytest.raises(PermutationError):
+            GeneratorSet(3, ((0, 1, 3),))
+        with pytest.raises(PermutationError):
+            parse_generators("degree: 3\nimg: 0,0,1\n")
+        with pytest.raises(PermutationError):
+            parse_generators("degree: 3\n(1 2)(2 3)\n")
 
     def test_degree_mismatch(self):
         with pytest.raises(PermutationError):
-            Permutation((0, 1)) * Permutation((0, 1, 2))
+            GeneratorSet(3, ((0, 1),))
+        with pytest.raises(PermutationError):
+            GeneratorSet(2, ((0, 1, 2),))
+        with pytest.raises(PermutationError):
+            parse_generators("degree: 2\nimg: 0,1,2\n")
+
+    def test_generators_are_stored_as_tuples(self):
+        gens = GeneratorSet(3, [[1, 2, 0], range(3)])
+        assert gens.gens == ((1, 2, 0), (0, 1, 2))
 
 
 class TestOrbit:
     def test_identity_only(self):
-        gens = GeneratorSet(10, (Permutation.identity(10),))
-        assert orbit(gens, 5) == [5]
+        assert orbit([tuple(range(10))], [5]) == [5]
 
     def test_pgl29_point_orbit_is_whole_line(self):
         gens = projective_group_generators("PGL", 3, 2)
-        assert orbit(gens, 0) == list(range(10))
+        assert orbit(gens.gens, [0]) == list(range(10))
 
     def test_pgl29_base_block_orbit_matches_block_count(self):
         # b = v(v-1)(v-2) / (k(k-1)(k-2)) with v=10, k=4
         want = 10 * 9 * 8 // (4 * 3 * 2)
         gens = projective_group_generators("PGL", 3, 2)
         base = (0, 1, 2, 9)  # GF(3) u {infinity} inside the line over GF(9)
-        blocks = orbit(gens, base, lambda g, s: tuple(sorted(g.images[x] for x in s)))
+
+        def set_images(g, blocks):
+            return (tuple(sorted(g[x] for x in s)) for s in blocks)
+
+        blocks = orbit(gens.gens, [base], set_images)
         assert len(blocks) == want == 30
+
+    def test_several_seeds_give_the_union_of_their_orbits(self):
+        gens = affine_group_generators("AGL_1", 3).gens
+        zero_fixing = [g for g in gens if g[0] == 0]
+        assert orbit(zero_fixing, [0]) == [0]
+        assert orbit(zero_fixing, [0, 1]) == list(range(8))
+        assert orbit([], [3, 1]) == [1, 3]
 
 
 class TestGroupOrder:
@@ -88,8 +103,8 @@ class TestGroupOrder:
         assert group_order(gens).order == 32 * 31 * 5 == 4960
 
     def test_symmetric_group(self):
-        tr = Permutation((1, 0, 2, 3, 4))
-        cyc = Permutation((1, 2, 3, 4, 0))
+        tr = (1, 0, 2, 3, 4)
+        cyc = (1, 2, 3, 4, 0)
         assert group_order(GeneratorSet(5, (tr, cyc))).order == 120
 
     def test_stabilizer_chain_divides(self):
@@ -108,27 +123,27 @@ class TestGroupOrder:
         ):
             total = group_order(gens).order
             stab = group_order(gens, base_prefix=(seed,)).stabilizer_orders[1]
-            assert len(orbit(gens, seed)) * stab == total
+            assert len(orbit(gens.gens, [seed])) * stab == total
 
 
 class TestBlockAction:
     def test_identity(self):
         design = construct_boolean_affine(3)
-        assert block_action(design, Permutation.identity(8)).is_identity()
+        assert block_action(design, tuple(range(8))) == tuple(range(design.b))
 
     def test_translation_preserves_blocks(self):
         design = construct_boolean_affine(3)
-        g = Permutation(x ^ 1 for x in range(8))
+        g = tuple(x ^ 1 for x in range(8))
         induced = block_action(design, g)
-        assert sorted(induced.images) == list(range(design.b))
+        assert sorted(induced) == list(range(design.b))
 
     def test_transposition_is_rejected_with_witness(self):
         design = construct_boolean_affine(3)
-        swap = Permutation((1, 0, 2, 3, 4, 5, 6, 7))
+        swap = (1, 0, 2, 3, 4, 5, 6, 7)
         with pytest.raises(SetNotPreserved) as err:
             block_action(design, swap)
         witness = err.value.witness
-        image = [swap.images[x] for x in witness]
+        image = [swap[x] for x in witness]
         xor = 0
         for x in image:
             xor ^= x
@@ -142,10 +157,10 @@ class TestBlockAction:
             word = [rng.choice(gens) for _ in range(rng.randint(1, 8))]
             product = word[0]
             for g in word[1:]:
-                product = product * g
+                product = compose(product, g)
             induced = block_action(design, word[0])
             for g in word[1:]:
-                induced = induced * block_action(design, g)
+                induced = compose(induced, block_action(design, g))
             assert block_action(design, product) == induced
 
 
@@ -176,7 +191,7 @@ class TestFlagTransitivity:
 
     def test_non_automorphism_propagates(self):
         design = construct_boolean_affine(3)
-        swap = Permutation((1, 0, 2, 3, 4, 5, 6, 7))
+        swap = (1, 0, 2, 3, 4, 5, 6, 7)
         with pytest.raises(SetNotPreserved):
             is_flag_transitive(design, GeneratorSet(8, (swap,)))
 
@@ -201,7 +216,7 @@ class TestAutomorphismGroup:
         design = construct_spherical(3, 2)
         first = automorphism_group(design)
         second = automorphism_group(design)
-        assert [g.images for g in first.gens] == [g.images for g in second.gens]
+        assert first.gens == second.gens
 
     def test_found_generators_are_automorphisms(self):
         design = construct_boolean_affine(4)
@@ -215,17 +230,17 @@ class TestGeneratorFiles:
         text = format_generators(gens, comment="psl(2,9)")
         again = parse_generators(text)
         assert again.degree == gens.degree
-        assert [g.images for g in again.gens] == [g.images for g in gens.gens]
+        assert again.gens == gens.gens
 
     def test_cycle_notation_is_one_based(self):
         text = "degree: 6\n(1 2 3)(5 6)\n"
         gens = parse_generators(text)
-        assert gens.gens[0].images == (1, 2, 0, 3, 5, 4)
+        assert gens.gens[0] == (1, 2, 0, 3, 5, 4)
 
     def test_comments_and_blank_lines(self):
         text = "# header\n\ndegree: 3\nimg: 1,2,0  # rotation\n"
         gens = parse_generators(text)
-        assert gens.gens[0].images == (1, 2, 0)
+        assert gens.gens[0] == (1, 2, 0)
 
     def test_missing_degree_rejected(self):
         with pytest.raises(PermutationError):
@@ -242,3 +257,8 @@ class TestGeneratorFiles:
     def test_junk_rejected(self):
         with pytest.raises(PermutationError):
             parse_generators("degree: 3\nwhat\n")
+
+    @pytest.mark.parametrize("line", ["img: 0,1,x", "(1 x)", "img: 0,1,2.0"])
+    def test_non_integer_entries_rejected(self, line):
+        with pytest.raises(PermutationError):
+            parse_generators(f"degree: 3\n{line}\n")
