@@ -8,7 +8,6 @@ Output is deterministic byte-for-byte for identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -55,12 +54,19 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 
+def _read_text(path: str, error: type[ValueError]) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_design(path: str):
-    return from_json(Path(path).read_text(encoding="utf-8"))
+    return from_json(_read_text(path, DesignError))
 
 
 def _load_generators(path: str):
-    return parse_generators(Path(path).read_text(encoding="utf-8"))
+    return parse_generators(_read_text(path, PermutationError))
 
 
 def _summary_line(design) -> str:
@@ -89,8 +95,8 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     design = _load_design(args.design)
-    print(_summary_line(design))
     report = verify_steiner(design, args.t)
+    print(_summary_line(design))
     if report.ok:
         print("ok")
         return 0
@@ -172,7 +178,7 @@ def cmd_sieve(args) -> int:
         for i, report in enumerate(reports):
             if i:
                 sys.stdout.write(",")
-            sys.stdout.write(json.dumps(report.as_dict(), separators=(",", ":")))
+            sys.stdout.write(report.as_json())
         sys.stdout.write("]\n")
         return 0
     for report in reports:
@@ -337,7 +343,6 @@ def main(argv=None) -> int:
         SearchBudgetExceeded,
         SieveError,
         OSError,
-        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .design import Design
+from .design import MAX_POINTS, Design
 
 
 class PermutationError(ValueError):
@@ -489,7 +489,12 @@ def parse_generators(text: str) -> GeneratorSet:
                 raise PermutationError(
                     f"line {lineno}: expected 'degree: n' header, got {line!r}"
                 )
-            degree = int(m.group(1))
+            digits = m.group(1).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_POINTS)) or int(digits) > MAX_POINTS:
+                raise PermutationError(
+                    f"line {lineno}: degree {digits} exceeds the {MAX_POINTS}-point cap"
+                )
+            degree = int(digits)
             continue
         if line.startswith("img:"):
             perms.append(_integers(line[4:], lineno))

@@ -19,6 +19,9 @@ from .gf import factorize
 from .permgrp import GeneratorSet, group_order, is_flag_transitive
 
 
+CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
+
+
 class SieveError(ValueError):
     """Inputs outside an operation's supported range."""
 
@@ -27,18 +30,44 @@ class NotFlagTransitive(ValueError):
     """The stabilizer identities require a flag-transitive action."""
 
 
-@dataclass(frozen=True)
+_CHECK_NAMES = (
+    "b_integral",
+    "r_integral",
+    "lambda2_integral",
+    "blocksize_bound",
+    "cameron_a",
+    "cameron_b",
+)
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
+    """The checks tuple, admissible flag and compact checks JSON for one
+    bit pattern; bit 5 is the first check in `_CHECK_NAMES`, bit 0 the last.
+    """
+    checks = tuple(
+        (name, bool(mask >> (5 - i) & 1)) for i, name in enumerate(_CHECK_NAMES)
+    )
+    text = ",".join(f'"{name}":{_JSON_BOOL[ok]}' for name, ok in checks)
+    return checks, all(ok for _, ok in checks), f"{{{text}}}"
+
+
+# every outcome of the six checks, built once: a screened pair looks its
+# outcome up here, so all reports with the same outcome share one tuple
+_OUTCOMES = tuple(_outcome(mask) for mask in range(64))
+_CHECKS_JSON = {checks: text for checks, _, text in _OUTCOMES}
+
+
+@dataclass(slots=True)
 class SieveReport:
+    """The six named checks for one (v, k); `checks` is a shared tuple."""
+
     v: int
     k: int
     checks: tuple[tuple[str, bool], ...]
     admissible: bool
     cameron_equality: bool
     equality_listed: bool
-
-    def __post_init__(self):
-        if self.admissible != all(ok for _, ok in self.checks):
-            raise SieveError("admissible flag inconsistent with checks")
 
     def as_dict(self) -> dict:
         return {
@@ -50,32 +79,50 @@ class SieveReport:
             "equality_listed": self.equality_listed,
         }
 
+    def as_json(self) -> str:
+        """`as_dict` as compact JSON, assembled from preformatted parts."""
+        return (
+            f'{{"v":{self.v},"k":{self.k},"checks":{_CHECKS_JSON[self.checks]},'
+            f'"admissible":{_JSON_BOOL[self.admissible]},'
+            f'"cameron_equality":{_JSON_BOOL[self.cameron_equality]},'
+            f'"equality_listed":{_JSON_BOOL[self.equality_listed]}}}'
+        )
 
-def _screen(v: int, k: int, bound: int) -> SieveReport:
-    checks = (
-        ("b_integral", v * (v - 1) * (v - 2) % (k * (k - 1) * (k - 2)) == 0),
-        ("r_integral", (v - 1) * (v - 2) % ((k - 1) * (k - 2)) == 0),
-        ("lambda2_integral", (v - 2) % (k - 2) == 0),
-        ("blocksize_bound", k <= bound),
-        ("cameron_a", v >= 4 * (k - 2)),
-        ("cameron_b", v - 2 >= (k - 1) * (k - 2)),
-    )
-    equality = v - 2 == (k - 1) * (k - 2)
-    return SieveReport(
-        v=v,
-        k=k,
-        checks=checks,
-        admissible=all(ok for _, ok in checks),
-        cameron_equality=equality,
-        equality_listed=equality and (3, k, v) in CAMERON_EQUALITY_CASES,
-    )
+
+def _screen(v: int, ks: range) -> Iterator[SieveReport]:
+    """Reports for (v, k) with k in ks, the v-dependent products formed once."""
+    bound = blocksize_bound(v)
+    v2 = v - 2
+    r_num = (v - 1) * v2
+    b_num = v * r_num
+    for k in ks:
+        k2 = k - 2
+        r_den = (k - 1) * k2
+        # one bit per check, in `_CHECK_NAMES` order from bit 5 down
+        checks, admissible, _ = _OUTCOMES[
+            (b_num % (k * r_den) == 0) << 5
+            | (r_num % r_den == 0) << 4
+            | (v2 % k2 == 0) << 3
+            | (k <= bound) << 2
+            | (v >= 4 * k2) << 1
+            | (v2 >= r_den)
+        ]
+        equality = v2 == r_den
+        yield SieveReport(
+            v,
+            k,
+            checks,
+            admissible,
+            equality,
+            equality and (3, k, v) in CAMERON_EQUALITY_CASES,
+        )
 
 
 def screen_parameters(v: int, k: int) -> SieveReport:
     """All named integrality and bound checks for a single (v, k)."""
     if v < 4 or k < 4:
         raise SieveError(f"need v >= 4 and k >= 4, got {(v, k)}")
-    return _screen(v, k, blocksize_bound(v))
+    return next(_screen(v, range(k, k + 1)))
 
 
 def admissible_parameters(v_min: int, v_max: int) -> Iterator[SieveReport]:
@@ -90,9 +137,7 @@ def admissible_parameters(v_min: int, v_max: int) -> Iterator[SieveReport]:
 
     def sweep():
         for v in range(v_min, v_max + 1):
-            bound = blocksize_bound(v)
-            for k in range(4, bound + 1):
-                yield _screen(v, k, bound)
+            yield from _screen(v, range(4, blocksize_bound(v) + 1))
 
     return sweep()
 
@@ -197,6 +242,12 @@ def cyclotomic_eval(d: int, q: int) -> CyclotomicEval:
     """
     if d < 1 or q < 2:
         raise SieveError(f"need d >= 1 and q >= 2, got {(d, q)}")
+    # q^d >= 2^(d(bits-1)), so only a power below 2^(2 * CYCLOTOMIC_MAX_BITS)
+    # is ever formed to decide the cap
+    if d * (q.bit_length() - 1) > CYCLOTOMIC_MAX_BITS or q**d > 1 << CYCLOTOMIC_MAX_BITS:
+        raise SieveError(
+            f"need q^d <= 2^{CYCLOTOMIC_MAX_BITS}, got d = {d} and a {q.bit_length()}-bit q"
+        )
     phi = _phi_value(d, q, {})
     f = math.gcd(d, phi)
     if f == 1:

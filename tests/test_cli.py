@@ -202,8 +202,8 @@ class TestErrorContract:
 
     @staticmethod
     def assert_usage_error(result):
-        code, _, err = result
-        assert code == 2
+        code, out, err = result
+        assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_autgroup_above_search_bound(self, tmp_path, capsys):
@@ -243,6 +243,35 @@ class TestErrorContract:
         path = tmp_path / "aff.json"
         run(capsys, "construct", "--family", "affine", "--d", "3", "--out", str(path))
         self.assert_usage_error(run(capsys, "verify", str(path), "--t", t))
+
+    def test_verify_above_the_point_cap_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"v": 129, "t": 3, "blocks": [[0, 1, 2, 3]]}))
+        result = run(capsys, "verify", str(path))
+        self.assert_usage_error(result)
+        assert "128 points" in result[2]
+
+    @pytest.mark.parametrize("bad", ["design", "gens"])
+    def test_flagcheck_names_the_non_utf8_file(self, bad, tmp_path, capsys):
+        files = {"design": tmp_path / "aff.json", "gens": tmp_path / "agl.gens"}
+        run(capsys, "construct", "--family", "affine", "--d", "3", "--out", str(files["design"]))
+        run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_1", "--d", "3",
+            "--out", str(files["gens"]))
+        files[bad].write_bytes(b"# caf\xe9\n" + files[bad].read_bytes())
+        result = run(capsys, "flagcheck", str(files["design"]), "--gens", str(files["gens"]))
+        self.assert_usage_error(result)
+        assert result[2].startswith(f"error: {files[bad]} is not UTF-8 text")
+
+    @pytest.mark.parametrize("d", ["8193", "100000", "3000000"])
+    def test_cyclotomic_above_the_cap(self, d, capsys):
+        self.assert_usage_error(run(capsys, "cyclotomic", "--d", d, "--q", "2"))
+
+    def test_gens_degree_above_the_point_cap(self, tmp_path, capsys):
+        path = tmp_path / "huge.gens"
+        path.write_text("degree: 1000000000\n(1 2)\n")
+        result = run(capsys, "order", str(path))
+        self.assert_usage_error(result)
+        assert "128-point cap" in result[2]
 
 
 class TestDeterminism:

@@ -258,6 +258,15 @@ class TestGeneratorFiles:
         with pytest.raises(PermutationError):
             parse_generators("degree: 3\nwhat\n")
 
+    @pytest.mark.parametrize("degree", ["129", "1000000000", "9" * 5000])
+    def test_degree_above_the_point_cap_rejected(self, degree):
+        # each header is rejected before any image list is built
+        with pytest.raises(PermutationError, match="128-point cap"):
+            parse_generators(f"degree: {degree}\n(1 2)\n")
+
+    def test_degree_at_the_point_cap(self):
+        assert parse_generators("degree: 0128\n(1 2)\n").degree == 128
+
     @pytest.mark.parametrize("line", ["img: 0,1,x", "(1 x)", "img: 0,1,2.0"])
     def test_non_integer_entries_rejected(self, line):
         with pytest.raises(PermutationError):

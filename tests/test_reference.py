@@ -1,14 +1,21 @@
-"""Differential and golden checks for the permutation-group layer.
+"""Differential and golden checks for the permutation-group and sieve layers.
 
 `reference_flag_report` is the straightforward transitivity report: a
 queue BFS over flags and one orbit partition per action, written
 directly on image tuples.  The library's frontier-based `orbit` must
-give the same `FlagReport`, field for field.  The SHA-256 digests pin
-the bytes of generator files written by the CLI.
+give the same `FlagReport`, field for field.  `reference_screen` is the
+sieve's screen written check by check with a frozen, self-checking
+report; the table-driven sieve must give the same fields for every
+pair.  The SHA-256 digests pin the bytes of generator files and sieve
+output written by the CLI.
 """
 
 import hashlib
+import json
 from collections import deque
+from dataclasses import dataclass, fields
+from itertools import zip_longest
+from operator import attrgetter
 
 import pytest
 
@@ -21,8 +28,14 @@ from steiner3.catalog import (
     projective_group_generators,
 )
 from steiner3.cli import main
-from steiner3.design import Design
+from steiner3.design import CAMERON_EQUALITY_CASES, Design, blocksize_bound
 from steiner3.permgrp import FlagReport, GeneratorSet, is_flag_transitive
+from steiner3.sieve import (
+    _OUTCOMES,
+    SieveReport,
+    admissible_parameters,
+    screen_parameters,
+)
 
 
 def _closure(gens, seed, act):
@@ -178,3 +191,115 @@ class TestGoldenDigests:
     def test_every_kind_is_covered(self):
         kinds = {kind for _, kind, *_ in GROUPGENS_DIGESTS}
         assert kinds == set(AFFINE_KINDS + PROJECTIVE_KINDS)
+
+
+# -- the parameter sieve -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceSieveReport:
+    v: int
+    k: int
+    checks: tuple[tuple[str, bool], ...]
+    admissible: bool
+    cameron_equality: bool
+    equality_listed: bool
+
+    def __post_init__(self):
+        if self.admissible != all(ok for _, ok in self.checks):
+            raise ValueError("admissible flag inconsistent with checks")
+
+
+def reference_screen(v: int, k: int) -> ReferenceSieveReport:
+    """The sieve's screen written out check by check, one frozen report each."""
+    bound = blocksize_bound(v)
+    checks = (
+        ("b_integral", v * (v - 1) * (v - 2) % (k * (k - 1) * (k - 2)) == 0),
+        ("r_integral", (v - 1) * (v - 2) % ((k - 1) * (k - 2)) == 0),
+        ("lambda2_integral", (v - 2) % (k - 2) == 0),
+        ("blocksize_bound", k <= bound),
+        ("cameron_a", v >= 4 * (k - 2)),
+        ("cameron_b", v - 2 >= (k - 1) * (k - 2)),
+    )
+    equality = v - 2 == (k - 1) * (k - 2)
+    return ReferenceSieveReport(
+        v=v,
+        k=k,
+        checks=checks,
+        admissible=all(ok for _, ok in checks),
+        cameron_equality=equality,
+        equality_listed=equality and (3, k, v) in CAMERON_EQUALITY_CASES,
+    )
+
+
+def reference_sweep(v_min: int, v_max: int):
+    for v in range(v_min, v_max + 1):
+        for k in range(4, blocksize_bound(v) + 1):
+            yield reference_screen(v, k)
+
+
+REPORT_FIELDS = tuple(f.name for f in fields(ReferenceSieveReport))
+report_fields = attrgetter(*REPORT_FIELDS)
+
+
+class TestSieveDifferential:
+    def test_same_fields(self):
+        assert tuple(f.name for f in fields(SieveReport)) == REPORT_FIELDS
+
+    @pytest.mark.parametrize("v_min,v_max", [(4, 2000), (999_800, 10**6)])
+    def test_admissible_parameters(self, v_min, v_max):
+        pairs = zip_longest(
+            reference_sweep(v_min, v_max), admissible_parameters(v_min, v_max)
+        )
+        for want, got in pairs:
+            assert report_fields(got) == report_fields(want)
+
+    @pytest.mark.parametrize(
+        "v,k", [(16, 9), (16, 4), (22, 6), (22, 40), (4, 4), (10**6, 1002), (10**6, 5000)]
+    )
+    def test_screen_parameters(self, v, k):
+        assert report_fields(screen_parameters(v, k)) == report_fields(
+            reference_screen(v, k)
+        )
+
+    def test_screen_beyond_the_bound(self):
+        report = screen_parameters(16, 9)
+        assert dict(report.checks)["blocksize_bound"] is False
+        assert not report.admissible
+
+
+class TestOutcomeTable:
+    def test_every_pattern_once(self):
+        assert len({checks for checks, _, _ in _OUTCOMES}) == len(_OUTCOMES) == 64
+
+    def test_admissible_is_all_checks(self):
+        for checks, admissible, _ in _OUTCOMES:
+            assert admissible == all(ok for _, ok in checks)
+
+    def test_checks_json(self):
+        for checks, _, text in _OUTCOMES:
+            assert text == json.dumps(dict(checks), separators=(",", ":"))
+
+    @pytest.mark.parametrize("equality,listed", [(False, False), (True, False), (True, True)])
+    def test_as_json_is_compact_as_dict(self, equality, listed):
+        for checks, admissible, _ in _OUTCOMES:
+            report = SieveReport(22, 6, checks, admissible, equality, listed)
+            assert report.as_json() == json.dumps(report.as_dict(), separators=(",", ":"))
+
+    def test_reports_share_the_table_tuples(self):
+        first, second = screen_parameters(22, 4), screen_parameters(22, 6)
+        assert first.checks is second.checks
+
+
+SIEVE_DIGESTS = {
+    ("--v-min", "4", "--v-max", "10000"): "a0d198d6d660795d5fd9242e5e28aa4096eee2fcd60a61a02649d9666363a84e",
+    ("--v-min", "4", "--v-max", "3000", "--json"): "d19dac62ba9de82f92d33afa09feea770cfd1aa3613cf49098594ebac6b29f23",
+    ("--v-min", "999800", "--v-max", "1000000"): "716aaa604f8966d390506318a060f5b0ca82e6e14c97203da9ad17144639a4fd",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIEVE_DIGESTS), ids=_case_id)
+def test_sieve_stdout_digest(case, capsys):
+    assert main(["sieve", *case]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SIEVE_DIGESTS[case]

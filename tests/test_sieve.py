@@ -10,6 +10,7 @@ from steiner3.catalog import (
 )
 from steiner3.design import params_of
 from steiner3.sieve import (
+    CYCLOTOMIC_MAX_BITS,
     NotFlagTransitive,
     SieveError,
     admissible_parameters,
@@ -138,6 +139,17 @@ class TestCyclotomic:
                 if d % e == 0:
                     product *= cyclotomic_eval(e, q).phi
             assert product == q**d - 1
+
+    @pytest.mark.parametrize("d,q", [(8192, 2), (4096, 4), (5168, 3)])
+    def test_largest_power_within_the_cap(self, d, q):
+        result = cyclotomic_eval(d, q)
+        assert 0 < result.phi < 2**CYCLOTOMIC_MAX_BITS
+        assert len(str(result.phi)) <= 2467
+
+    @pytest.mark.parametrize("d,q", [(8193, 2), (4097, 4), (5169, 3), (1, 2**8192 + 1), (100000, 2)])
+    def test_power_above_the_cap_rejected(self, d, q):
+        with pytest.raises(SieveError, match="2\\^8192"):
+            cyclotomic_eval(d, q)
 
     def test_validation(self):
         with pytest.raises(SieveError):
