@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .design import MAX_POINTS, Design, derived_design
 from .gf import FieldContext, prime_power
-from .permgrp import GeneratorSet, orbit, parse_generators
+from .permgrp import GeneratorSet, parse_generators
 
 AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
 PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
@@ -87,8 +87,21 @@ class ProjectiveLine:
         return tuple(images)
 
 
-def _set_images(g: tuple[int, ...], blocks: Iterable[tuple[int, ...]]) -> Iterable:
-    return (tuple(sorted(map(g.__getitem__, block))) for block in blocks)
+def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list:
+    """Sorted images of a base block under the group the generators span:
+    a breadth-first closure over point sets, which have no dense index."""
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        new = []
+        for g in gens:
+            for block in frontier:
+                image = tuple(sorted(map(g.__getitem__, block)))
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return sorted(seen)
 
 
 # -- design constructors -------------------------------------------------------
@@ -124,7 +137,7 @@ def construct_spherical(q: int, e: int) -> Design:
     line = ProjectiveLine(ctx)
     base = tuple(sorted(ctx.subfield_indices(q) + [line.infinity]))
     gens = projective_group_generators("PGL", q, e)
-    blocks = orbit(gens.gens, [base], _set_images)
+    blocks = _block_orbit(gens.gens, base)
     return Design(line.size, 3, blocks)
 
 
@@ -141,7 +154,7 @@ def construct_netto_extension(q: int) -> Design:
     eps = ctx.primitive_sixth_root()
     base = tuple(sorted((0, 1, eps.index, line.infinity)))
     gens = projective_group_generators("PSL", q, 1)
-    blocks = orbit(gens.gens, [base], _set_images)
+    blocks = _block_orbit(gens.gens, base)
     return Design(line.size, 3, blocks)
 
 

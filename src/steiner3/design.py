@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .gf import FieldContext
 
@@ -35,7 +36,7 @@ class DesignError(ValueError):
 class Design:
     """Point count plus a canonical sorted list of k-subsets."""
 
-    __slots__ = ("v", "t", "blocks", "labels")
+    __slots__ = ("v", "t", "blocks", "labels", "_array", "_keys")
 
     def __init__(
         self,
@@ -70,6 +71,8 @@ class Design:
         self.t = t
         self.blocks: tuple[tuple[int, ...], ...] = tuple(canon)
         self.labels = labels
+        self._array: np.ndarray | None = None
+        self._keys: np.ndarray | None = None
 
     @property
     def b(self) -> int:
@@ -79,13 +82,63 @@ class Design:
     def k(self) -> int:
         return len(self.blocks[0])
 
-    def block_index(self, block: Sequence[int]) -> int:
-        """Index of a point set in the canonical block list, or -1."""
-        key = tuple(sorted(block))
-        i = bisect_left(self.blocks, key)
-        if i < len(self.blocks) and self.blocks[i] == key:
-            return i
-        return -1
+    @property
+    def block_array(self) -> np.ndarray:
+        """The blocks as a read-only (b, k) array, in canonical order."""
+        if self._array is None:
+            array = np.array(self.blocks, dtype=np.int64)
+            array.flags.writeable = False
+            self._array = array
+        return self._array
+
+    def block_index(self, block: Sequence[int] | np.ndarray):
+        """Index of a point set in the canonical block list, or -1.
+
+        Given a 2-D array, looks up every row as a point set and returns
+        an array of indices, -1 where a row is not a block.
+        """
+        rows = np.asarray(block)
+        if rows.ndim == 1:
+            return int(self._lookup(rows[np.newaxis])[0])
+        return self._lookup(rows)
+
+    def _prefix_width(self) -> int:
+        """How many leading points key a block: min(k, 3), fewer if
+        v^3 would overflow int64."""
+        width = min(self.k, 3)
+        while width > 1 and self.v**width > 2**62:
+            width -= 1
+        return width
+
+    def _prefix_key(self, rows: np.ndarray) -> np.ndarray:
+        """The leading points of each sorted row, read as base-v digits."""
+        key = rows[:, 0].copy()
+        for j in range(1, self._prefix_width()):
+            key = key * self.v + rows[:, j]
+        return key
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        # Canonical order keeps blocks with the same prefix contiguous, so
+        # a row's candidates are one searchsorted range of the prefix keys.
+        # Equal keys mean equal prefixes, so only the remaining points of
+        # each candidate are compared with the row.
+        found = np.full(len(rows), -1, dtype=np.int64)
+        if rows.shape[1] != self.k:
+            return found
+        rows = np.sort(rows.astype(np.int64, copy=False), axis=1)
+        in_range = (rows[:, 0] >= 0) & (rows[:, -1] < self.v)
+        if self._keys is None:
+            self._keys = self._prefix_key(self.block_array)
+        key = np.where(in_range, self._prefix_key(rows), -1)
+        lo = np.searchsorted(self._keys, key, side="left")
+        width = np.searchsorted(self._keys, key, side="right") - lo
+        rest = self._prefix_width()
+        for offset in range(int(width.max(initial=0))):
+            live = np.flatnonzero(width > offset)
+            candidate = lo[live] + offset
+            hit = (self.block_array[candidate, rest:] == rows[live, rest:]).all(axis=1)
+            found[live[hit]] = candidate[hit]
+        return found
 
     def __eq__(self, other):
         return (

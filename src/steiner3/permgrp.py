@@ -2,7 +2,8 @@
 
 A permutation is its image tuple g, sending x to g[x]; `GeneratorSet`
 checks each one, and `orbit` is the single breadth-first closure that
-every orbit computation goes through.
+every orbit computation goes through: a frontier search with a visited
+bitmap over an array of generator images.
 
 Group order uses a deterministic Schreier-Sims construction: no
 randomness, so stabilizer chains (and everything derived from them) are
@@ -16,7 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .design import MAX_POINTS, Design
 
@@ -67,30 +70,51 @@ class GroupSummary:
     stabilizer_orders: tuple[int, ...]  # |G|, |G_b1|, |G_b1b2|, ..., 1
 
 
-def _point_images(g: tuple, states: Iterable) -> Iterable:
-    return map(g.__getitem__, states)
+def orbit(images: Sequence[Sequence[int]], seeds: Sequence[int]) -> np.ndarray:
+    """Sorted closure of the seed states under a table of generator images.
 
-
-def orbit(gens: Sequence, seeds: Iterable, act: Callable | None = None) -> list:
-    """Sorted closure of the seed states under the generators.
-
-    Breadth-first, one frontier at a time: `act(g, states)` lazily maps
-    a whole frontier through generator g, and defaults to point images
-    g[x].  The generators are whatever `act` accepts.
+    `images` is an (m, n) integer array over the states range(n):
+    generator i sends state s to images[i][s].  Breadth-first, one
+    frontier at a time: each level maps the whole frontier through every
+    generator in turn and keeps the states not yet set in a visited
+    bitmap.  Each generator is a bijection, so what it reaches has no
+    repeats and the next frontier needs no deduplication.  With no
+    generators the orbit is the seeds themselves.
     """
-    if act is None:
-        act = _point_images
-    seen = set(seeds)
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for g in gens:
-            for state in act(g, frontier):
-                if state not in seen:
-                    seen.add(state)
-                    new.append(state)
-        frontier = new
-    return sorted(seen)
+    table = np.asarray(images)
+    frontier = np.unique(np.asarray(seeds, dtype=np.intp))
+    if table.size == 0:
+        return frontier
+    seen = np.zeros(table.shape[1], dtype=bool)
+    seen[frontier] = True
+    while frontier.size:
+        fresh = []
+        for row in table:
+            reached = row[frontier]
+            reached = reached[~seen[reached]]
+            seen[reached] = True
+            fresh.append(reached)
+        frontier = np.concatenate(fresh)
+    return np.flatnonzero(seen)
+
+
+def _image_table(perms: Sequence, n: int) -> np.ndarray:
+    """The (len(perms), n) int32 array of image tuples; (0, n) for none."""
+    return np.array(perms, dtype=np.int32).reshape(len(perms), n)
+
+
+def _orbit_sizes(table: np.ndarray, skip: slice = slice(0)) -> list[int]:
+    """Sizes of the orbits splitting the table's states (less `skip`),
+    ordered by their least state."""
+    covered = np.zeros(table.shape[1], dtype=bool)
+    covered[skip] = True
+    sizes = []
+    for seed in range(len(covered)):
+        if not covered[seed]:
+            part = orbit(table, [seed])
+            covered[part] = True
+            sizes.append(len(part))
+    return sizes
 
 
 # -- Schreier-Sims --------------------------------------------------------
@@ -210,18 +234,20 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
 
 
 def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation induced on block indices, if g preserves the blocks."""
+    """The permutation induced on block indices, if g preserves the blocks.
+
+    Otherwise raises SetNotPreserved with the first block, in canonical
+    order, whose image is not a block.
+    """
     if len(g) != design.v:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    images = []
-    for block in design.blocks:
-        target = design.block_index([g[x] for x in block])
-        if target < 0:
-            raise SetNotPreserved(block)
-        images.append(target)
-    return tuple(images)
+    images = design.block_index(np.asarray(g)[design.block_array])
+    missing = np.flatnonzero(images < 0)
+    if missing.size:
+        raise SetNotPreserved(design.blocks[missing[0]])
+    return tuple(images.tolist())
 
 
 @dataclass(frozen=True)
@@ -245,40 +271,30 @@ class FlagReport:
 def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     """Transitivity report for a group acting on a design.
 
-    Flags are encoded as point*b + block_index.  Raises SetNotPreserved
-    if some generator is not an automorphism.
+    Flags are encoded as block_index*k + position in the block.  Raises
+    SetNotPreserved if some generator is not an automorphism.
     """
     if gens.degree != design.v:
         raise PermutationError(
             f"generator degree {gens.degree} != point count {design.v}"
         )
     v, b, k = design.v, design.b, design.k
-    induced = [block_action(design, g) for g in gens.gens]
+    points = _image_table(gens.gens, v)
+    blocks = np.empty((len(points), b), dtype=np.int32)
+    flags = np.empty((len(points), b * k), dtype=np.int32)
+    for i, g in enumerate(gens.gens):
+        blocks[i] = block_action(design, g)
+        # the image of a flag's point sits at its rank in the mapped block
+        mapped = points[i][design.block_array]
+        rank = sum(mapped > mapped[:, j, np.newaxis] for j in range(k))
+        flags[i] = (blocks[i][:, np.newaxis] * k + rank).ravel()
+    pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
 
-    def flag_images(pair, flags):
-        g, gb = pair
-        return (g[f // b] * b + gb[f % b] for f in flags)
-
-    def pair_images(g, pairs):
-        return (g[s // v] * v + g[s % v] for s in pairs)
-
-    def orbit_sizes(perms, states, act=None):
-        """Orbit sizes of the given states, in first-seen order."""
-        sizes, covered = [], set()
-        for seed in states:
-            if seed not in covered:
-                part = orbit(perms, [seed], act)
-                covered.update(part)
-                sizes.append(len(part))
-        return sizes
-
-    flag_gens = list(zip(gens.gens, induced))
-    flag_orbit_size = len(orbit(flag_gens, [design.blocks[0][0] * b], flag_images))
+    flag_orbit_size = len(orbit(flags, [0]))
     flag_count = b * k
-    block_orbit_sizes = orbit_sizes(induced, range(b))
-    point_orbit_sizes = orbit_sizes(gens.gens, range(v))
-    pairs = (x * v + y for x in range(v) for y in range(v) if x != y)
-    pair_orbit_sizes = orbit_sizes(gens.gens, pairs, pair_images)
+    block_orbit_sizes = _orbit_sizes(blocks)
+    point_orbit_sizes = _orbit_sizes(points)
+    pair_orbit_sizes = _orbit_sizes(pairs, skip=slice(None, None, v + 1))
 
     return FlagReport(
         v=v,
@@ -452,7 +468,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
 
     for base in range(v):
         fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-        done = set(orbit(fixing, [base]))
+        table = _image_table(fixing, v)
+        done = orbit(table, [base])
         # an automorphism fixing 0..base-1 pointwise cannot send base below itself
         for y in range(base + 1, v):
             if y in done:
@@ -463,7 +480,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
             if found is not None:
                 gens.append(found)
                 fixing.append(found)
-            done = set(orbit(fixing, done | {y}))
+                table = _image_table(fixing, v)
+            done = orbit(table, np.append(done, y))
         prefix[base] = base
     return GeneratorSet(v, gens)
 

@@ -273,8 +273,9 @@ def zsigmondy_ppd(q: int, n: int) -> ZsigmondyResult:
     """Primes dividing q^n - 1 but no q^m - 1 with 1 <= m < n."""
     if q < 2 or n < 2:
         raise SieveError(f"need q >= 2 and n >= 2, got {(q, n)}")
-    if q**n > 2**63:
-        raise SieveError(f"q^n = {q**n} exceeds the 2^63 factoring bound")
+    # q^n >= 2^(n(bits-1)), so only a power below 2^126 is ever formed
+    if n * (q.bit_length() - 1) > 63 or q**n > 2**63:
+        raise SieveError(f"need q^n <= 2^63 for factoring, got q = {q} and n = {n}")
     primes = sorted(factorize(q**n - 1))
     primitive = [
         p for p in primes if all(pow(q, m, p) != 1 for m in range(1, n))

@@ -226,7 +226,8 @@ class TestGroupGenerators:
         assert group_order(gens).order == 2520
         from steiner3.permgrp import orbit
 
-        assert orbit(gens.gens, [1]) == list(range(1, 16))  # transitive on nonzero vectors
+        # transitive on nonzero vectors
+        assert orbit(gens.gens, [1]).tolist() == list(range(1, 16))
 
     def test_t_a7_needs_dimension_4(self):
         with pytest.raises(CatalogError):

@@ -266,6 +266,19 @@ class TestErrorContract:
     def test_cyclotomic_above_the_cap(self, d, capsys):
         self.assert_usage_error(run(capsys, "cyclotomic", "--d", d, "--q", "2"))
 
+    @pytest.mark.parametrize("n", ["64", "100000", "1000000000"])
+    def test_zsigmondy_above_the_factoring_bound(self, n, capsys):
+        result = run(capsys, "zsigmondy", "--q", "2", "--n", n)
+        self.assert_usage_error(result)
+        assert f"q = 2 and n = {n}" in result[2]
+
+    @pytest.mark.parametrize("q,n", [("2", "63"), ("3", "39")])
+    def test_zsigmondy_at_the_factoring_bound(self, q, n, capsys):
+        code, out, err = run(capsys, "zsigmondy", "--q", q, "--n", n)
+        assert code == 0 and err == ""
+        for p in map(int, out.split(",")):
+            assert (int(q) ** int(n) - 1) % p == 0 and p % int(n) == 1
+
     def test_gens_degree_above_the_point_cap(self, tmp_path, capsys):
         path = tmp_path / "huge.gens"
         path.write_text("degree: 1000000000\n(1 2)\n")

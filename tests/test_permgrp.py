@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from steiner3.catalog import (
+    _block_orbit,
     affine_group_generators,
     construct_boolean_affine,
     construct_spherical,
@@ -60,30 +62,37 @@ class TestPermutation:
 
 class TestOrbit:
     def test_identity_only(self):
-        assert orbit([tuple(range(10))], [5]) == [5]
+        assert orbit([tuple(range(10))], [5]).tolist() == [5]
 
     def test_pgl29_point_orbit_is_whole_line(self):
         gens = projective_group_generators("PGL", 3, 2)
-        assert orbit(gens.gens, [0]) == list(range(10))
+        assert orbit(gens.gens, [0]).tolist() == list(range(10))
 
     def test_pgl29_base_block_orbit_matches_block_count(self):
         # b = v(v-1)(v-2) / (k(k-1)(k-2)) with v=10, k=4
         want = 10 * 9 * 8 // (4 * 3 * 2)
         gens = projective_group_generators("PGL", 3, 2)
         base = (0, 1, 2, 9)  # GF(3) u {infinity} inside the line over GF(9)
-
-        def set_images(g, blocks):
-            return (tuple(sorted(g[x] for x in s)) for s in blocks)
-
-        blocks = orbit(gens.gens, [base], set_images)
+        blocks = _block_orbit(gens.gens, base)
         assert len(blocks) == want == 30
 
     def test_several_seeds_give_the_union_of_their_orbits(self):
         gens = affine_group_generators("AGL_1", 3).gens
         zero_fixing = [g for g in gens if g[0] == 0]
-        assert orbit(zero_fixing, [0]) == [0]
-        assert orbit(zero_fixing, [0, 1]) == list(range(8))
-        assert orbit([], [3, 1]) == [1, 3]
+        assert orbit(zero_fixing, [0]).tolist() == [0]
+        assert orbit(zero_fixing, [0, 1]).tolist() == list(range(8))
+        assert orbit([], [3, 1]).tolist() == [1, 3]
+
+    def test_no_generators_as_an_empty_table(self):
+        empty = np.zeros((0, 8), dtype=np.int32)
+        assert orbit(empty, [6, 2, 6]).tolist() == [2, 6]
+        assert orbit(empty, []).tolist() == []
+
+    def test_orbits_of_one_table(self):
+        # one generator over 6 states: a 3-cycle, a fixed state, a 2-cycle
+        table = np.array([[1, 2, 0, 3, 5, 4]])
+        assert orbit(table, [2]).tolist() == [0, 1, 2]
+        assert orbit(table, [4, 3]).tolist() == [3, 4, 5]
 
 
 class TestGroupOrder:

@@ -2,8 +2,11 @@
 
 `reference_flag_report` is the straightforward transitivity report: a
 queue BFS over flags and one orbit partition per action, written
-directly on image tuples.  The library's frontier-based `orbit` must
-give the same `FlagReport`, field for field.  `reference_screen` is the
+directly on image tuples, with blocks looked up by sort and bisect over
+the block list.  The library's array kernel (vectorised block lookup,
+bitmap frontier `orbit`) must give the same `FlagReport`, field for
+field, and `block_action` the same induced permutation or the same
+witness block.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
 report; the table-driven sieve must give the same fields for every
 pair.  The SHA-256 digests pin the bytes of generator files and sieve
@@ -12,11 +15,14 @@ output written by the CLI.
 
 import hashlib
 import json
+import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from steiner3.catalog import (
@@ -29,7 +35,13 @@ from steiner3.catalog import (
 )
 from steiner3.cli import main
 from steiner3.design import CAMERON_EQUALITY_CASES, Design, blocksize_bound
-from steiner3.permgrp import FlagReport, GeneratorSet, is_flag_transitive
+from steiner3.permgrp import (
+    FlagReport,
+    GeneratorSet,
+    SetNotPreserved,
+    block_action,
+    is_flag_transitive,
+)
 from steiner3.sieve import (
     _OUTCOMES,
     SieveReport,
@@ -63,8 +75,22 @@ def _partition(gens, states, act):
     return parts
 
 
+def _reference_index(design: Design, block) -> int:
+    key = tuple(sorted(block))
+    i = bisect_left(design.blocks, key)
+    if i < len(design.blocks) and design.blocks[i] == key:
+        return i
+    return -1
+
+
 def _block_images(design: Design, g: tuple) -> tuple:
-    return tuple(design.block_index([g[x] for x in block]) for block in design.blocks)
+    return tuple(_reference_index(design, [g[x] for x in block]) for block in design.blocks)
+
+
+def _reference_witness(design: Design, g: tuple):
+    """The first block, in canonical order, whose image is not a block."""
+    images = _block_images(design, g)
+    return design.blocks[images.index(-1)] if -1 in images else None
 
 
 def reference_flag_report(design: Design, gens: GeneratorSet) -> FlagReport:
@@ -104,6 +130,79 @@ def reference_flag_report(design: Design, gens: GeneratorSet) -> FlagReport:
     )
 
 
+def _assert_same_report(design: Design, gens: GeneratorSet) -> FlagReport:
+    report = is_flag_transitive(design, gens)
+    assert report == reference_flag_report(design, gens)
+    return report
+
+
+def _random_permutation(rng: random.Random, n: int) -> tuple:
+    images = list(range(n))
+    rng.shuffle(images)
+    return tuple(images)
+
+
+class TestBlockLookupDifferential:
+    def test_blocks_sharing_three_points(self):
+        # the 4-subsets of 7 points with an even sum: many blocks share
+        # each 3-point prefix, and half of all 4-subsets are not blocks
+        design = Design(7, 3, [s for s in combinations(range(7), 4) if sum(s) % 2 == 0])
+        queries = [list(s) for s in combinations(range(7), 4)]
+        rng = random.Random(1)
+        for query in queries:
+            rng.shuffle(query)
+        got = design.block_index(np.array(queries))
+        want = [_reference_index(design, q) for q in queries]
+        assert got.tolist() == want
+        assert [design.block_index(q) for q in queries] == want
+        assert want.count(-1) == len(queries) - design.b > 0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_small_blocks(self, k):
+        design = Design(6, k, [s for s in combinations(range(6), k) if s[0] % 2 == 0])
+        queries = list(combinations(range(6), k))
+        got = design.block_index(np.array(queries)[:, ::-1])
+        assert got.tolist() == [_reference_index(design, q) for q in queries]
+
+    def test_rows_outside_the_points(self, catalogue):
+        design = catalogue[("affine", 3)]
+        rows = np.array([[0, 1, 2, 3], [-1, 1, 2, 3], [0, 1, 2, 8], [5, 6, 7, 4], [0, 0, 3, 3]])
+        assert design.block_index(rows).tolist() == [0, -1, -1, design.b - 1, -1]
+        assert design.block_index(rows[:, :3]).tolist() == [-1] * 5
+        assert design.block_index(np.zeros((0, 4), dtype=int)).tolist() == []
+
+
+class TestBlockActionDifferential:
+    def test_automorphisms(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            for g in gens.gens:
+                assert block_action(design, g) == _block_images(design, g), label
+
+    def test_witness_of_random_permutations(self, catalogue):
+        rng = random.Random(2024)
+        for key, design in sorted(catalogue.items()):
+            for _ in range(5):
+                g = _random_permutation(rng, design.v)
+                witness = _reference_witness(design, g)
+                if witness is None:
+                    assert block_action(design, g) == _block_images(design, g)
+                    continue
+                with pytest.raises(SetNotPreserved) as err:
+                    block_action(design, g)
+                assert err.value.witness == witness, key
+
+    def test_witness_comes_from_the_first_offending_generator(self, catalogue):
+        design = catalogue[("netto", 19)]
+        good = projective_group_generators("PSL", 19, 1).gens
+        low, high = (1, 0) + tuple(range(2, 20)), tuple(range(18)) + (19, 18)
+        witnesses = _reference_witness(design, low), _reference_witness(design, high)
+        assert None not in witnesses and witnesses[0] != witnesses[1]
+        for bad, want in ((low, high), witnesses[0]), ((high, low), witnesses[1]):
+            with pytest.raises(SetNotPreserved) as err:
+                is_flag_transitive(design, GeneratorSet(design.v, good + bad))
+            assert err.value.witness == want
+
+
 class TestFlagReportDifferential:
     def test_flag_transitive_pairs(self, flag_transitive_pairs):
         for label, design, gens in flag_transitive_pairs:
@@ -130,6 +229,37 @@ class TestFlagReportDifferential:
         design = construct_boolean_affine(3)
         gens = GeneratorSet(8, ())
         assert is_flag_transitive(design, gens) == reference_flag_report(design, gens)
+
+    @pytest.mark.parametrize("key", [("spherical", 3, 2), ("netto", 19), ("witt",)])
+    def test_empty_generator_set(self, catalogue, key):
+        design = catalogue[key]
+        report = _assert_same_report(design, GeneratorSet(design.v, ()))
+        assert report.flag_orbit_size == 1
+        assert report.block_orbit_count == design.b
+        assert report.point_pair_orbit_count == design.v * (design.v - 1)
+
+    def test_blocks_sharing_three_points(self):
+        # every 4-subset of 6 points under S6, and under the 6-cycle alone
+        design = Design(6, 3, combinations(range(6), 4))
+        cycle = (1, 2, 3, 4, 5, 0)
+        report = _assert_same_report(design, GeneratorSet(6, [(1, 0, 2, 3, 4, 5), cycle]))
+        assert report.flag_transitive and report.point_2_transitive
+        report = _assert_same_report(design, GeneratorSet(6, [cycle]))
+        assert report.block_orbit_sizes == (6, 6, 3)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_small_blocks(self, k):
+        # the k-subsets of 5 points under the dihedral group of the pentagon
+        design = Design(5, 1, combinations(range(5), k))
+        gens = GeneratorSet(5, [(1, 2, 3, 4, 0), (0, 4, 3, 2, 1)])
+        report = _assert_same_report(design, gens)
+        assert report.block_orbit_count == k
+
+    def test_agammal1128_on_affine7(self):
+        design = construct_boolean_affine(7)
+        report = _assert_same_report(design, affine_group_generators("AGammaL_1", 7))
+        assert (report.flag_orbit_size, report.flag_count) == (113792, 341376)
+        assert report.block_orbit_sizes == (28448, 28448, 28448)
 
     def test_point_stabilizer_subgroup(self):
         # x -> x^3 fixes GF(3) and infinity on the line over GF(9): a

@@ -188,6 +188,16 @@ class TestZsigmondy:
         with pytest.raises(SieveError):
             zsigmondy_ppd(1, 3)
 
+    @pytest.mark.parametrize("q,n", [(2, 64), (3, 40), (2**32, 2), (2**63, 2), (2, 10**9), (10**100, 10**9)])
+    def test_above_the_factoring_bound(self, q, n):
+        with pytest.raises(SieveError, match=f"got q = {q} and n = {n}"):
+            zsigmondy_ppd(q, n)
+
+    def test_power_at_the_bound(self):
+        q = 2**21  # q^3 = 2^63
+        primes = zsigmondy_ppd(q, 3).primitive_primes
+        assert primes and all((q**3 - 1) % p == 0 != (q - 1) % p for p in primes)
+
 
 class TestSemilinearDivisibility:
     @pytest.mark.parametrize("d,k,want", [(3, 4, True), (5, 4, True), (7, 4, False)])
