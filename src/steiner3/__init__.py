@@ -15,7 +15,8 @@ from .design import (
     to_json,
     verify_steiner,
 )
-from .gf import FieldContext, FieldElement, FieldError
+from .errors import Steiner3Error
+from .gf import FieldContext, FieldError
 from .catalog import (
     CatalogError,
     CatalogueEntry,

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import MAX_POINTS, Design, derived_design
+from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet, parse_generators
 
@@ -26,11 +27,11 @@ AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
 PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
 
 
-class CatalogError(ValueError):
+class CatalogError(Steiner3Error, ValueError):
     """Parameters outside a family's admissible range."""
 
 
-class GolayConstructionError(RuntimeError):
+class GolayConstructionError(Steiner3Error, RuntimeError):
     """An intermediate count of the lexicode pipeline came out wrong."""
 
 
@@ -58,7 +59,7 @@ class ProjectiveLine:
     def translation(self) -> tuple[int, ...]:
         """x -> x + 1."""
         ctx = self.ctx
-        images = [ctx._add(i, 1) for i in range(ctx.order)] + [self.infinity]
+        images = [ctx.add(i, 1) for i in range(ctx.order)] + [self.infinity]
         return tuple(images)
 
     def scaling(self, factor_index: int) -> tuple[int, ...]:
@@ -66,7 +67,7 @@ class ProjectiveLine:
         ctx = self.ctx
         if factor_index == 0:
             raise CatalogError("scaling factor must be nonzero")
-        images = [ctx._mul(factor_index, i) for i in range(ctx.order)]
+        images = [ctx.mul(factor_index, i) for i in range(ctx.order)]
         images.append(self.infinity)
         return tuple(images)
 
@@ -75,15 +76,15 @@ class ProjectiveLine:
         ctx = self.ctx
         images = [self.infinity]  # 0 -> inf
         for i in range(1, ctx.order):
-            j = ctx._inv(i)
-            images.append(ctx._neg(j) if negate else j)
+            j = ctx.inv(i)
+            images.append(ctx.neg(j) if negate else j)
         images.append(0)  # inf -> 0
         return tuple(images)
 
     def frobenius_map(self) -> tuple[int, ...]:
         """x -> x^p."""
         ctx = self.ctx
-        images = [ctx._pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity]
+        images = [ctx.pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity]
         return tuple(images)
 
 
@@ -152,7 +153,7 @@ def construct_netto_extension(q: int) -> Design:
     ctx = FieldContext(p, j)
     line = ProjectiveLine(ctx)
     eps = ctx.primitive_sixth_root()
-    base = tuple(sorted((0, 1, eps.index, line.infinity)))
+    base = tuple(sorted((0, 1, eps, line.infinity)))
     gens = projective_group_generators("PSL", q, 1)
     blocks = _block_orbit(gens.gens, base)
     return Design(line.size, 3, blocks)
@@ -328,11 +329,11 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
         return GeneratorSet(n, tuple(translations) + a7.gens)
     ctx = FieldContext(2, d)
     gens = [
-        tuple(ctx._add(x, 1) for x in range(n)),
-        tuple(ctx._mul(ctx._omega_idx, x) for x in range(n)),
+        tuple(ctx.add(x, 1) for x in range(n)),
+        tuple(ctx.mul(ctx.omega, x) for x in range(n)),
     ]
     if kind == "AGammaL_1":
-        gens.append(tuple(ctx._pow(x, 2) for x in range(n)))
+        gens.append(tuple(ctx.pow(x, 2) for x in range(n)))
     return GeneratorSet(n, gens)
 
 
@@ -357,9 +358,9 @@ def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
     ctx = FieldContext(p, j * e)
     line = ProjectiveLine(ctx)
     if kind in ("PGL", "PGammaL"):
-        gens = [line.translation(), line.scaling(ctx._omega_idx), line.inversion()]
+        gens = [line.translation(), line.scaling(ctx.omega), line.inversion()]
     else:
-        omega2 = ctx._mul(ctx._omega_idx, ctx._omega_idx)
+        omega2 = ctx.mul(ctx.omega, ctx.omega)
         gens = [line.translation(), line.scaling(omega2), line.inversion(negate=True)]
     if kind in ("PSigmaL", "PGammaL"):
         gens.append(line.frobenius_map())

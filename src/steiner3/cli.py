@@ -1,7 +1,8 @@
 """Command-line interface for batch construction, verification and sieving.
 
 Exit codes: 0 on success, 1 when a property check fails (verification
-witness, missing transitivity), 2 for usage or input-format errors.
+witness, missing transitivity), 2 for usage or input-format errors: every
+library error derives from Steiner3Error and maps to 2.
 Output is deterministic byte-for-byte for identical inputs.
 """
 
@@ -31,10 +32,9 @@ from .design import (
     to_json,
     verify_steiner,
 )
-from .gf import FieldError
+from .errors import Steiner3Error
 from .permgrp import (
     PermutationError,
-    SearchBudgetExceeded,
     SetNotPreserved,
     automorphism_group,
     format_generators,
@@ -43,7 +43,6 @@ from .permgrp import (
     parse_generators,
 )
 from .sieve import (
-    SieveError,
     admissible_parameters,
     cyclotomic_eval,
     ramanujan_nagell,
@@ -335,15 +334,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.func(args)
-    except (
-        CatalogError,
-        DesignError,
-        FieldError,
-        PermutationError,
-        SearchBudgetExceeded,
-        SieveError,
-        OSError,
-    ) as exc:
+    except (Steiner3Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

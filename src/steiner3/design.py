@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import Steiner3Error
 from .gf import FieldContext
 
 MAX_POINTS = 128
@@ -29,7 +30,7 @@ CAMERON_EQUALITY_CASES = (
 )
 
 
-class DesignError(ValueError):
+class DesignError(Steiner3Error, ValueError):
     """Malformed incidence structure or inconsistent parameters."""
 
 
@@ -53,6 +54,8 @@ class Design:
         if not canon:
             raise DesignError("a design needs at least one block")
         k = len(canon[0])
+        if k == 0:
+            raise DesignError("blocks must not be empty")
         for block in canon:
             if len(block) != k:
                 raise DesignError(f"non-uniform block size: {len(block)} != {k}")
@@ -267,16 +270,29 @@ def is_affine_line_system(derived: Design, ctx: FieldContext, q: int) -> bool:
         )
     if derived.k != q:
         raise DesignError(f"block size {derived.k} does not match line size {q}")
-    scalars = [i for i in range(ctx.order) if ctx._pow(i, q) == i]
+    scalars = [i for i in range(ctx.order) if ctx.pow(i, q) == i]
     for block in derived.blocks:
         base = block[0]
-        diffs = {ctx._add(p, ctx._neg(base)) for p in block}
+        diffs = {ctx.add(p, ctx.neg(base)) for p in block}
         for u in diffs:
             if u == 0:
                 continue
-            if {ctx._mul(s, u) for s in scalars} != diffs:
+            if {ctx.mul(s, u) for s in scalars} != diffs:
                 return False
     return True
+
+
+def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:
+    """For strength t on v points: the largest k with v >= (t+1)(k-t+1);
+    for t > 2 the largest k with v-t+1 >= (k-t+2)(k-t+1), else None; and
+    the k with v-t+1 == (k-t+2)(k-t+1), if there is one, else None."""
+    largest_a = v // (t + 1) + t - 1
+    if t <= 2:
+        return largest_a, None, None
+    # m = k-t+1: the largest m with m(m+1) <= v-t+1, from (2m+1)^2 <= 4(v-t+1)+1
+    room = v - t + 1
+    m = (math.isqrt(4 * room + 1) - 1) // 2
+    return largest_a, m + t - 1, m + t - 1 if m * (m + 1) == room else None
 
 
 def cameron_check(t: int, k: int, v: int) -> CameronResult:
@@ -285,15 +301,11 @@ def cameron_check(t: int, k: int, v: int) -> CameronResult:
     if not t < k < v:
         raise DesignError(f"need t < k < v for a non-trivial design, got {(t, k, v)}")
     case = (t, k, v)
-    if v < (t + 1) * (k - t + 1):
+    largest_a, largest_b, equality = cameron_limits(t, v)
+    if k > largest_a or (largest_b is not None and k > largest_b):
         return CameronResult("violated", case, False)
-    if t > 2:
-        lhs = v - t + 1
-        rhs = (k - t + 2) * (k - t + 1)
-        if lhs < rhs:
-            return CameronResult("violated", case, False)
-        if lhs == rhs:
-            return CameronResult("equality", case, case in CAMERON_EQUALITY_CASES)
+    if k == equality:
+        return CameronResult("equality", case, case in CAMERON_EQUALITY_CASES)
     return CameronResult("strict", case, False)
 
 
@@ -323,14 +335,18 @@ def from_json(text: str) -> Design:
     for key in ("v", "t", "blocks"):
         if key not in payload:
             raise DesignError(f"design JSON is missing {key!r}")
-    if payload.get("lambda", 1) != 1:
+    lam = payload.get("lambda", 1)
+    if type(lam) is not int or lam != 1:
         raise DesignError("only lambda = 1 designs are supported")
     for key in ("v", "t"):
-        if not _is_int(payload[key]):
+        if type(payload[key]) is not int:
             raise DesignError(f"{key!r} must be an integer, got {payload[key]!r}")
     blocks = payload["blocks"]
-    if not isinstance(blocks, list) or not all(
-        isinstance(block, list) and all(map(_is_int, block)) for block in blocks
+    # exact type tests, so bools (an int subclass) are rejected as well
+    if (
+        type(blocks) is not list
+        or not set(map(type, blocks)) <= {list}
+        or not set(map(type, chain.from_iterable(blocks))) <= {int}
     ):
         raise DesignError("'blocks' must be a list of lists of integers")
     labels = payload.get("labels")
@@ -339,7 +355,3 @@ def from_json(text: str) -> Design:
     ):
         raise DesignError("'labels' must be a list of strings")
     return Design(payload["v"], payload["t"], blocks, labels)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

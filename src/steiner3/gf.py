@@ -1,6 +1,6 @@
 """Exact arithmetic in GF(p^d) with a canonical element enumeration.
 
-Elements are indexed by the base-p integer encoding of their coefficient
+An element is its index, the base-p integer encoding of its coefficient
 vector in the polynomial basis: index 0 is zero, index 1 is one, and the
 index of ``c0 + c1*x + ... + c_{d-1}*x^{d-1}`` is ``sum(c_i * p**i)``.
 The modulus is the monic irreducible polynomial of degree d whose own
@@ -11,13 +11,14 @@ full order with the smallest index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
+
+from .errors import Steiner3Error
 
 MAX_ORDER = 1 << 20
 
 
-class FieldError(ValueError):
+class FieldError(Steiner3Error, ValueError):
     """Invalid field parameters or an undefined field operation."""
 
 
@@ -39,7 +40,7 @@ def is_prime(n: int) -> bool:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division, as {prime: multiplicity}."""
     if n < 1:
-        raise ValueError(f"cannot factor {n}")
+        raise FieldError(f"cannot factor {n}")
     out: dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -114,46 +115,12 @@ def _smallest_irreducible(p: int, d: int) -> int:
     raise FieldError(f"no irreducible polynomial of degree {d} over GF({p})")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a fixed FieldContext, identified by its index."""
-
-    ctx: "FieldContext"
-    index: int
-
-    def _peer(self, other: "FieldElement") -> int:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.ctx != other.ctx:
-            raise FieldError("elements belong to different field contexts")
-        return other.index
-
-    def __add__(self, other):
-        return FieldElement(self.ctx, self.ctx._add(self.index, self._peer(other)))
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        return FieldElement(self.ctx, self.ctx._add(self.index, self.ctx._neg(o)))
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx._neg(self.index))
-
-    def __mul__(self, other):
-        return FieldElement(self.ctx, self.ctx._mul(self.index, self._peer(other)))
-
-    def __pow__(self, e: int):
-        return self.ctx.pow(self, e)
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __repr__(self):
-        return f"<{self.ctx._poly_str(self.index)} in GF({self.ctx.p}^{self.ctx.d})>"
-
-
 class FieldContext:
     """GF(p^d) in the polynomial basis of its canonical modulus.
 
+    Elements are their indices 0..order-1: every public operation takes
+    and returns indices, and rejects an index outside that range with
+    FieldError.  ``omega`` is the index of the multiplicative generator.
     Immutable after construction; all operations are pure.
     """
 
@@ -174,7 +141,7 @@ class FieldContext:
         self._mod_enc = mod_enc
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._omega_idx = self._find_primitive()
+        self.omega = self._find_primitive()
         if self.order <= 1 << 16:
             self._build_tables()
 
@@ -194,34 +161,13 @@ class FieldContext:
         n = self.order - 1
         exp = [1] * n
         for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], self._omega_idx)
+            exp[i] = self._mul_raw(exp[i - 1], self.omega)
         log = [0] * self.order
         for i, value in enumerate(exp):
             log[value] = i
         self._exp, self._log = exp, log
 
-    # -- raw index arithmetic --
-
-    def _add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        out, shift = 0, 1
-        while a or b:
-            a, ca = divmod(a, self.p)
-            b, cb = divmod(b, self.p)
-            out += (ca + cb) % self.p * shift
-            shift *= self.p
-        return out
-
-    def _neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        out, shift = 0, 1
-        while a:
-            a, c = divmod(a, self.p)
-            out += (-c) % self.p * shift
-            shift *= self.p
-        return out
+    # -- unchecked index arithmetic --
 
     def _mul_raw(self, a: int, b: int) -> int:
         # schoolbook product of coefficient vectors, reduced by the modulus
@@ -241,13 +187,6 @@ class FieldContext:
                     prod[top - self.d + i] = (prod[top - self.d + i] - c * mod[i]) % self.p
         return reduce(lambda acc, c: acc * self.p + c, reversed(prod), 0)
 
-    def _mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_raw(a, b)
-
     def _pow_raw(self, a: int, e: int) -> int:
         out = 1
         while e:
@@ -258,28 +197,19 @@ class FieldContext:
         return out
 
     def _pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self._pow(self._inv(a), -e)
+        """a ** e for e >= 0, through the log tables when they exist."""
+        if self._exp is None:
+            return self._pow_raw(a, e)
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[self._log[a] * e % (self.order - 1)]
-        out = 1
-        while e:
-            if e & 1:
-                out = self._mul(out, a)
-            a = self._mul(a, a)
-            e >>= 1
-        return out
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
-    def _inv(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("inversion of zero")
-        return self._pow(a, self.order - 2)
+    def _check(self, *indices: int) -> None:
+        for a in indices:
+            if not 0 <= a < self.order:
+                raise FieldError(f"index {a} out of range for GF({self.p}^{self.d})")
 
     def _poly_str(self, enc: int) -> str:
-        if enc == 0:
-            return "0"
         parts = []
         for i, c in enumerate(_poly_coeffs(enc, self.p)):
             if not c:
@@ -293,92 +223,81 @@ class FieldContext:
                 parts.append(f"{coeff}x^{i}")
         return "+".join(reversed(parts))
 
-    # -- public surface --
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldContext)
-            and (self.p, self.d, self.modulus) == (other.p, other.d, other.modulus)
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.d, self.modulus))
+    # -- public surface: element indices in, element indices out --
 
     def __repr__(self):
         return f"FieldContext(GF({self.p}^{self.d}), modulus={self._poly_str(self._mod_enc)})"
 
-    def element(self, index: int) -> FieldElement:
-        if not 0 <= index < self.order:
-            raise FieldError(f"index {index} out of range for GF({self.p}^{self.d})")
-        return FieldElement(self, index)
+    def add(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if self.p == 2:
+            return a ^ b
+        out, shift = 0, 1
+        while a or b:
+            a, ca = divmod(a, self.p)
+            b, cb = divmod(b, self.p)
+            out += (ca + cb) % self.p * shift
+            shift *= self.p
+        return out
 
-    def elements(self):
-        return (FieldElement(self, i) for i in range(self.order))
+    def neg(self, a: int) -> int:
+        self._check(a)
+        if self.p == 2:
+            return a
+        out, shift = 0, 1
+        while a:
+            a, c = divmod(a, self.p)
+            out += (-c) % self.p * shift
+            shift *= self.p
+        return out
 
-    @property
-    def zero(self) -> FieldElement:
-        return FieldElement(self, 0)
+    def mul(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is None:
+            return self._mul_raw(a, b)
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
-    @property
-    def one(self) -> FieldElement:
-        return FieldElement(self, 1)
+    def inv(self, a: int) -> int:
+        self._check(a)
+        if a == 0:
+            raise FieldError("inversion of zero")
+        return self._pow(a, self.order - 2)
 
-    @property
-    def omega(self) -> FieldElement:
-        """The smallest-index multiplicative generator."""
-        return FieldElement(self, self._omega_idx)
+    def pow(self, a: int, e: int) -> int:
+        """a ** e; a negative e inverts a first."""
+        if e < 0:
+            return self._pow(self.inv(a), -e)
+        self._check(a)
+        return self._pow(a, e)
 
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self._wrap(a) + b
-
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self._wrap(a) - b
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        return -self._wrap(a)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        return self._wrap(a) * b
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        return FieldElement(self, self._inv(self._wrap(a).index))
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        return FieldElement(self, self._pow(self._wrap(a).index, e))
-
-    def _wrap(self, a: FieldElement) -> FieldElement:
-        if not isinstance(a, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(a).__name__}")
-        if a.ctx != self:
-            raise FieldError("element belongs to a different field context")
-        return a
-
-    def frobenius(self, a: FieldElement, r: int) -> FieldElement:
+    def frobenius(self, a: int, r: int) -> int:
         """a ** r where r must be a power of the characteristic."""
-        a = self._wrap(a)
+        self._check(a)
         rr = r
         while rr > 1 and rr % self.p == 0:
             rr //= self.p
         if rr != 1 or r < 1:
             raise FieldError(f"{r} is not a power of the characteristic {self.p}")
-        return FieldElement(self, self._pow(a.index, r))
+        return self._pow(a, r)
 
-    def multiplicative_order(self, a: FieldElement) -> int:
-        a = self._wrap(a)
-        if a.index == 0:
+    def multiplicative_order(self, a: int) -> int:
+        self._check(a)
+        if a == 0:
             raise FieldError("zero has no multiplicative order")
         n = self.order - 1
         order = n
         for ell, mult in factorize(n).items() if n > 1 else []:
             for _ in range(mult):
-                if self._pow(a.index, order // ell) == 1:
+                if self._pow(a, order // ell) == 1:
                     order //= ell
                 else:
                     break
         return order
 
-    def primitive_sixth_root(self) -> FieldElement:
-        """The smallest-index element of multiplicative order exactly 6."""
+    def primitive_sixth_root(self) -> int:
+        """The smallest index of multiplicative order exactly 6."""
         if (self.order - 1) % 6 != 0:
             raise FieldError(f"6 does not divide {self.order} - 1")
         for idx in range(2, self.order):
@@ -387,7 +306,7 @@ class FieldContext:
                 and self._pow(idx, 2) != 1
                 and self._pow(idx, 3) != 1
             ):
-                return FieldElement(self, idx)
+                return idx
         raise FieldError("no element of order 6 found")  # unreachable given the pre
 
     def subfield_indices(self, q: int) -> list[int]:

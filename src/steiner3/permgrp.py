@@ -22,13 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from .design import MAX_POINTS, Design
+from .errors import Steiner3Error
 
 
-class PermutationError(ValueError):
+class PermutationError(Steiner3Error, ValueError):
     """Malformed permutation or mismatched degrees."""
 
 
-class SetNotPreserved(ValueError):
+class SetNotPreserved(Steiner3Error, ValueError):
     """A permutation mapped some block outside the block list."""
 
     def __init__(self, witness: tuple[int, ...]):
@@ -36,7 +37,7 @@ class SetNotPreserved(ValueError):
         self.witness = witness
 
 
-class SearchBudgetExceeded(RuntimeError):
+class SearchBudgetExceeded(Steiner3Error, RuntimeError):
     """Automorphism search refused: degree above the supported bound."""
 
 
@@ -491,10 +492,14 @@ def automorphism_group(design: Design) -> GeneratorSet:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+# is_flag_transitive holds an (m, b*k) int32 flag table for m generators
+MAX_GENERATORS = MAX_POINTS
+
+
 def parse_generators(text: str) -> GeneratorSet:
-    """Parse the text format: a 'degree: n' header, then one permutation
-    per line, either 1-based cycles "(1 2 3)(5 6)" or an image list
-    "img: 2,0,1".  '#' starts a comment."""
+    """Parse the text format: a 'degree: n' header, then at most
+    MAX_GENERATORS permutations, one per line, either 1-based cycles
+    "(1 2 3)(5 6)" or an image list "img: 2,0,1".  '#' starts a comment."""
     degree = None
     perms: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -514,6 +519,10 @@ def parse_generators(text: str) -> GeneratorSet:
                 )
             degree = int(digits)
             continue
+        if len(perms) == MAX_GENERATORS:
+            raise PermutationError(
+                f"line {lineno}: more than {MAX_GENERATORS} generators"
+            )
         if line.startswith("img:"):
             perms.append(_integers(line[4:], lineno))
             continue

@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .design import CAMERON_EQUALITY_CASES, Design, blocksize_bound, params_of
+from .design import (
+    CAMERON_EQUALITY_CASES,
+    Design,
+    blocksize_bound,
+    cameron_limits,
+    params_of,
+)
+from .errors import Steiner3Error
 from .gf import factorize
 from .permgrp import GeneratorSet, group_order, is_flag_transitive
 
@@ -22,11 +29,11 @@ from .permgrp import GeneratorSet, group_order, is_flag_transitive
 CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
 
 
-class SieveError(ValueError):
+class SieveError(Steiner3Error, ValueError):
     """Inputs outside an operation's supported range."""
 
 
-class NotFlagTransitive(ValueError):
+class NotFlagTransitive(Steiner3Error, ValueError):
     """The stabilizer identities require a flag-transitive action."""
 
 
@@ -90,8 +97,10 @@ class SieveReport:
 
 
 def _screen(v: int, ks: range) -> Iterator[SieveReport]:
-    """Reports for (v, k) with k in ks, the v-dependent products formed once."""
+    """Reports for (v, k) with k in ks, the v-dependent products and the
+    Cameron limits formed once."""
     bound = blocksize_bound(v)
+    largest_a, largest_b, equality_k = cameron_limits(3, v)
     v2 = v - 2
     r_num = (v - 1) * v2
     b_num = v * r_num
@@ -104,10 +113,10 @@ def _screen(v: int, ks: range) -> Iterator[SieveReport]:
             | (r_num % r_den == 0) << 4
             | (v2 % k2 == 0) << 3
             | (k <= bound) << 2
-            | (v >= 4 * k2) << 1
-            | (v2 >= r_den)
+            | (k <= largest_a) << 1
+            | (k <= largest_b)
         ]
-        equality = v2 == r_den
+        equality = k == equality_k
         yield SieveReport(
             v,
             k,

@@ -83,9 +83,9 @@ class TestSpherical:
             if a == 0:
                 continue
             for c in sub:
-                images = [ctx._add(ctx._mul(a, x), c) for x in range(9)] + [inf]
+                images = [ctx.add(ctx.mul(a, x), c) for x in range(9)] + [inf]
                 maps.append(tuple(images))
-        inversion = [inf] + [ctx._inv(x) for x in range(1, 9)] + [0]
+        inversion = [inf] + [ctx.inv(x) for x in range(1, 9)] + [0]
         maps.append(tuple(inversion))
         for g in maps:
             induced = block_action(design, g)
@@ -115,7 +115,7 @@ class TestNetto:
 
     def test_base_block_contains_sixth_root(self):
         design = construct_netto_extension(19)
-        eps = FieldContext(19, 1).primitive_sixth_root().index
+        eps = FieldContext(19, 1).primitive_sixth_root()
         assert design.block_index(tuple(sorted((0, 1, eps, 19)))) >= 0
 
     @pytest.mark.parametrize("q", [6, 13, 11, 127 + 12])

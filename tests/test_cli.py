@@ -4,7 +4,33 @@ import json
 
 import pytest
 
+import steiner3
+from steiner3 import (
+    CatalogError,
+    DesignError,
+    FieldError,
+    GolayConstructionError,
+    NotFlagTransitive,
+    PermutationError,
+    SearchBudgetExceeded,
+    SetNotPreserved,
+    SieveError,
+    Steiner3Error,
+    cli,
+)
 from steiner3.cli import main
+
+LIBRARY_ERRORS = (
+    CatalogError,
+    DesignError,
+    FieldError,
+    GolayConstructionError,
+    NotFlagTransitive,
+    PermutationError,
+    SearchBudgetExceeded,
+    SetNotPreserved,
+    SieveError,
+)
 
 
 def run(capsys, *argv):
@@ -285,6 +311,41 @@ class TestErrorContract:
         result = run(capsys, "order", str(path))
         self.assert_usage_error(result)
         assert "128-point cap" in result[2]
+
+    def test_gens_above_the_generator_cap(self, tmp_path, capsys):
+        path = tmp_path / "many.gens"
+        path.write_text("degree: 4\n" + "(1 2)\n(1 2 3 4)\n" * 64 + "(1 3)\n")
+        result = run(capsys, "order", str(path))
+        self.assert_usage_error(result)
+        assert result[2] == "error: line 130: more than 128 generators\n"
+
+    def test_gens_at_the_generator_cap(self, tmp_path, capsys):
+        path = tmp_path / "many.gens"
+        path.write_text("degree: 4\n" + "(1 2)\n(1 2 3 4)\n" * 64)
+        code, out, err = run(capsys, "order", str(path))
+        assert code == 0 and err == "" and out.startswith("order: 24\n")
+
+    @pytest.mark.parametrize("error", LIBRARY_ERRORS, ids=lambda e: e.__name__)
+    def test_every_library_error_exits_two(self, error, monkeypatch, capsys):
+        exc = error((0, 1, 2)) if error is SetNotPreserved else error("injected")
+
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(cli, "ramanujan_nagell", fail)
+        result = run(capsys, "rnagell", "--max-n", "5")
+        self.assert_usage_error(result)
+        assert result[2] == f"error: {exc}\n"
+
+    def test_every_exported_exception_derives_from_steiner3error(self):
+        exported = {
+            value
+            for value in vars(steiner3).values()
+            if isinstance(value, type) and issubclass(value, BaseException)
+        }
+        assert exported == set(LIBRARY_ERRORS) | {Steiner3Error}
+        for error in LIBRARY_ERRORS:
+            assert issubclass(error, Steiner3Error)
 
 
 class TestDeterminism:

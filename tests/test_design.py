@@ -1,5 +1,7 @@
 """Design container, counting identities, derivation, bounds, JSON."""
 
+import json
+
 import pytest
 
 from steiner3.design import (
@@ -7,6 +9,7 @@ from steiner3.design import (
     DesignError,
     blocksize_bound,
     cameron_check,
+    cameron_limits,
     derived_design,
     from_json,
     is_affine_line_system,
@@ -61,6 +64,10 @@ class TestDesignContainer:
     def test_rejects_repeated_point(self):
         with pytest.raises(DesignError):
             Design(4, 2, [[1, 1]])
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(DesignError, match="empty"):
+            Design(1, 1, [[]])
 
     def test_label_count_checked(self):
         with pytest.raises(DesignError):
@@ -193,6 +200,24 @@ class TestCameron:
         with pytest.raises(DesignError):
             cameron_check(3, 4, 4)
 
+    def test_limits_against_the_defining_inequalities(self):
+        for t in range(1, 7):
+            for v in range(t + 2, 400):
+                largest_a, largest_b, equality = cameron_limits(t, v)
+                for k in range(t + 1, v):
+                    assert (v >= (t + 1) * (k - t + 1)) == (k <= largest_a)
+                    if t > 2:
+                        room, need = v - t + 1, (k - t + 2) * (k - t + 1)
+                        assert (room >= need) == (k <= largest_b)
+                        assert (room == need) == (k == equality)
+                if t <= 2:
+                    assert largest_b is None and equality is None
+
+    def test_limits_at_the_equality_cases(self):
+        for t, k, v in ((3, 4, 8), (3, 6, 22), (3, 12, 112), (4, 7, 23), (5, 8, 24)):
+            assert cameron_limits(t, v)[1:] == (k, k)
+        assert cameron_limits(3, 23) == (7, 6, None)
+
 
 class TestBlocksizeBound:
     @pytest.mark.parametrize("v,want", [(22, 6), (8, 4), (100, 11)])
@@ -229,6 +254,11 @@ class TestJson:
         with pytest.raises(DesignError):
             from_json('{"v": 3, "t": 2, "lambda": 2, "blocks": [[0, 1]]}')
 
+    @pytest.mark.parametrize("lam", ["true", "1.0", '"1"', "[1]"])
+    def test_lambda_of_another_type_rejected(self, lam):
+        with pytest.raises(DesignError, match="lambda = 1"):
+            from_json('{"v": 3, "t": 2, "lambda": %s, "blocks": [[0, 1]]}' % lam)
+
     def test_missing_field_rejected(self):
         with pytest.raises(DesignError):
             from_json('{"v": 3, "blocks": [[0, 1]]}')
@@ -236,3 +266,34 @@ class TestJson:
     def test_invalid_json_rejected(self):
         with pytest.raises(DesignError):
             from_json("not json")
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[0, 1, True]],
+            [[0, 1, 2.0]],
+            [[0, 1, "2"]],
+            [[0, 1, [2]]],
+            [[0, 1, 2], 3],
+            [[0, 1, 2], "012"],
+            [[0, 1, 2], {"0": 1}],
+            "012",
+            {"0": [0, 1, 2]},
+        ],
+        ids=[
+            "bool-point", "float-point", "string-point", "nested-list-point",
+            "int-block", "string-block", "object-block", "string-blocks", "object-blocks",
+        ],
+    )
+    def test_blocks_of_the_wrong_type_rejected(self, blocks):
+        payload = json.dumps({"v": 4, "t": 2, "blocks": blocks})
+        with pytest.raises(DesignError, match="list of lists of integers"):
+            from_json(payload)
+
+    @pytest.mark.parametrize("value", [True, 3.0, "3", None, [3]])
+    @pytest.mark.parametrize("key", ["v", "t"])
+    def test_counts_of_the_wrong_type_rejected(self, key, value):
+        payload = {"v": 4, "t": 2, "blocks": [[0, 1, 2]]}
+        payload[key] = value
+        with pytest.raises(DesignError, match="must be an integer"):
+            from_json(json.dumps(payload))

@@ -32,7 +32,7 @@ class TestContextConstruction:
     def test_gf7_has_smallest_primitive_root(self):
         want = next(g for g in range(2, 7) if brute_order_mod_p(g, 7) == 6)
         assert want == 3
-        assert FieldContext(7, 1).omega.index == 3
+        assert FieldContext(7, 1).omega == 3
 
     def test_gf8_modulus_is_smallest_irreducible_cubic(self):
         # oracle: a GF(2) cubic is reducible iff it has a root in {0, 1}
@@ -58,11 +58,29 @@ class TestContextConstruction:
 
     def test_enumeration_is_total(self):
         ctx = FieldContext(3, 2)
-        assert ctx.zero.index == 0
-        assert ctx.one.index == 1
+        for a in range(ctx.order):
+            assert ctx.add(a, 0) == a  # index 0 is zero
+            assert ctx.mul(a, 1) == a  # index 1 is one
         # index 5 encodes coefficients (2, 1): 2 + x
-        x = ctx.element(3)
-        assert ctx.element(2) + x == ctx.element(5)
+        assert ctx.add(2, 3) == 5
+
+    @pytest.mark.parametrize("index", [-1, 9, 10**6])
+    def test_index_out_of_range_rejected(self, index):
+        ctx = FieldContext(3, 2)
+        for call in (
+            lambda: ctx.add(index, 1),
+            lambda: ctx.add(1, index),
+            lambda: ctx.neg(index),
+            lambda: ctx.mul(index, 1),
+            lambda: ctx.mul(1, index),
+            lambda: ctx.inv(index),
+            lambda: ctx.pow(index, 2),
+            lambda: ctx.pow(index, -2),
+            lambda: ctx.frobenius(index, 3),
+            lambda: ctx.multiplicative_order(index),
+        ):
+            with pytest.raises(FieldError, match="out of range"):
+                call()
 
 
 class TestArithmetic:
@@ -70,48 +88,46 @@ class TestArithmetic:
         want = next(y for y in range(1, 7) if 3 * y % 7 == 1)
         assert want == 5
         ctx = FieldContext(7, 1)
-        assert ctx.inv(ctx.element(3)).index == 5
+        assert ctx.inv(3) == 5
 
     def test_gf8_multiplication_against_carryless_oracle(self):
         ctx = FieldContext(2, 3)
         for a in range(8):
             for b in range(8):
                 want = gf2_poly_mulmod(a, b, 0b1011, 3)
-                assert ctx._mul(a, b) == want
+                assert ctx.mul(a, b) == want
         # x * x^2 = x + 1
-        assert ctx._mul(2, 4) == 3
+        assert ctx.mul(2, 4) == 3
 
     def test_multiplicative_identity(self):
         for ctx in (FieldContext(7, 1), FieldContext(2, 3), FieldContext(5, 2)):
-            for a in ctx.elements():
-                assert a * ctx.one == a
+            for a in range(ctx.order):
+                assert ctx.mul(a, 1) == a
 
     def test_inversion_of_zero_rejected(self):
         ctx = FieldContext(2, 3)
         with pytest.raises(FieldError):
-            ctx.inv(ctx.zero)
+            ctx.inv(0)
 
     def test_context_mismatch_rejected(self):
-        a = FieldContext(7, 1).element(3)
-        b = FieldContext(5, 1).element(3)
+        # 6 is an element index of GF(7) but out of range for GF(5)
+        assert FieldContext(7, 1).add(6, 3) == 2
         with pytest.raises(FieldError):
-            a + b
+            FieldContext(5, 1).add(6, 3)
 
     def test_field_axioms_sampled(self):
         ctx = FieldContext(3, 2)
-        elems = list(ctx.elements())
-        for a in elems:
-            for b in elems:
-                assert a + b == b + a
-                assert a * b == b * a
-                if b.index:
-                    assert (a * b) * ctx.inv(b) == a
+        for a in range(ctx.order):
+            for b in range(ctx.order):
+                assert ctx.add(a, b) == ctx.add(b, a)
+                assert ctx.mul(a, b) == ctx.mul(b, a)
+                if b:
+                    assert ctx.mul(ctx.mul(a, b), ctx.inv(b)) == a
 
     def test_negative_exponent(self):
         ctx = FieldContext(7, 1)
-        three = ctx.element(3)
-        assert ctx.pow(three, -1) == ctx.inv(three)
-        assert three**-2 == ctx.inv(three * three)
+        assert ctx.pow(3, -1) == ctx.inv(3)
+        assert ctx.pow(3, -2) == ctx.inv(ctx.mul(3, 3))
 
 
 class TestFrobenius:
@@ -124,12 +140,12 @@ class TestFrobenius:
 
     def test_prime_field_fixed(self):
         ctx = FieldContext(7, 1)
-        assert ctx.frobenius(ctx.element(3), 7).index == 3
+        assert ctx.frobenius(3, 7) == 3
 
     def test_gf9_cube_of_x_is_minus_x(self):
         ctx = FieldContext(3, 2)
-        x = ctx.element(3)
-        assert ctx.frobenius(x, 3) == -x
+        x = 3
+        assert ctx.frobenius(x, 3) == ctx.neg(x)
 
     def test_non_p_power_rejected(self):
         ctx = FieldContext(2, 3)
@@ -142,12 +158,12 @@ class TestPrimitiveSixthRoot:
     def test_prime_fields_by_scan(self, p, want):
         oracle = next(g for g in range(2, p) if brute_order_mod_p(g, p) == 6)
         assert oracle == want
-        assert FieldContext(p, 1).primitive_sixth_root().index == want
+        assert FieldContext(p, 1).primitive_sixth_root() == want
 
     def test_gf31_cube_is_minus_one(self):
         ctx = FieldContext(31, 1)
         eps = ctx.primitive_sixth_root()
-        assert ctx.pow(eps, 3) == -ctx.one
+        assert ctx.pow(eps, 3) == ctx.neg(1)
 
     def test_rejected_without_sixth_roots(self):
         with pytest.raises(FieldError):
@@ -169,11 +185,10 @@ class TestPrimitiveSixthRoot:
         for p, d in cases:
             ctx = FieldContext(p, d)
             eps = ctx.primitive_sixth_root()
-            one = ctx.one
-            assert ctx.pow(eps, 6) == one
-            assert ctx.pow(eps, 2) != one
-            assert ctx.pow(eps, 3) != one
-            assert eps * eps - eps + one == ctx.zero
+            assert ctx.pow(eps, 6) == 1
+            assert ctx.pow(eps, 2) != 1
+            assert ctx.pow(eps, 3) != 1
+            assert ctx.add(ctx.add(ctx.mul(eps, eps), ctx.neg(eps)), 1) == 0
 
 
 class TestMultiplicativeGroup:
@@ -181,19 +196,40 @@ class TestMultiplicativeGroup:
     def test_omega_generates_everything(self, p, d):
         ctx = FieldContext(p, d)
         seen = set()
-        value = ctx.one
+        value = 1
         for _ in range(ctx.order - 1):
-            seen.add(value.index)
-            value = value * ctx.omega
+            seen.add(value)
+            value = ctx.mul(value, ctx.omega)
         assert len(seen) == ctx.order - 1
-        assert value == ctx.one  # omega^(q-1) = 1
+        assert value == 1  # omega^(q-1) = 1
 
     @pytest.mark.parametrize("p,d", [(2, 4), (3, 3), (13, 1)])
     def test_fermat(self, p, d):
         ctx = FieldContext(p, d)
-        for a in ctx.elements():
-            if a.index:
-                assert ctx.pow(a, ctx.order - 1) == ctx.one
+        for a in range(1, ctx.order):
+            assert ctx.pow(a, ctx.order - 1) == 1
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 13, 31, 97])
+    def test_multiplicative_order_in_prime_fields(self, p):
+        ctx = FieldContext(p, 1)
+        for g in range(1, p):
+            assert ctx.multiplicative_order(g) == brute_order_mod_p(g, p)
+
+    @pytest.mark.parametrize("p,d", [(2, 4), (3, 2), (2, 6)])
+    def test_multiplicative_order_in_extension_fields(self, p, d):
+        # oracle: repeated multiplication until the value returns to one
+        ctx = FieldContext(p, d)
+        for a in range(1, ctx.order):
+            value, order = a, 1
+            while value != 1:
+                value = ctx.mul(value, a)
+                order += 1
+            assert ctx.multiplicative_order(a) == order
+        assert ctx.multiplicative_order(ctx.omega) == ctx.order - 1
+
+    def test_zero_has_no_multiplicative_order(self):
+        with pytest.raises(FieldError):
+            FieldContext(7, 1).multiplicative_order(0)
 
 
 class TestSubfields:
@@ -206,8 +242,8 @@ class TestSubfields:
         subset = set(sub)
         for a in sub:
             for b in sub:
-                assert ctx._add(a, b) in subset
-                assert ctx._mul(a, b) in subset
+                assert ctx.add(a, b) in subset
+                assert ctx.mul(a, b) in subset
 
     def test_non_subfield_rejected(self):
         with pytest.raises(FieldError):
