@@ -26,6 +26,7 @@ from .catalog import (
 )
 from .design import (
     DesignError,
+    check_block_count,
     derived_design,
     from_json,
     params_of,
@@ -128,6 +129,7 @@ def cmd_params(args) -> int:
 
 def cmd_flagcheck(args) -> int:
     design = _load_design(args.design)
+    check_block_count(design)
     gens = _load_generators(args.gens)
     try:
         report = is_flag_transitive(design, gens)

@@ -282,6 +282,24 @@ def is_affine_line_system(derived: Design, ctx: FieldContext, q: int) -> bool:
     return True
 
 
+def check_block_count(design: Design) -> None:
+    """Raise DesignError if b exceeds C(v,s)/C(k,s), s = min(k, 3).
+
+    Each block covers C(k,s) s-subsets of the points, and no s-subset is
+    covered twice in a partial Steiner 3-system (for k < 3, by distinct
+    blocks), so no such system has more blocks.  Checked before any table
+    sized by the block count is built.
+    """
+    v, k, b = design.v, design.k, design.b
+    s = min(k, 3)
+    limit = math.comb(v, s) // math.comb(k, s)
+    if b > limit:
+        raise DesignError(
+            f"{b} blocks of size {k} on {v} points: "
+            f"a partial Steiner 3-system has at most {limit}"
+        )
+
+
 def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:
     """For strength t on v points: the largest k with v >= (t+1)(k-t+1);
     for t > 2 the largest k with v-t+1 >= (k-t+2)(k-t+1), else None; and

@@ -9,12 +9,19 @@ Group order uses a deterministic Schreier-Sims construction: no
 randomness, so stabilizer chains (and everything derived from them) are
 reproducible run to run.  The automorphism search for a design is a
 backtracking search over point images, pruned by the block structure,
-returning one coset representative per stabilizer-chain level.
+returning one coset representative per new image of each base point.
+One search state lives for the whole stabilizer-chain walk: the fixed
+prefix of base points is assigned once, each trial assigns and undoes
+only its own images on top of it, and the branching scores are kept up
+to date as block images are fixed and released.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -325,8 +332,20 @@ class _AutSearch:
 
     Once three assigned points of a block determine its image block, every
     further point of that block is confined to the image; the next point
-    to branch on is always one lying in the most already-determined
-    blocks, so refutations stay shallow.
+    to branch on is always the least one lying in the most
+    already-determined blocks, so refutations stay shallow.  `score[x]`
+    holds that count of determined blocks through x, kept live by
+    `_assign` and `_unassign`; an assigned point's score is lowered by
+    `taken`, so the first maximum of `score` is the branch point.  Each
+    block keeps the bitmask of its assigned points' images, which is the
+    key of its image block in `triple` once three are assigned; `used`
+    is the bitmask of all assigned images.
+
+    One searcher serves the whole stabilizer-chain walk: `generators`
+    assigns each finished base point to itself once, and every trial
+    assigns and undoes only base -> y on top of that fixed prefix, its
+    search unwinding all of its own assignments whether it succeeds or
+    not.  `levels`, `trials`, `successes` and `nodes` count the work.
     """
 
     def __init__(self, design: Design):
@@ -337,116 +356,149 @@ class _AutSearch:
         for bi, block in enumerate(design.blocks):
             for x in block:
                 self.through[x].append(bi)
-        self.triple: dict[tuple[int, int, int], int] = {}
+        # block index of each 3-subset, keyed by its bitmask of points
+        self.triple: dict[int, int] = {}
         for bi, block in enumerate(design.blocks):
-            for tri in combinations(block, 3):
-                self.triple[tri] = bi
-        self.members = [set(block) for block in design.blocks]
-
-    def find(self, partial: dict[int, int]) -> tuple[int, ...] | None:
-        """First automorphism extending the partial point map, or None."""
-        v = self.v
-        self.img = [-1] * v
-        self.pre = [-1] * v
+            for a, b, c in combinations(block, 3):
+                self.triple[(1 << a) | (1 << b) | (1 << c)] = bi
+        self.points = [sum(1 << x for x in block) for block in design.blocks]
+        self.img = [-1] * self.v
         self.blk_img = [-1] * self.nblocks
         self.blk_pre = [-1] * self.nblocks
-        self.count = [0] * self.nblocks
-        self.assigned = [[] for _ in range(self.nblocks)]
-        for x, y in partial.items():
-            if self._assign(x, y) is None:
-                return None
-        return tuple(self.img) if self._dfs() else None
+        self.mask = [0] * self.nblocks
+        self.used = 0
+        self.score = [0] * self.v
+        self.taken = self.nblocks + 1
+        self.levels = self.trials = self.successes = self.nodes = 0
 
-    def _assign(self, x: int, y: int):
-        if self.pre[y] != -1 or self.img[x] != -1:
+    def generators(self) -> list[tuple[int, ...]]:
+        """One automorphism per new image of each base point 0, 1, 2, ...
+
+        A per-level bitmap marks the images already reachable by the
+        generators found so far that fix the prefix, or already refuted.
+        """
+        v = self.v
+        gens: list[tuple[int, ...]] = []
+        for base in range(v):
+            self.levels += 1
+            fixing = [g for g in gens if all(g[p] == p for p in range(base))]
+            table = _image_table(fixing, v)
+            seen = np.zeros(v, dtype=bool)
+            seen[orbit(table, [base])] = True
+            # an automorphism fixing 0..base-1 pointwise cannot send base below itself
+            for y in range(base + 1, v):
+                if seen[y]:
+                    continue
+                found = self._trial(base, y)
+                if found is None:
+                    # no automorphism sends base into the orbit of y either
+                    seen[orbit(table, [y])] = True
+                    continue
+                gens.append(found)
+                fixing.append(found)
+                table = _image_table(fixing, v)
+                seen[orbit(table, np.flatnonzero(seen))] = True
+            self._assign(base, base)
+        return gens
+
+    def _trial(self, base: int, y: int) -> tuple[int, ...] | None:
+        """First automorphism extending the prefix and base -> y, or None."""
+        self.trials += 1
+        undo = self._assign(base, y)
+        if undo is None:
             return None
-        self.img[x] = y
-        self.pre[y] = x
-        touched = 0
+        found = self._dfs()
+        self._unassign(base, y, self.through[base], undo)
+        if found is not None:
+            self.successes += 1
+        return found
+
+    def _assign(self, x: int, y: int) -> list[int] | None:
+        """Set x -> y and the block images it determines; the list of
+        those blocks, or None (and no change) if x -> y contradicts the
+        block structure."""
+        img = self.img
+        bit = 1 << y
+        if img[x] != -1 or self.used & bit:
+            return None
+        img[x] = y
+        self.used |= bit
+        score = self.score
+        score[x] -= self.taken
+        mask, blk_img, blk_pre = self.mask, self.blk_img, self.blk_pre
+        points, used = self.points, self.used
+        through = self.through[x]
         determined = []
-        ok = True
-        for bi in self.through[x]:
-            self.count[bi] += 1
-            self.assigned[bi].append(x)
-            touched += 1
-            ti = self.blk_img[bi]
+        for bi in through:
+            images = mask[bi] | bit
+            mask[bi] = images
+            ti = blk_img[bi]
             if ti != -1:
-                if y not in self.members[ti]:
-                    ok = False
+                if not points[ti] & bit:
                     break
                 continue
-            if self.count[bi] != 3:
+            if images.bit_count() != 3:
                 continue
-            a, c = (p for p in self.assigned[bi] if p != x)
-            key = tuple(sorted((self.img[a], self.img[c], y)))
-            ti = self.triple.get(key)
-            if ti is None or self.blk_pre[ti] != -1:
-                ok = False
+            # the image block, unclaimed, and no point outside bi maps into it
+            ti = self.triple.get(images)
+            if ti is None or blk_pre[ti] != -1 or used & points[ti] != images:
                 break
-            consistent = True
-            for w in self.blocks[ti]:
-                z = self.pre[w]
-                if z != -1 and z not in self.members[bi]:
-                    consistent = False
-                    break
-            if not consistent:
-                ok = False
-                break
-            self.blk_img[bi] = ti
-            self.blk_pre[ti] = bi
+            blk_img[bi] = ti
+            blk_pre[ti] = bi
+            for w in self.blocks[bi]:
+                score[w] += 1
             determined.append(bi)
-        if ok:
+        else:
             return determined
-        for bi in self.through[x][:touched]:
-            self.count[bi] -= 1
-            self.assigned[bi].pop()
-        for bi in determined:
-            self.blk_pre[self.blk_img[bi]] = -1
-            self.blk_img[bi] = -1
-        self.img[x] = -1
-        self.pre[y] = -1
+        self._unassign(x, y, through[: through.index(bi) + 1], determined)
         return None
 
-    def _unassign(self, x: int, y: int, determined: list[int]) -> None:
-        for bi in self.through[x]:
-            self.count[bi] -= 1
-            self.assigned[bi].pop()
+    def _unassign(self, x: int, y: int, touched: list[int], determined: list[int]) -> None:
+        """Undo x -> y: `touched` are the blocks through x whose image
+        masks it entered, `determined` those whose image it fixed."""
+        mask = self.mask
+        bit = 1 << y
+        for bi in touched:
+            mask[bi] ^= bit
+        blk_img, score = self.blk_img, self.score
         for bi in determined:
-            self.blk_pre[self.blk_img[bi]] = -1
-            self.blk_img[bi] = -1
+            self.blk_pre[blk_img[bi]] = -1
+            blk_img[bi] = -1
+            for w in self.blocks[bi]:
+                score[w] -= 1
         self.img[x] = -1
-        self.pre[y] = -1
+        self.used ^= bit
+        score[x] += self.taken
 
     def _next_point(self) -> tuple[int, int]:
-        best, best_score = -1, -1
-        for x in range(self.v):
-            if self.img[x] != -1:
-                continue
-            score = sum(1 for bi in self.through[x] if self.blk_img[bi] != -1)
-            if score > best_score:
-                best, best_score = x, score
-        return best, best_score
+        best_score = max(self.score)
+        if best_score < 0:
+            return -1, best_score
+        return self.score.index(best_score), best_score
 
-    def _dfs(self) -> bool:
+    def _dfs(self) -> tuple[int, ...] | None:
+        self.nodes += 1
         x, score = self._next_point()
         if x == -1:
-            return True
+            return tuple(self.img)
         if score > 0:
             for bi in self.through[x]:
                 ti = self.blk_img[bi]
                 if ti != -1:
-                    candidates = [w for w in self.blocks[ti] if self.pre[w] == -1]
+                    images = self.blocks[ti]
                     break
         else:
-            candidates = [w for w in range(self.v) if self.pre[w] == -1]
+            images = range(self.v)
+        candidates = [w for w in images if not self.used >> w & 1]
         for y in candidates:
             undo = self._assign(x, y)
             if undo is None:
                 continue
-            if self._dfs():
-                return True
-            self._unassign(x, y, undo)
-        return False
+            found = self._dfs()
+            self._unassign(x, y, self.through[x], undo)
+            if found is not None:
+                return found
+        return None
 
 
 def automorphism_group(design: Design) -> GeneratorSet:
@@ -456,7 +508,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
     finds one automorphism per candidate image of the base point (skipping
     images already reachable by automorphisms found so far), so the union
     of the discovered coset representatives generates the whole group.
-    Output order is deterministic.
+    Output order is deterministic.  With STEINER3_TRACE=1 in the
+    environment, one JSON line of search counters goes to stderr.
     """
     v = design.v
     if v > AUT_SEARCH_MAX_POINTS:
@@ -464,27 +517,17 @@ def automorphism_group(design: Design) -> GeneratorSet:
             f"automorphism search supports at most {AUT_SEARCH_MAX_POINTS} points, got {v}"
         )
     searcher = _AutSearch(design)
-    gens: list[tuple[int, ...]] = []
-    prefix: dict[int, int] = {}
-
-    for base in range(v):
-        fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-        table = _image_table(fixing, v)
-        done = orbit(table, [base])
-        # an automorphism fixing 0..base-1 pointwise cannot send base below itself
-        for y in range(base + 1, v):
-            if y in done:
-                continue
-            trial = dict(prefix)
-            trial[base] = y
-            found = searcher.find(trial)
-            if found is not None:
-                gens.append(found)
-                fixing.append(found)
-                table = _image_table(fixing, v)
-            done = orbit(table, np.append(done, y))
-        prefix[base] = base
-    return GeneratorSet(v, gens)
+    gens = GeneratorSet(v, searcher.generators())
+    if os.environ.get("STEINER3_TRACE") == "1":
+        counts = {
+            "stage": "permgrp.automorphism_group",
+            "levels": searcher.levels,
+            "trials": searcher.trials,
+            "successes": searcher.successes,
+            "nodes": searcher.nodes,
+        }
+        print(json.dumps(counts), file=sys.stderr)
+    return gens
 
 
 # -- generator file format ---------------------------------------------------

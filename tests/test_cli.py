@@ -1,6 +1,7 @@
 """CLI verbs, exit-code contract, and output stability."""
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -239,6 +240,21 @@ class TestErrorContract:
             run(capsys, "autgroup", str(path), "--out", str(tmp_path / "aut.gens"))
         )
 
+    def test_flagcheck_above_the_partial_steiner_block_count(self, tmp_path, capsys):
+        # all 27405 4-subsets of 30 points: S30 preserves them, but no
+        # partial Steiner 3-system has more than C(30,3)/C(4,3) = 1015 blocks
+        design = tmp_path / "all4.json"
+        blocks = [list(s) for s in combinations(range(30), 4)]
+        design.write_text(json.dumps({"v": 30, "t": 3, "lambda": 1, "blocks": blocks}))
+        gens = tmp_path / "s30.gens"
+        gens.write_text("degree: 30\n(1 2)\n(" + " ".join(map(str, range(1, 31))) + ")\n")
+        result = run(capsys, "flagcheck", str(design), "--gens", str(gens))
+        self.assert_usage_error(result)
+        assert result[2] == (
+            "error: 27405 blocks of size 4 on 30 points: "
+            "a partial Steiner 3-system has at most 1015\n"
+        )
+
     def test_verify_on_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(run(capsys, "verify", str(tmp_path)))
 
@@ -359,6 +375,26 @@ class TestDeterminism:
             _, out3, _ = run(capsys, "sieve", "--v-min", "4", "--v-max", "30", "--json")
             outputs.append(out1 + out2 + out3 + path.read_text())
         assert outputs[0] == outputs[1]
+
+    def test_search_trace_leaves_outputs_alone(self, tmp_path, monkeypatch, capsys):
+        design = tmp_path / "witt.json"
+        run(capsys, "construct", "--family", "witt", "--out", str(design))
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            gens = tmp_path / f"aut{trace}.gens"
+            code, out, err = run(capsys, "autgroup", str(design), "--out", str(gens))
+            assert code == 0
+            results[trace] = out, gens.read_bytes(), err
+        assert results["0"][:2] == results["1"][:2]
+        assert results["0"][2] == ""
+        assert json.loads(results["1"][2]) == {
+            "stage": "permgrp.automorphism_group",
+            "levels": 22,
+            "trials": 166,
+            "successes": 20,
+            "nodes": 398,
+        }
 
 
 def _gens(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Design container, counting identities, derivation, bounds, JSON."""
 
 import json
+import math
+from itertools import combinations
 
 import pytest
 
@@ -9,6 +11,7 @@ from steiner3.design import (
     DesignError,
     blocksize_bound,
     cameron_check,
+    check_block_count,
     cameron_limits,
     derived_design,
     from_json,
@@ -72,6 +75,26 @@ class TestDesignContainer:
     def test_label_count_checked(self):
         with pytest.raises(DesignError):
             Design(3, 2, [[0, 1]], labels=["a", "b"])
+
+
+class TestBlockCount:
+    def test_steiner_systems_sit_at_the_limit(self, catalogue):
+        for key, design in catalogue.items():
+            assert design.b * math.comb(design.k, 3) == math.comb(design.v, 3), key
+            check_block_count(design)
+
+    def test_one_block_too_many(self, affine3):
+        extra = next(s for s in combinations(range(8), 4) if s not in affine3.blocks)
+        with pytest.raises(DesignError, match="at most 14"):
+            check_block_count(Design(8, 3, affine3.blocks + (extra,)))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_small_blocks_are_bounded_by_the_subsets(self, k):
+        check_block_count(Design(6, 1, combinations(range(6), k)))
+
+    def test_blocks_sharing_three_points(self):
+        with pytest.raises(DesignError, match="15 blocks of size 4 on 6 points"):
+            check_block_count(Design(6, 3, combinations(range(6), 4)))
 
 
 class TestParams:

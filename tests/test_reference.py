@@ -9,8 +9,12 @@ field, and `block_action` the same induced permutation or the same
 witness block.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
 report; the table-driven sieve must give the same fields for every
-pair.  The SHA-256 digests pin the bytes of generator files and sieve
-output written by the CLI.
+pair.  `ReferenceAutSearch` is the automorphism search that rebuilt its
+state for every trial; the persistent search must give the same
+generators in the same order after the same trials and search nodes,
+and leave the fixed prefix's state behind every trial.  The SHA-256
+digests pin the bytes of generator files and sieve output written by
+the CLI.
 """
 
 import hashlib
@@ -25,6 +29,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from steiner3 import permgrp
 from steiner3.catalog import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
@@ -36,11 +41,16 @@ from steiner3.catalog import (
 from steiner3.cli import main
 from steiner3.design import CAMERON_EQUALITY_CASES, Design, blocksize_bound
 from steiner3.permgrp import (
+    AUT_SEARCH_MAX_POINTS,
     FlagReport,
     GeneratorSet,
+    SearchBudgetExceeded,
     SetNotPreserved,
+    _image_table,
+    automorphism_group,
     block_action,
     is_flag_transitive,
+    orbit,
 )
 from steiner3.sieve import (
     _OUTCOMES,
@@ -321,6 +331,277 @@ class TestGoldenDigests:
     def test_every_kind_is_covered(self):
         kinds = {kind for _, kind, *_ in GROUPGENS_DIGESTS}
         assert kinds == set(AFFINE_KINDS + PROJECTIVE_KINDS)
+
+
+# -- the automorphism search ---------------------------------------------------
+#
+# The search as it was before its state became persistent: every `find`
+# allocates fresh per-point and per-block state and assigns the whole
+# prefix again, and every node recounts the branch scores.  Kept verbatim
+# but for its names and the injectable searcher class.
+
+
+class ReferenceAutSearch:
+    """Backtracking over point images with block-consistency propagation.
+
+    Once three assigned points of a block determine its image block, every
+    further point of that block is confined to the image; the next point
+    to branch on is always one lying in the most already-determined
+    blocks, so refutations stay shallow.
+    """
+
+    def __init__(self, design: Design):
+        self.v = design.v
+        self.blocks = design.blocks
+        self.nblocks = len(design.blocks)
+        self.through: list[list[int]] = [[] for _ in range(self.v)]
+        for bi, block in enumerate(design.blocks):
+            for x in block:
+                self.through[x].append(bi)
+        self.triple: dict[tuple[int, int, int], int] = {}
+        for bi, block in enumerate(design.blocks):
+            for tri in combinations(block, 3):
+                self.triple[tri] = bi
+        self.members = [set(block) for block in design.blocks]
+
+    def find(self, partial: dict[int, int]) -> tuple[int, ...] | None:
+        """First automorphism extending the partial point map, or None."""
+        v = self.v
+        self.img = [-1] * v
+        self.pre = [-1] * v
+        self.blk_img = [-1] * self.nblocks
+        self.blk_pre = [-1] * self.nblocks
+        self.count = [0] * self.nblocks
+        self.assigned = [[] for _ in range(self.nblocks)]
+        for x, y in partial.items():
+            if self._assign(x, y) is None:
+                return None
+        return tuple(self.img) if self._dfs() else None
+
+    def _assign(self, x: int, y: int):
+        if self.pre[y] != -1 or self.img[x] != -1:
+            return None
+        self.img[x] = y
+        self.pre[y] = x
+        touched = 0
+        determined = []
+        ok = True
+        for bi in self.through[x]:
+            self.count[bi] += 1
+            self.assigned[bi].append(x)
+            touched += 1
+            ti = self.blk_img[bi]
+            if ti != -1:
+                if y not in self.members[ti]:
+                    ok = False
+                    break
+                continue
+            if self.count[bi] != 3:
+                continue
+            a, c = (p for p in self.assigned[bi] if p != x)
+            key = tuple(sorted((self.img[a], self.img[c], y)))
+            ti = self.triple.get(key)
+            if ti is None or self.blk_pre[ti] != -1:
+                ok = False
+                break
+            consistent = True
+            for w in self.blocks[ti]:
+                z = self.pre[w]
+                if z != -1 and z not in self.members[bi]:
+                    consistent = False
+                    break
+            if not consistent:
+                ok = False
+                break
+            self.blk_img[bi] = ti
+            self.blk_pre[ti] = bi
+            determined.append(bi)
+        if ok:
+            return determined
+        for bi in self.through[x][:touched]:
+            self.count[bi] -= 1
+            self.assigned[bi].pop()
+        for bi in determined:
+            self.blk_pre[self.blk_img[bi]] = -1
+            self.blk_img[bi] = -1
+        self.img[x] = -1
+        self.pre[y] = -1
+        return None
+
+    def _unassign(self, x: int, y: int, determined: list[int]) -> None:
+        for bi in self.through[x]:
+            self.count[bi] -= 1
+            self.assigned[bi].pop()
+        for bi in determined:
+            self.blk_pre[self.blk_img[bi]] = -1
+            self.blk_img[bi] = -1
+        self.img[x] = -1
+        self.pre[y] = -1
+
+    def _next_point(self) -> tuple[int, int]:
+        best, best_score = -1, -1
+        for x in range(self.v):
+            if self.img[x] != -1:
+                continue
+            score = sum(1 for bi in self.through[x] if self.blk_img[bi] != -1)
+            if score > best_score:
+                best, best_score = x, score
+        return best, best_score
+
+    def _dfs(self) -> bool:
+        x, score = self._next_point()
+        if x == -1:
+            return True
+        if score > 0:
+            for bi in self.through[x]:
+                ti = self.blk_img[bi]
+                if ti != -1:
+                    candidates = [w for w in self.blocks[ti] if self.pre[w] == -1]
+                    break
+        else:
+            candidates = [w for w in range(self.v) if self.pre[w] == -1]
+        for y in candidates:
+            undo = self._assign(x, y)
+            if undo is None:
+                continue
+            if self._dfs():
+                return True
+            self._unassign(x, y, undo)
+        return False
+
+
+def reference_automorphism_group(design: Design, search=ReferenceAutSearch) -> GeneratorSet:
+    """Generators of the full automorphism group of a design.
+
+    Walks the stabilizer chain of the base 0, 1, 2, ...: at each level it
+    finds one automorphism per candidate image of the base point (skipping
+    images already reachable by automorphisms found so far), so the union
+    of the discovered coset representatives generates the whole group.
+    Output order is deterministic.
+    """
+    v = design.v
+    if v > AUT_SEARCH_MAX_POINTS:
+        raise SearchBudgetExceeded(
+            f"automorphism search supports at most {AUT_SEARCH_MAX_POINTS} points, got {v}"
+        )
+    searcher = search(design)
+    gens: list[tuple[int, ...]] = []
+    prefix: dict[int, int] = {}
+
+    for base in range(v):
+        fixing = [g for g in gens if all(g[p] == p for p in prefix)]
+        table = _image_table(fixing, v)
+        done = orbit(table, [base])
+        # an automorphism fixing 0..base-1 pointwise cannot send base below itself
+        for y in range(base + 1, v):
+            if y in done:
+                continue
+            trial = dict(prefix)
+            trial[base] = y
+            found = searcher.find(trial)
+            if found is not None:
+                gens.append(found)
+                fixing.append(found)
+                table = _image_table(fixing, v)
+            done = orbit(table, np.append(done, y))
+        prefix[base] = base
+    return GeneratorSet(v, gens)
+
+
+AUT_CASES = [
+    ("affine", 3),
+    ("affine", 4),
+    ("affine", 5),
+    ("netto", 7),
+    ("netto", 19),
+    ("netto", 31),
+    ("netto", 43),
+    ("spherical", 3, 2),
+    ("spherical", 3, 3),
+    ("spherical", 4, 2),
+    ("spherical", 5, 2),
+    ("witt",),
+]
+SEARCH_COUNTERS = ("levels", "trials", "successes", "nodes")
+
+
+def _key_id(key: tuple) -> str:
+    return "-".join(map(str, key))
+
+
+def _counted_reference(design: Design):
+    """The reference generators, with its finds, successes and DFS nodes."""
+    counts = dict.fromkeys(SEARCH_COUNTERS, 0)
+
+    class Counting(ReferenceAutSearch):
+        def find(self, partial):
+            counts["trials"] += 1
+            found = super().find(partial)
+            counts["successes"] += found is not None
+            return found
+
+        def _dfs(self):
+            counts["nodes"] += 1
+            return super()._dfs()
+
+    gens = reference_automorphism_group(design, Counting)
+    counts["levels"] = design.v
+    return gens.gens, counts
+
+
+# the searcher's fields fixed by the design, never written by the search
+SEARCH_TABLES = ("v", "blocks", "nblocks", "through", "triple", "points", "taken")
+
+
+def _search_state(searcher: permgrp._AutSearch) -> dict:
+    """A snapshot of every field but the counters and the design's tables."""
+    return {
+        name: value[:] if isinstance(value, list) else value
+        for name, value in vars(searcher).items()
+        if name not in SEARCH_COUNTERS + SEARCH_TABLES
+    }
+
+
+def _prefix_states(design: Design) -> list[dict]:
+    """The state of a fresh searcher with 0..n-1 assigned to themselves,
+    for n = 0..v."""
+    fresh = permgrp._AutSearch(design)
+    states = [_search_state(fresh)]
+    for p in range(design.v):
+        assert fresh._assign(p, p) is not None
+        states.append(_search_state(fresh))
+    return states
+
+
+class TestAutomorphismSearchDifferential:
+    def test_cases_cover_the_small_catalogue(self, catalogue):
+        small = {key for key, design in catalogue.items() if design.v <= 32}
+        assert small <= set(AUT_CASES) <= set(catalogue)
+
+    @pytest.mark.parametrize("key", AUT_CASES, ids=_key_id)
+    def test_same_generators_and_counts(self, key, catalogue):
+        design = catalogue[key]
+        want, counts = _counted_reference(design)
+        searcher = permgrp._AutSearch(design)
+        assert tuple(searcher.generators()) == want
+        assert automorphism_group(design).gens == want
+        assert {name: getattr(searcher, name) for name in SEARCH_COUNTERS} == counts
+
+    @pytest.mark.parametrize("key", AUT_CASES, ids=_key_id)
+    def test_every_trial_leaves_the_prefix_state(self, key, catalogue):
+        design = catalogue[key]
+        states = _prefix_states(design)
+
+        class Checked(permgrp._AutSearch):
+            def _trial(self, base, y):
+                assert _search_state(self) == states[base]
+                found = super()._trial(base, y)
+                assert _search_state(self) == states[base]
+                return found
+
+        searcher = Checked(design)
+        searcher.generators()
+        assert _search_state(searcher) == states[design.v]
 
 
 # -- the parameter sieve -------------------------------------------------------
