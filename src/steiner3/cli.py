@@ -172,7 +172,7 @@ def cmd_order(args) -> int:
 
 
 def cmd_sieve(args) -> int:
-    reports = admissible_parameters(args.v_min, args.v_max)
+    reports = admissible_parameters(args.v_min, args.v_max, admissible_only=not args.json)
     if args.json:
         # stream the array so large sweeps stay constant-memory
         sys.stdout.write("[")
@@ -183,8 +183,6 @@ def cmd_sieve(args) -> int:
         sys.stdout.write("]\n")
         return 0
     for report in reports:
-        if not report.admissible:
-            continue
         line = f"v={report.v} k={report.k} admissible"
         if report.cameron_equality:
             line += " cameron-equality"

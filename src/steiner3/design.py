@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from operator import itemgetter, lt
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,22 +51,10 @@ class Design:
             raise DesignError(f"point count must be positive, got {v}")
         if t < 1:
             raise DesignError(f"strength must be positive, got {t}")
-        canon = sorted(tuple(sorted(block)) for block in blocks)
-        if not canon:
-            raise DesignError("a design needs at least one block")
-        k = len(canon[0])
-        if k == 0:
-            raise DesignError("blocks must not be empty")
-        for block in canon:
-            if len(block) != k:
-                raise DesignError(f"non-uniform block size: {len(block)} != {k}")
-            if len(set(block)) != k:
-                raise DesignError(f"repeated point in block {block}")
-            if block[0] < 0 or block[-1] >= v:
-                raise DesignError(f"block {block} out of range for {v} points")
-        for prev, cur in zip(canon, canon[1:]):
-            if prev == cur:
-                raise DesignError(f"duplicate block {cur}")
+        canon = list(map(tuple, blocks))
+        if not _is_canonical(canon, v):
+            canon = sorted(tuple(sorted(block)) for block in canon)
+            _check_blocks(canon, v)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != v:
@@ -155,6 +144,47 @@ class Design:
 
     def __repr__(self):
         return f"Design({self.t}-({self.v},{self.k},1), b={self.b})"
+
+
+def _is_canonical(blocks: list[tuple[int, ...]], v: int) -> bool:
+    """Whether the blocks are already canonical and valid: non-empty, of
+    one size, each strictly increasing within 0..v-1, the list strictly
+    increasing.  Each test is one C-level pass that allocates nothing."""
+    if not blocks or len(set(map(len, blocks))) != 1:
+        return False
+    k = len(blocks[0])
+
+    def column(j: int):
+        return map(itemgetter(j), blocks)
+
+    # once sorted, the least point leads the first block, and the greatest
+    # ends some block
+    return (
+        k > 0
+        and all(all(map(lt, column(j), column(j + 1))) for j in range(k - 1))
+        and all(map(lt, blocks, islice(blocks, 1, None)))
+        and blocks[0][0] >= 0
+        and max(column(k - 1)) < v
+    )
+
+
+def _check_blocks(canon: list[tuple[int, ...]], v: int) -> None:
+    """Raise DesignError for the first fault in a sorted block list."""
+    if not canon:
+        raise DesignError("a design needs at least one block")
+    k = len(canon[0])
+    if k == 0:
+        raise DesignError("blocks must not be empty")
+    for block in canon:
+        if len(block) != k:
+            raise DesignError(f"non-uniform block size: {len(block)} != {k}")
+        if len(set(block)) != k:
+            raise DesignError(f"repeated point in block {block}")
+        if block[0] < 0 or block[-1] >= v:
+            raise DesignError(f"block {block} out of range for {v} points")
+    for prev, cur in zip(canon, canon[1:]):
+        if prev == cur:
+            raise DesignError(f"duplicate block {cur}")
 
 
 @dataclass(frozen=True)

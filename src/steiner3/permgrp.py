@@ -19,6 +19,7 @@ to date as block images are fixed and released.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import sys
@@ -28,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import MAX_POINTS, Design
+from .design import MAX_POINTS, Design, DesignError
 from .errors import Steiner3Error
 
 
@@ -361,6 +362,13 @@ class _AutSearch:
         for bi, block in enumerate(design.blocks):
             for a, b, c in combinations(block, 3):
                 self.triple[(1 << a) | (1 << b) | (1 << c)] = bi
+        # the search maps each 3-subset to its one block
+        covered = self.nblocks * math.comb(design.k, 3)
+        if len(self.triple) != covered:
+            raise DesignError(
+                f"{self.nblocks} blocks of size {design.k} cover {len(self.triple)} "
+                f"3-subsets, not {covered}: some 3-subset lies in two blocks"
+            )
         self.points = [sum(1 << x for x in block) for block in design.blocks]
         self.img = [-1] * self.v
         self.blk_img = [-1] * self.nblocks

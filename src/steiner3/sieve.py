@@ -10,9 +10,12 @@ exactly (k-2) | (v-2), so it appears once under that name.
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .design import (
     CAMERON_EQUALITY_CASES,
@@ -27,6 +30,7 @@ from .permgrp import GeneratorSet, group_order, is_flag_transitive
 
 
 CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
+SIEVE_CHUNK = 4096  # values of v whose candidate block sizes are listed at once
 
 
 class SieveError(Steiner3Error, ValueError):
@@ -96,9 +100,12 @@ class SieveReport:
         )
 
 
-def _screen(v: int, ks: range) -> Iterator[SieveReport]:
+def _screen(
+    v: int, ks: Iterable[int], admissible_only: bool = False
+) -> Iterator[SieveReport]:
     """Reports for (v, k) with k in ks, the v-dependent products and the
-    Cameron limits formed once."""
+    Cameron limits formed once; with `admissible_only`, no report is
+    built for a pair that fails a check."""
     bound = blocksize_bound(v)
     largest_a, largest_b, equality_k = cameron_limits(3, v)
     v2 = v - 2
@@ -116,6 +123,8 @@ def _screen(v: int, ks: range) -> Iterator[SieveReport]:
             | (k <= largest_a) << 1
             | (k <= largest_b)
         ]
+        if admissible_only and not admissible:
+            continue
         equality = k == equality_k
         yield SieveReport(
             v,
@@ -134,21 +143,79 @@ def screen_parameters(v: int, k: int) -> SieveReport:
     return next(_screen(v, range(k, k + 1)))
 
 
-def admissible_parameters(v_min: int, v_max: int) -> Iterator[SieveReport]:
+def admissible_parameters(
+    v_min: int, v_max: int, admissible_only: bool = False
+) -> Iterator[SieveReport]:
     """Screen every k in [4, blocksize_bound(v)] for every v in range.
 
     Lazily yields one report per screened pair in (v, k) order; the range
     bound allows sweeps whose materialized report list would not fit in
-    memory, so consumers should stream.
+    memory, so consumers should stream.  With `admissible_only`, only the
+    admissible reports are yielded, and only the k with (k-2) | (v-2) are
+    screened: the same reports, found with far less work.  With
+    STEINER3_TRACE=1 in the environment, one JSON line of counters goes to
+    stderr when the iterator is exhausted.
     """
     if not 4 <= v_min <= v_max <= 10**6:
         raise SieveError(f"need 4 <= v_min <= v_max <= 10^6, got {(v_min, v_max)}")
+    screened = [0]
+    sweep = _divisor_sweep if admissible_only else _full_sweep
+    reports = sweep(v_min, v_max, screened)
+    if os.environ.get("STEINER3_TRACE") == "1":
+        mode = "divisor" if admissible_only else "full"
+        return _traced(reports, mode, v_min, v_max, screened)
+    return reports
 
-    def sweep():
-        for v in range(v_min, v_max + 1):
-            yield from _screen(v, range(4, blocksize_bound(v) + 1))
 
-    return sweep()
+def _full_sweep(v_min: int, v_max: int, screened: list[int]) -> Iterator[SieveReport]:
+    """Every screened pair's report, k up to the block-size bound."""
+    for v in range(v_min, v_max + 1):
+        ks = range(4, blocksize_bound(v) + 1)
+        screened[0] += len(ks)
+        yield from _screen(v, ks)
+
+
+def _divisor_sweep(
+    v_min: int, v_max: int, screened: list[int]
+) -> Iterator[SieveReport]:
+    """The admissible reports, screening only k = d + 2 with d | (v-2).
+
+    For t = 3 the lambda2 check is exactly (k-2) | (v-2), and no admissible
+    k exceeds the Cameron (b) limit, so a divisor sieve over each chunk of
+    at most SIEVE_CHUNK values of v lists a superset of the admissible k,
+    in increasing order for each v.
+    """
+    for lo in range(v_min, v_max + 1, SIEVE_CHUNK):
+        hi = min(lo + SIEVE_CHUNK - 1, v_max)
+        width = hi - lo + 1
+        candidates: list[list[int]] = [[] for _ in range(width)]
+        for d in range(2, cameron_limits(3, hi)[1] - 1):
+            k = d + 2
+            # the first v >= lo with d | (v-2), as an offset into the chunk
+            for i in range(-(lo - 2) % d, width, d):
+                candidates[i].append(k)
+        for v, ks in enumerate(candidates, lo):
+            screened[0] += len(ks)
+            yield from _screen(v, ks, admissible_only=True)
+
+
+def _traced(
+    reports: Iterator[SieveReport], mode: str, v_min: int, v_max: int, screened: list[int]
+) -> Iterator[SieveReport]:
+    """The reports, counted; the counters go to stderr once they run out."""
+    yielded = 0
+    for report in reports:
+        yielded += 1
+        yield report
+    counts = {
+        "stage": "sieve.admissible_parameters",
+        "mode": mode,
+        "v_min": v_min,
+        "v_max": v_max,
+        "screened": screened[0],
+        "yielded": yielded,
+    }
+    print(json.dumps(counts), file=sys.stderr)
 
 
 def division_property(r: int, order_point_stabilizer: int) -> bool:

@@ -255,6 +255,27 @@ class TestErrorContract:
             "a partial Steiner 3-system has at most 1015\n"
         )
 
+    @pytest.mark.parametrize(
+        "v,blocks,covered",
+        [
+            # all 4-subsets of 6 points: Aut is S6, but each 3-subset lies in 3 blocks
+            (6, [list(s) for s in combinations(range(6), 4)], 20),
+            (7, [list(s) for s in combinations(range(7), 4) if sum(s) % 2 == 0], 34),
+        ],
+        ids=["all-4-subsets-of-6", "even-sum-4-subsets-of-7"],
+    )
+    def test_autgroup_with_a_3_subset_in_two_blocks(self, v, blocks, covered, tmp_path, capsys):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"v": v, "t": 3, "lambda": 1, "blocks": blocks}))
+        gens = tmp_path / "aut.gens"
+        result = run(capsys, "autgroup", str(design), "--out", str(gens))
+        self.assert_usage_error(result)
+        assert result[2] == (
+            f"error: {len(blocks)} blocks of size 4 cover {covered} 3-subsets, "
+            f"not {4 * len(blocks)}: some 3-subset lies in two blocks\n"
+        )
+        assert not gens.exists()
+
     def test_verify_on_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(run(capsys, "verify", str(tmp_path)))
 
@@ -394,6 +415,32 @@ class TestDeterminism:
             "trials": 166,
             "successes": 20,
             "nodes": 398,
+        }
+
+    @pytest.mark.parametrize(
+        "flag,mode,screened,yielded",
+        [("", "divisor", 428, 124), ("--json", "full", 1492, 1492)],
+        ids=["text", "json"],
+    )
+    def test_sieve_trace_leaves_stdout_alone(
+        self, flag, mode, screened, yielded, monkeypatch, capsys
+    ):
+        argv = ["sieve", "--v-min", "4", "--v-max", "200", *filter(None, [flag])]
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            code, out, err = run(capsys, *argv)
+            assert code == 0
+            results[trace] = out, err
+        assert results["0"][0] == results["1"][0]
+        assert results["0"][1] == ""
+        assert json.loads(results["1"][1]) == {
+            "stage": "sieve.admissible_parameters",
+            "mode": mode,
+            "v_min": 4,
+            "v_max": 200,
+            "screened": screened,
+            "yielded": yielded,
         }
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -75,6 +76,66 @@ class TestDesignContainer:
     def test_label_count_checked(self):
         with pytest.raises(DesignError):
             Design(3, 2, [[0, 1]], labels=["a", "b"])
+
+
+def scrambled(blocks, seed: int) -> list[list[int]]:
+    """The same blocks, each with its points and the list itself shuffled."""
+    rng = random.Random(seed)
+    out = [rng.sample(list(block), len(block)) for block in blocks]
+    rng.shuffle(out)
+    return out
+
+
+def design_error(v: int, blocks) -> str:
+    with pytest.raises(DesignError) as info:
+        Design(v, 2, blocks)
+    return str(info.value)
+
+
+class TestCanonicalInput:
+    """Canonical input skips the sorts; any other order is sorted first.
+    Both must give the same design and the same error."""
+
+    def test_catalogue_designs(self, catalogue):
+        for design in catalogue.values():
+            canonical = Design(design.v, design.t, [list(b) for b in design.blocks])
+            unsorted = Design(design.v, design.t, scrambled(design.blocks, design.v))
+            assert canonical == unsorted == design
+            assert canonical.blocks == design.blocks
+
+    def test_random_blocks(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            v, k = rng.randint(4, 12), rng.randint(1, 4)
+            blocks = {tuple(sorted(rng.sample(range(v), k))) for _ in range(rng.randint(1, 9))}
+            canonical = sorted(blocks)
+            want = tuple(canonical)
+            assert Design(v, 2, canonical).blocks == want
+            assert Design(v, 2, scrambled(canonical, v)).blocks == want
+            assert Design(v, 2, iter(canonical)).blocks == want
+
+    def test_blocks_are_tuples_of_the_input_points(self):
+        design = Design(5, 2, [[0, 1], [2, 4]])
+        assert design.blocks == ((0, 1), (2, 4))
+        assert all(type(block) is tuple for block in design.blocks)
+
+    @pytest.mark.parametrize(
+        "v,canonical,message",
+        [
+            (4, [[0, 1], [0, 1]], "duplicate block (0, 1)"),
+            (4, [[0, 1], [0, 1, 2]], "non-uniform block size: 3 != 2"),
+            (4, [[0, 1], [2, 4]], "block (2, 4) out of range for 4 points"),
+            (4, [[-1, 0], [1, 2]], "block (-1, 0) out of range for 4 points"),
+            (4, [[0, 1], [1, 1]], "repeated point in block (1, 1)"),
+            (4, [], "a design needs at least one block"),
+            (4, [[]], "blocks must not be empty"),
+        ],
+        ids=["duplicate", "non-uniform", "above-range", "below-range", "repeated", "none", "empty"],
+    )
+    def test_same_errors(self, v, canonical, message):
+        assert design_error(v, canonical) == message
+        for seed in range(3):
+            assert design_error(v, scrambled(canonical, seed)) == message
 
 
 class TestBlockCount:

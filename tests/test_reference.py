@@ -9,10 +9,12 @@ field, and `block_action` the same induced permutation or the same
 witness block.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
 report; the table-driven sieve must give the same fields for every
-pair.  `ReferenceAutSearch` is the automorphism search that rebuilt its
-state for every trial; the persistent search must give the same
-generators in the same order after the same trials and search nodes,
-and leave the fixed prefix's state behind every trial.  The SHA-256
+pair, and the divisor-driven `admissible_only` path must yield exactly
+the full screen's admissible reports.  `ReferenceAutSearch` is the
+automorphism search that rebuilt its state for every trial; the
+persistent search must give the same generators in the same order after
+the same trials and search nodes, and leave the fixed prefix's state
+behind every trial.  The SHA-256
 digests pin the bytes of generator files and sieve output written by
 the CLI.
 """
@@ -28,8 +30,10 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steiner3 import permgrp
+from steiner3 import permgrp, sieve
 from steiner3.catalog import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
@@ -54,6 +58,7 @@ from steiner3.permgrp import (
 )
 from steiner3.sieve import (
     _OUTCOMES,
+    SieveError,
     SieveReport,
     admissible_parameters,
     screen_parameters,
@@ -677,6 +682,66 @@ class TestSieveDifferential:
         report = screen_parameters(16, 9)
         assert dict(report.checks)["blocksize_bound"] is False
         assert not report.admissible
+
+
+def admissible_reports(v_min: int, v_max: int) -> tuple[list, list]:
+    """The full screen's admissible reports and the divisor path's, as fields."""
+    full = [report_fields(r) for r in admissible_parameters(v_min, v_max) if r.admissible]
+    fast = admissible_parameters(v_min, v_max, admissible_only=True)
+    return full, [report_fields(r) for r in fast]
+
+
+class TestDivisorSieveDifferential:
+    """`admissible_only=True` against the full per-k screen, kept as the
+    slow reference: whole reports, in the same order."""
+
+    @pytest.mark.parametrize("v_min,v_max", [(4, 20_000), (999_000, 10**6)])
+    def test_windows(self, v_min, v_max):
+        full, fast = admissible_reports(v_min, v_max)
+        assert fast == full
+
+    @pytest.mark.parametrize(
+        "v_min,v_max",
+        # each chunk starts at v_min, so these cross one or two boundaries
+        [(4, 4100), (5000, 13_500), (250_000, 254_200)],
+    )
+    def test_windows_across_chunk_boundaries(self, v_min, v_max):
+        assert v_max - v_min >= sieve.SIEVE_CHUNK
+        full, fast = admissible_reports(v_min, v_max)
+        assert fast == full
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 100])
+    def test_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(sieve, "SIEVE_CHUNK", chunk)
+        for v_min, v_max in [(4, 500), (999_900, 10**6)]:
+            full, fast = admissible_reports(v_min, v_max)
+            assert fast == full
+
+    @pytest.mark.parametrize(
+        "v", [4, 5, 6, 8, 16, 22, 112, 4098, 65_538, 720_722, 999_983, 10**6]
+    )
+    def test_single_value(self, v):
+        full, fast = admissible_reports(v, v)
+        assert fast == full
+
+    @pytest.mark.parametrize("v,k", [(8, 4), (22, 6), (112, 12)])
+    def test_listed_cameron_equality_cases(self, v, k):
+        full, fast = admissible_reports(v, v)
+        assert fast == full
+        report = next(r for r in admissible_parameters(v, v, admissible_only=True) if r.k == k)
+        assert report.admissible and report.cameron_equality and report.equality_listed
+
+    def test_range_validation(self):
+        for window in [(3, 10), (10, 4), (4, 10**6 + 1)]:
+            with pytest.raises(SieveError):
+                admissible_parameters(*window, admissible_only=True)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+    @given(st.integers(0, 5000), st.integers(4, 10**6))
+    def test_random_windows(self, width, v_min):
+        v_min = min(v_min, 10**6 - width)
+        full, fast = admissible_reports(v_min, v_min + width)
+        assert fast == full
 
 
 class TestOutcomeTable:
