@@ -5,12 +5,17 @@ families) and first-principles otherwise: the 3-(2^d,4,1) designs come
 straight from the zero-XOR-sum condition, and the 3-(22,6,1) design is
 built from scratch through the length-24 minimum-distance-8 binary
 lexicode (greedy closure), its 759 weight-8 supports, and two
-derivations.  Every route is self-certifying: wrong intermediate counts
-raise instead of producing a wrong design.
+derivations.  Each lexicode basis word after the first few is read off
+a coset-leader table as the least coset minimum of leader weight >= 8,
+not found by scanning candidates.  Every route is self-certifying: wrong
+intermediate counts raise instead of producing a wrong design.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -194,55 +199,74 @@ def construct_witt_22() -> Design:
 _LEX_LENGTH = 24
 _LEX_DISTANCE = 8
 _LEX_DIMENSION = 12
+# below this many basis words the leader table would exceed 2^19 entries
+_LEX_SCAN_WORDS = 5
+_LEX_CHUNK = 1 << 16
 
 
 @lru_cache(maxsize=1)
 def lexicode_codewords() -> tuple[int, ...]:
     """All words of the greedy minimum-distance-8 lexicode of length 24.
 
-    Scans candidates in increasing order, keeping the span closed: a word
-    joins the basis iff its whole coset keeps distance >= 8.  While the
-    span is small the scan tests candidates against span words directly;
-    once the syndrome space is small it switches to a coset-leader-weight
-    table (breadth-first to depth 7, since only "weight >= 8" matters).
+    The greedy next basis word is the least integer whose coset of the
+    span keeps distance >= 8.  The first few are found by scanning
+    candidates against the span words.  After that, the least integer of
+    a coset is the member with every pivot bit of the reduced basis clear,
+    so the next word is read off the coset-leader table: the least
+    syndrome that no sum of at most 7 columns reaches, spread back over
+    the non-pivot bits.  With STEINER3_TRACE=1 in the environment, one
+    JSON line of counters goes to stderr per computation.
     """
     basis: list[int] = []
     span = np.zeros(1, dtype=np.uint32)
-    c = 1
-    limit = 1 << _LEX_LENGTH
-    chunk = 1 << 16
-    while len(basis) < _LEX_DIMENSION and c < limit:
-        if len(basis) < 8:
-            hi = min(c + chunk, limit)
-            cand = np.arange(c, hi, dtype=np.uint32)
-            alive = np.ones(cand.shape, dtype=bool)
-            for w in span:
-                if not alive.any():
-                    break
-                sub = cand[alive]
-                alive[alive.nonzero()[0]] = np.bitwise_count(sub ^ w) >= _LEX_DISTANCE
-            hits = alive.nonzero()[0]
-            if hits.size:
-                found = int(cand[hits[0]])
-            else:
-                c = hi
-                continue
+    scanned = tables = 0
+    while len(basis) < _LEX_DIMENSION:
+        if len(basis) < _LEX_SCAN_WORDS:
+            start = basis[-1] + 1 if basis else 1
+            found = _scan_span(span, start)
+            if found is not None:
+                scanned += found - start + 1
         else:
-            found = _scan_with_syndromes(basis, c, limit)
-            if found is None:
-                break
+            found = _least_far_coset(basis)
+            tables += 1
+        if found is None:
+            break
         basis.append(found)
         span = np.concatenate([span, span ^ np.uint32(found)])
-        c = found + 1
     if len(basis) != _LEX_DIMENSION:
         raise GolayConstructionError(
             f"lexicode scan found {len(basis)} basis words, expected {_LEX_DIMENSION}"
         )
-    return tuple(sorted(int(w) for w in span))
+    if os.environ.get("STEINER3_TRACE") == "1":
+        counts = {
+            "stage": "catalog.lexicode_codewords",
+            "basis": len(basis),
+            "scanned": scanned,
+            "tables": tables,
+        }
+        print(json.dumps(counts), file=sys.stderr)
+    return tuple(sorted(span.tolist()))
+
+
+def _scan_span(span: np.ndarray, start: int) -> int | None:
+    """The least word >= start at distance >= 8 from every span word."""
+    for lo in range(start, 1 << _LEX_LENGTH, _LEX_CHUNK):
+        cand = np.arange(lo, min(lo + _LEX_CHUNK, 1 << _LEX_LENGTH), dtype=np.uint32)
+        alive = np.ones(cand.shape, dtype=bool)
+        for w in span:
+            alive &= np.bitwise_count(cand ^ w) >= _LEX_DISTANCE
+        hits = alive.nonzero()[0]
+        if hits.size:
+            return int(cand[hits[0]])
+    return None
 
 
 def _rref(basis: list[int]) -> list[tuple[int, int]]:
-    """Row-reduce over GF(2); returns (pivot bit, row) pairs."""
+    """Row-reduce over GF(2); returns (pivot bit, row) pairs.
+
+    Fully reduced: each row's pivot is its top bit, and no other row has
+    that bit set.
+    """
     rows: list[tuple[int, int]] = []
     for word in basis:
         for pivot, row in rows:
@@ -256,50 +280,40 @@ def _rref(basis: list[int]) -> list[tuple[int, int]]:
     return rows
 
 
-def _scan_with_syndromes(basis: list[int], start: int, limit: int) -> int | None:
+def _least_far_coset(basis: list[int]) -> int | None:
+    """The least word at distance >= 8 from the span of `basis`, or None.
+
+    A word with every pivot bit clear is the least in its coset: adding a
+    nonzero codeword sets the highest pivot involved and no higher bit.
+    Its packed syndrome is its non-pivot bits in order, so spreading a
+    syndrome back over those bits keeps order, and the answer is the
+    least syndrome of coset-leader weight >= 8, spread back.
+    """
     rows = _rref(basis)
     pivots = {p for p, _ in rows}
     nonpivots = [b for b in range(_LEX_LENGTH) if b not in pivots]
-
-    def packed_syndrome(word: int) -> int:
+    columns = []
+    for j in range(_LEX_LENGTH):
+        word = 1 << j
         for pivot, row in rows:
             if (word >> pivot) & 1:
                 word ^= row
-        out = 0
-        for j, bit in enumerate(nonpivots):
-            out |= ((word >> bit) & 1) << j
-        return out
-
-    tables = [
-        np.array([packed_syndrome(byte << shift) for byte in range(256)], dtype=np.uint32)
-        for shift in (0, 8, 16)
-    ]
-    # coset-leader weights by BFS, capped: 255 means weight >= distance
-    size = 1 << len(nonpivots)
-    weights = np.full(size, 255, dtype=np.uint8)
-    weights[0] = 0
-    columns = np.array([packed_syndrome(1 << j) for j in range(_LEX_LENGTH)], dtype=np.uint32)
-    frontier = np.array([0], dtype=np.uint32)
-    for depth in range(1, _LEX_DISTANCE):
-        nxt = (frontier[:, None] ^ columns[None, :]).ravel()
-        nxt = np.unique(nxt[weights[nxt] == 255])
-        if nxt.size == 0:
-            break
-        weights[nxt] = depth
-        frontier = nxt
-
-    t0, t1, t2 = tables
-    c = start
-    block = 1 << 20
-    while c < limit:
-        hi = min(c + block, limit)
-        cand = np.arange(c, hi, dtype=np.uint32)
-        syn = t0[cand & 0xFF] ^ t1[(cand >> 8) & 0xFF] ^ t2[cand >> 16]
-        hits = (weights[syn] == 255).nonzero()[0]
-        if hits.size:
-            return int(cand[hits[0]])
-        c = hi
-    return None
+        columns.append(sum(1 << i for i, bit in enumerate(nonpivots) if (word >> bit) & 1))
+    # near[s]: some sum of at most 7 columns has syndrome s (leader weight < 8)
+    near = np.zeros(1 << len(nonpivots), dtype=bool)
+    near[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    for _ in range(_LEX_DISTANCE - 1):
+        fresh = np.zeros_like(near)
+        for col in columns:
+            fresh[frontier ^ col] = True
+        fresh &= ~near
+        near |= fresh
+        frontier = np.flatnonzero(fresh)
+    s = int(near.argmin())
+    if near[s]:
+        return None
+    return sum(1 << bit for i, bit in enumerate(nonpivots) if (s >> i) & 1)
 
 
 # -- group generator constructions ---------------------------------------------

@@ -88,14 +88,16 @@ def orbit(images: Sequence[Sequence[int]], seeds: Sequence[int]) -> np.ndarray:
     generator in turn and keeps the states not yet set in a visited
     bitmap.  Each generator is a bijection, so what it reaches has no
     repeats and the next frontier needs no deduplication.  With no
-    generators the orbit is the seeds themselves.
+    generators the orbit is the distinct seeds, in order.
     """
     table = np.asarray(images)
-    frontier = np.unique(np.asarray(seeds, dtype=np.intp))
+    seeds = np.asarray(seeds, dtype=np.intp)
+    width = table.shape[-1] if table.size else int(seeds.max(initial=-1)) + 1
+    seen = np.zeros(width, dtype=bool)
+    seen[seeds] = True
+    frontier = np.flatnonzero(seen)
     if table.size == 0:
         return frontier
-    seen = np.zeros(table.shape[1], dtype=bool)
-    seen[frontier] = True
     while frontier.size:
         fresh = []
         for row in table:
@@ -156,12 +158,17 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
     New base points are chosen greedily as the smallest point moved at
     that level; `base_prefix` forces the first base points, which makes
     stabilizer orders along a chosen point sequence directly readable.
+    With STEINER3_TRACE=1 in the environment, one JSON line of counters
+    goes to stderr.
     """
     degree = gens.degree
     ident = tuple(range(degree))
     levels = [_Level(b, ident) for b in base_prefix]
+    sifts = schreier_formed = 0
 
     def sift(g: tuple, start: int) -> tuple[tuple, int]:
+        nonlocal sifts
+        sifts += 1
         for i in range(start, len(levels)):
             lvl = levels[i]
             d = g[lvl.beta]
@@ -187,6 +194,7 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
         Returns the deepest level that received a new generator, or None
         once level i is complete.
         """
+        nonlocal schreier_formed
         lvl = levels[i]
         frontier = list(lvl.transversal)
         while frontier:
@@ -206,6 +214,7 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
                         new_points.append(q)
                         continue
                     schreier = _compose(_compose(up, s), entry[1])
+                    schreier_formed += 1
                     if schreier == ident:
                         continue
                     residue, j = sift(schreier, i + 1)
@@ -232,6 +241,14 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
         order *= len(lvl.transversal)
         chain.append(order)
     chain.reverse()
+    if os.environ.get("STEINER3_TRACE") == "1":
+        counts = {
+            "stage": "permgrp.group_order",
+            "levels": len(levels),
+            "sifts": sifts,
+            "schreier": schreier_formed,
+        }
+        print(json.dumps(counts), file=sys.stderr)
     return GroupSummary(
         order=order,
         base=tuple(lvl.beta for lvl in levels),

@@ -1,7 +1,11 @@
 """CLI verbs, exit-code contract, and output stability."""
 
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from steiner3 import (
     Steiner3Error,
     cli,
 )
+from steiner3.catalog import lexicode_codewords
 from steiner3.cli import main
 
 LIBRARY_ERRORS = (
@@ -409,13 +414,49 @@ class TestDeterminism:
             results[trace] = out, gens.read_bytes(), err
         assert results["0"][:2] == results["1"][:2]
         assert results["0"][2] == ""
-        assert json.loads(results["1"][2]) == {
-            "stage": "permgrp.automorphism_group",
-            "levels": 22,
-            "trials": 166,
-            "successes": 20,
-            "nodes": 398,
-        }
+        assert _trace_lines(results["1"][2]) == [
+            {
+                "stage": "permgrp.automorphism_group",
+                "levels": 22,
+                "trials": 166,
+                "successes": 20,
+                "nodes": 398,
+            },
+            WITT_AUT_ORDER_TRACE,
+        ]
+
+    def test_order_trace_leaves_stdout_alone(self, tmp_path, monkeypatch, capsys):
+        design, gens = tmp_path / "witt.json", tmp_path / "aut.gens"
+        run(capsys, "construct", "--family", "witt", "--out", str(design))
+        run(capsys, "autgroup", str(design), "--out", str(gens))
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            code, out, err = run(capsys, "order", str(gens))
+            assert code == 0
+            results[trace] = out, err
+        assert results["0"][0] == results["1"][0]
+        assert "order: 887040" in results["0"][0]
+        assert results["0"][1] == ""
+        assert _trace_lines(results["1"][1]) == [WITT_AUT_ORDER_TRACE]
+
+    def test_lexicode_trace_leaves_outputs_alone(self, tmp_path, monkeypatch, capsys):
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            lexicode_codewords.cache_clear()
+            design = tmp_path / f"witt{trace}.json"
+            code, out, err = run(capsys, "construct", "--family", "witt", "--out", str(design))
+            assert code == 0
+            results[trace] = out, design.read_bytes(), err
+        assert results["0"][:2] == results["1"][:2]
+        assert results["0"][2] == ""
+        assert _trace_lines(results["1"][2]) == [
+            {"stage": "catalog.lexicode_codewords", "basis": 12, "scanned": 38505, "tables": 7}
+        ]
+        # a cached call does no work and writes nothing
+        code, _, err = run(capsys, "construct", "--family", "witt", "--out", str(design))
+        assert (code, err) == (0, "")
 
     @pytest.mark.parametrize(
         "flag,mode,screened,yielded",
@@ -442,6 +483,39 @@ class TestDeterminism:
             "screened": screened,
             "yielded": yielded,
         }
+
+
+WITT_AUT_ORDER_TRACE = {"stage": "permgrp.group_order", "levels": 6, "sifts": 287, "schreier": 320}
+
+
+def _trace_lines(err: str) -> list[dict]:
+    return [json.loads(line) for line in err.splitlines()]
+
+
+class TestImports:
+    def test_flagcheck_leaves_numpy_ma_unimported(self, tmp_path, capsys):
+        # numpy.ma comes in with the first np.unique call and costs 10-25 ms
+        design, gens = tmp_path / "aff3.json", tmp_path / "agl18.gens"
+        run(capsys, "construct", "--family", "affine", "--d", "3", "--out", str(design))
+        run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_1", "--d", "3",
+            "--out", str(gens))
+        script = (
+            "import sys\n"
+            "from steiner3.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(steiner3.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "flagcheck", str(design), "--gens", str(gens)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "flag-transitive: yes" in result.stdout
+        assert result.stdout.splitlines()[-1] == "False"
 
 
 def _gens(tmp_path, capsys):

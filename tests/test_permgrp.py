@@ -88,6 +88,22 @@ class TestOrbit:
         assert orbit(empty, [6, 2, 6]).tolist() == [2, 6]
         assert orbit(empty, []).tolist() == []
 
+    def test_unsorted_and_repeated_seeds(self):
+        # the sorted distinct closure, whatever the order of the seeds
+        rng = random.Random(11)
+        for n in (1, 6, 13, 40):
+            table = np.array([rng.sample(range(n), n) for _ in range(2)])
+            for _ in range(25):
+                seeds = [rng.randrange(n) for _ in range(rng.randrange(1, 7))]
+                reached = set(seeds)
+                frontier = list(reached)
+                while frontier:
+                    frontier = [int(g[s]) for g in table for s in frontier]
+                    frontier = [s for s in frontier if s not in reached]
+                    reached.update(frontier)
+                assert orbit(table, seeds).tolist() == sorted(reached)
+        assert orbit([], [5, 0, 5, 3]).tolist() == [0, 3, 5]
+
     def test_orbits_of_one_table(self):
         # one generator over 6 states: a 3-cycle, a fixed state, a 2-cycle
         table = np.array([[1, 2, 0, 3, 5, 4]])

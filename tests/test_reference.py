@@ -14,9 +14,11 @@ the full screen's admissible reports.  `ReferenceAutSearch` is the
 automorphism search that rebuilt its state for every trial; the
 persistent search must give the same generators in the same order after
 the same trials and search nodes, and leave the fixed prefix's state
-behind every trial.  The SHA-256
-digests pin the bytes of generator files and sieve output written by
-the CLI.
+behind every trial.  `reference_lexicode` is the greedy lexicode that
+tested every candidate word against a coset-leader table; reading each
+basis word off the table must give the same words.  The SHA-256
+digests pin the bytes of generator files, the Witt design file and
+sieve output written by the CLI.
 """
 
 import hashlib
@@ -33,13 +35,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steiner3 import permgrp, sieve
+from steiner3 import catalog, permgrp, sieve
 from steiner3.catalog import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
     affine_group_generators,
     construct_boolean_affine,
     construct_spherical,
+    lexicode_codewords,
     projective_group_generators,
 )
 from steiner3.cli import main
@@ -305,6 +308,10 @@ AUTGROUP_DIGESTS = {
     ("spherical", "--q", "3", "--e", "2"): "b854064957d0ac26f2bd0e6636ff832446a83850d35e8b18133f733cda3151f5",
 }
 
+CONSTRUCT_DIGESTS = {
+    ("witt",): "cd647f60ea594981444d3c05d753a3417ac82a136a997c9e7802bf038d1938d4",
+}
+
 
 def _case_id(case: tuple) -> str:
     return "-".join(arg.lstrip("-") for arg in case)
@@ -332,6 +339,14 @@ class TestGoldenDigests:
         assert main(["autgroup", str(design), "--out", str(out)]) == 0
         capsys.readouterr()
         assert _digest(out) == AUTGROUP_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(CONSTRUCT_DIGESTS), ids=_case_id)
+    def test_construct(self, case, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        family, *extra = case
+        assert main(["construct", "--family", family, *extra, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert _digest(out) == CONSTRUCT_DIGESTS[case]
 
     def test_every_kind_is_covered(self):
         kinds = {kind for _, kind, *_ in GROUPGENS_DIGESTS}
@@ -779,3 +794,115 @@ def test_sieve_stdout_digest(case, capsys):
     assert main(["sieve", *case]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SIEVE_DIGESTS[case]
+
+
+# -- the lexicode ----------------------------------------------------------------
+#
+# The greedy scan as it was before basis words were read off the coset-
+# leader table: a direct scan against the span words for the first eight
+# words, then every candidate's syndrome looked up in a leader-weight table
+# built by a deduplicating breadth-first search.  Kept verbatim as the
+# reference.
+
+_LEX = catalog._LEX_LENGTH
+
+
+def reference_scan_with_syndromes(basis: list[int], start: int, limit: int) -> int | None:
+    rows = catalog._rref(basis)
+    pivots = {p for p, _ in rows}
+    nonpivots = [b for b in range(_LEX) if b not in pivots]
+
+    def packed_syndrome(word: int) -> int:
+        for pivot, row in rows:
+            if (word >> pivot) & 1:
+                word ^= row
+        out = 0
+        for j, bit in enumerate(nonpivots):
+            out |= ((word >> bit) & 1) << j
+        return out
+
+    tables = [
+        np.array([packed_syndrome(byte << shift) for byte in range(256)], dtype=np.uint32)
+        for shift in (0, 8, 16)
+    ]
+    # coset-leader weights by BFS, capped: 255 means weight >= distance
+    size = 1 << len(nonpivots)
+    weights = np.full(size, 255, dtype=np.uint8)
+    weights[0] = 0
+    columns = np.array([packed_syndrome(1 << j) for j in range(_LEX)], dtype=np.uint32)
+    frontier = np.array([0], dtype=np.uint32)
+    for depth in range(1, catalog._LEX_DISTANCE):
+        nxt = (frontier[:, None] ^ columns[None, :]).ravel()
+        nxt = np.unique(nxt[weights[nxt] == 255])
+        if nxt.size == 0:
+            break
+        weights[nxt] = depth
+        frontier = nxt
+
+    t0, t1, t2 = tables
+    c = start
+    block = 1 << 20
+    while c < limit:
+        hi = min(c + block, limit)
+        cand = np.arange(c, hi, dtype=np.uint32)
+        syn = t0[cand & 0xFF] ^ t1[(cand >> 8) & 0xFF] ^ t2[cand >> 16]
+        hits = (weights[syn] == 255).nonzero()[0]
+        if hits.size:
+            return int(cand[hits[0]])
+        c = hi
+    return None
+
+
+def reference_lexicode() -> tuple[list[int], tuple[int, ...]]:
+    """The greedy basis and the sorted codewords."""
+    basis: list[int] = []
+    span = np.zeros(1, dtype=np.uint32)
+    c = 1
+    limit = 1 << _LEX
+    chunk = 1 << 16
+    while len(basis) < catalog._LEX_DIMENSION and c < limit:
+        if len(basis) < 8:
+            hi = min(c + chunk, limit)
+            cand = np.arange(c, hi, dtype=np.uint32)
+            alive = np.ones(cand.shape, dtype=bool)
+            for w in span:
+                if not alive.any():
+                    break
+                sub = cand[alive]
+                alive[alive.nonzero()[0]] = np.bitwise_count(sub ^ w) >= catalog._LEX_DISTANCE
+            hits = alive.nonzero()[0]
+            if hits.size:
+                found = int(cand[hits[0]])
+            else:
+                c = hi
+                continue
+        else:
+            found = reference_scan_with_syndromes(basis, c, limit)
+            if found is None:
+                break
+        basis.append(found)
+        span = np.concatenate([span, span ^ np.uint32(found)])
+        c = found + 1
+    return basis, tuple(sorted(int(w) for w in span))
+
+
+@pytest.fixture(scope="module")
+def greedy_lexicode():
+    return reference_lexicode()
+
+
+class TestLexicodeDifferential:
+    def test_same_codewords(self, greedy_lexicode):
+        basis, words = greedy_lexicode
+        assert len(basis) == catalog._LEX_DIMENSION
+        assert lexicode_codewords() == words
+
+    @pytest.mark.parametrize("size", range(catalog._LEX_SCAN_WORDS, catalog._LEX_DIMENSION))
+    def test_read_off_matches_the_scan(self, size, greedy_lexicode):
+        basis = greedy_lexicode[0][:size]
+        scanned = reference_scan_with_syndromes(basis, basis[-1] + 1, 1 << _LEX)
+        assert catalog._least_far_coset(basis) == scanned == greedy_lexicode[0][size]
+
+    def test_full_code_has_no_far_coset(self, greedy_lexicode):
+        # the Golay code has covering radius 4: every coset is near
+        assert catalog._least_far_coset(greedy_lexicode[0]) is None
