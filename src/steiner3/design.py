@@ -78,7 +78,10 @@ class Design:
     def block_array(self) -> np.ndarray:
         """The blocks as a read-only (b, k) array, in canonical order."""
         if self._array is None:
-            array = np.array(self.blocks, dtype=np.int64)
+            # fromiter fills the array directly; np.array on the nested
+            # tuples would hold a second copy while it builds
+            points = chain.from_iterable(self.blocks)
+            array = np.fromiter(points, np.int64, self.b * self.k).reshape(self.b, self.k)
             array.flags.writeable = False
             self._array = array
         return self._array
@@ -103,8 +106,9 @@ class Design:
         return width
 
     def _prefix_key(self, rows: np.ndarray) -> np.ndarray:
-        """The leading points of each sorted row, read as base-v digits."""
-        key = rows[:, 0].copy()
+        """The leading points of each sorted row, read as base-v digits,
+        in int64 whatever the rows' own dtype."""
+        key = rows[:, 0].astype(np.int64)
         for j in range(1, self._prefix_width()):
             key = key * self.v + rows[:, j]
         return key
@@ -117,7 +121,7 @@ class Design:
         found = np.full(len(rows), -1, dtype=np.int64)
         if rows.shape[1] != self.k:
             return found
-        rows = np.sort(rows.astype(np.int64, copy=False), axis=1)
+        rows = np.sort(rows, axis=1)
         in_range = (rows[:, 0] >= 0) & (rows[:, -1] < self.v)
         if self._keys is None:
             self._keys = self._prefix_key(self.block_array)
@@ -369,7 +373,8 @@ def to_json(design: Design) -> str:
     payload: dict = {"v": design.v, "t": design.t, "lambda": 1}
     if design.labels is not None:
         payload["labels"] = list(design.labels)
-    payload["blocks"] = [list(block) for block in design.blocks]
+    # json writes tuples as arrays
+    payload["blocks"] = design.blocks
     return json.dumps(payload, separators=(",", ":")) + "\n"
 
 
@@ -402,4 +407,8 @@ def from_json(text: str) -> Design:
         isinstance(labels, list) and all(isinstance(label, str) for label in labels)
     ):
         raise DesignError("'labels' must be a list of strings")
+    # each list gives way to its tuple at once, so the two never coexist
+    # for the whole design; Design keeps these tuples as they are
+    for i, block in enumerate(blocks):
+        blocks[i] = tuple(block)
     return Design(payload["v"], payload["t"], blocks, labels)

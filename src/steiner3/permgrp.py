@@ -152,14 +152,15 @@ def _invert(p: tuple) -> tuple:
     return tuple(out)
 
 
-def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSummary:
-    """Exact order and stabilizer-chain orders via Schreier-Sims.
+def _schreier_sims(
+    gens: GeneratorSet, base_prefix: Sequence[int] = ()
+) -> tuple[list[_Level], int, int]:
+    """The levels of a stabilizer chain, base `base_prefix` extended
+    greedily, with its sift and Schreier generator counts.
 
-    New base points are chosen greedily as the smallest point moved at
-    that level; `base_prefix` forces the first base points, which makes
-    stabilizer orders along a chosen point sequence directly readable.
-    With STEINER3_TRACE=1 in the environment, one JSON line of counters
-    goes to stderr.
+    Level i's transversal is the orbit of its base point under the
+    stabilizer of the earlier ones, which its strong generators `gens`
+    generate.
     """
     degree = gens.degree
     ident = tuple(range(degree))
@@ -234,7 +235,19 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
         while i >= 0:
             deeper = process(i)
             i = deeper if deeper is not None else i - 1
+    return levels, sifts, schreier_formed
 
+
+def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSummary:
+    """Exact order and stabilizer-chain orders via Schreier-Sims.
+
+    New base points are chosen greedily as the smallest point moved at
+    that level; `base_prefix` forces the first base points, which makes
+    stabilizer orders along a chosen point sequence directly readable.
+    With STEINER3_TRACE=1 in the environment, one JSON line of counters
+    goes to stderr.
+    """
+    levels, sifts, schreier_formed = _schreier_sims(gens, base_prefix)
     order = 1
     chain = [1]
     for lvl in reversed(levels):
@@ -269,7 +282,7 @@ def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    images = design.block_index(np.asarray(g)[design.block_array])
+    images = design.block_index(np.asarray(g, dtype=np.int32)[design.block_array])
     missing = np.flatnonzero(images < 0)
     if missing.size:
         raise SetNotPreserved(design.blocks[missing[0]])
@@ -297,8 +310,13 @@ class FlagReport:
 def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     """Transitivity report for a group acting on a design.
 
-    Flags are encoded as block_index*k + position in the block.  Raises
-    SetNotPreserved if some generator is not an automorphism.
+    The orbit of the flag (B0, x0), B0 the first block and x0 its least
+    point, has size |x0^G| * |B0^(G_x0)| by the orbit-stabiliser theorem:
+    a Schreier-Sims chain with base x0 gives the orbit of x0 and strong
+    generators of G_x0, which act on the r blocks through x0.  Raises
+    SetNotPreserved if some generator is not an automorphism.  With
+    STEINER3_TRACE=1 in the environment, one JSON line of counters goes
+    to stderr.
     """
     if gens.degree != design.v:
         raise PermutationError(
@@ -307,20 +325,33 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     v, b, k = design.v, design.b, design.k
     points = _image_table(gens.gens, v)
     blocks = np.empty((len(points), b), dtype=np.int32)
-    flags = np.empty((len(points), b * k), dtype=np.int32)
     for i, g in enumerate(gens.gens):
         blocks[i] = block_action(design, g)
-        # the image of a flag's point sits at its rank in the mapped block
-        mapped = points[i][design.block_array]
-        rank = sum(mapped > mapped[:, j, np.newaxis] for j in range(k))
-        flags[i] = (blocks[i][:, np.newaxis] * k + rank).ravel()
     pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
 
-    flag_orbit_size = len(orbit(flags, [0]))
+    x0 = design.blocks[0][0]
+    levels, _, _ = _schreier_sims(gens, (x0,))
+    stabilizer = levels[1].gens if len(levels) > 1 else []
+    # the blocks through x0, in canonical order, so B0 is the first; G_x0
+    # maps them among themselves, read off as positions in that list
+    through = np.flatnonzero((design.block_array == x0).any(axis=1))
+    rows = _image_table(stabilizer, v)[:, design.block_array[through]]
+    images = design.block_index(rows.reshape(-1, k))
+    local = np.searchsorted(through, images).reshape(len(stabilizer), len(through))
+    flag_orbit_size = len(levels[0].transversal) * len(orbit(local, [0]))
     flag_count = b * k
     block_orbit_sizes = _orbit_sizes(blocks)
     point_orbit_sizes = _orbit_sizes(points)
     pair_orbit_sizes = _orbit_sizes(pairs, skip=slice(None, None, v + 1))
+    if os.environ.get("STEINER3_TRACE") == "1":
+        counts = {
+            "stage": "permgrp.is_flag_transitive",
+            "generators": len(points),
+            "stabilizer_generators": len(stabilizer),
+            "through_blocks": len(through),
+            "flag_orbit": flag_orbit_size,
+        }
+        print(json.dumps(counts), file=sys.stderr)
 
     return FlagReport(
         v=v,
@@ -560,7 +591,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-# is_flag_transitive holds an (m, b*k) int32 flag table for m generators
+# is_flag_transitive holds an (m, b) int32 block table and an (m, v*v)
+# pair table for m generators
 MAX_GENERATORS = MAX_POINTS
 
 

@@ -440,6 +440,30 @@ class TestDeterminism:
         assert results["0"][1] == ""
         assert _trace_lines(results["1"][1]) == [WITT_AUT_ORDER_TRACE]
 
+    def test_flagcheck_trace_leaves_stdout_alone(self, tmp_path, monkeypatch, capsys):
+        design = tmp_path / "netto.json"
+        run(capsys, "construct", "--family", "netto", "--q", "19", "--out", str(design))
+        gens = _gens(tmp_path, capsys)
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            code, out, err = run(capsys, "flagcheck", str(design), "--gens", str(gens))
+            assert code == 0
+            results[trace] = out, err
+        assert results["0"][0] == results["1"][0]
+        assert "flag orbit: 1140" in results["0"][0]
+        assert results["0"][1] == ""
+        # one line: the stabilizer chain it builds writes no group_order line
+        assert _trace_lines(results["1"][1]) == [
+            {
+                "stage": "permgrp.is_flag_transitive",
+                "generators": 3,
+                "stabilizer_generators": 2,
+                "through_blocks": 57,
+                "flag_orbit": 1140,
+            }
+        ]
+
     def test_lexicode_trace_leaves_outputs_alone(self, tmp_path, monkeypatch, capsys):
         results = {}
         for trace in ("0", "1"):

@@ -1,0 +1,53 @@
+"""Peak allocations of the 128-point flag check and design file round trip.
+
+`tracemalloc` sees NumPy's array buffers as well as Python objects, so
+these peaks are deterministic for a given interpreter and NumPy.
+"""
+
+import tracemalloc
+
+import pytest
+
+from steiner3.catalog import (
+    affine_group_generators,
+    construct_boolean_affine,
+    construct_netto_extension,
+)
+from steiner3.design import from_json, to_json
+from steiner3.permgrp import is_flag_transitive
+
+MB = 2**20
+
+
+def peak_mb(fn, *args) -> float:
+    """The most memory allocated at once while fn(*args) runs, in MB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / MB
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def netto127():
+    return construct_netto_extension(127)
+
+
+def test_flag_check_holds_no_flag_table():
+    # 3 generators on 85344 blocks; with an (m, b*k) flag table and the
+    # rank arrays that fill it, the peak was 20 MB.  The design's own
+    # cached block array is built first: it outlives the check.
+    design = construct_boolean_affine(7)
+    design.block_array
+    gens = affine_group_generators("AGammaL_1", 7)
+    assert peak_mb(is_flag_transitive, design, gens) < 12
+
+
+def test_from_json_never_holds_lists_and_tuples_of_every_block(netto127):
+    text = to_json(netto127)
+    assert peak_mb(from_json, text) < 10
+
+
+def test_to_json_copies_no_block(netto127):
+    assert peak_mb(to_json, netto127) < 6

@@ -6,7 +6,9 @@ directly on image tuples, with blocks looked up by sort and bisect over
 the block list.  The library's array kernel (vectorised block lookup,
 bitmap frontier `orbit`) must give the same `FlagReport`, field for
 field, and `block_action` the same induced permutation or the same
-witness block.  `reference_screen` is the
+witness block.  `reference_flag_orbit` is the flag-table search that
+the orbit-stabiliser count replaced: a frontier `orbit` over an
+(m, b*k) table of flag images.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
 report; the table-driven sieve must give the same fields for every
 pair, and the divisor-driven `admissible_only` path must yield exactly
@@ -148,10 +150,35 @@ def reference_flag_report(design: Design, gens: GeneratorSet) -> FlagReport:
     )
 
 
-def _assert_same_report(design: Design, gens: GeneratorSet) -> FlagReport:
+def reference_flag_orbit(design: Design, gens: GeneratorSet) -> int:
+    """Size of the orbit of flag 0, the first block with its least point,
+    found by a breadth-first search over every flag.
+
+    A flag is encoded as block_index*k + its point's position in the
+    block; a generator sends it to the image block, at the rank of the
+    image point in that block.
+    """
+    v, b, k = design.v, design.b, design.k
+    points = _image_table(gens.gens, v)
+    flags = np.empty((len(points), b * k), dtype=np.int32)
+    for i, g in enumerate(gens.gens):
+        blocks = np.asarray(block_action(design, g))
+        mapped = points[i][design.block_array]
+        rank = sum(mapped > mapped[:, j, np.newaxis] for j in range(k))
+        flags[i] = (blocks[:, np.newaxis] * k + rank).ravel()
+    return len(orbit(flags, [0]))
+
+
+def _assert_same_report(design: Design, gens: GeneratorSet, label: str = "") -> FlagReport:
     report = is_flag_transitive(design, gens)
-    assert report == reference_flag_report(design, gens)
+    assert report == reference_flag_report(design, gens), label
+    assert report.flag_orbit_size == reference_flag_orbit(design, gens), label
     return report
+
+
+def _product(g: tuple, h: tuple) -> tuple:
+    """g, then h."""
+    return tuple(h[x] for x in g)
 
 
 def _random_permutation(rng: random.Random, n: int) -> tuple:
@@ -224,29 +251,21 @@ class TestBlockActionDifferential:
 class TestFlagReportDifferential:
     def test_flag_transitive_pairs(self, flag_transitive_pairs):
         for label, design, gens in flag_transitive_pairs:
-            assert is_flag_transitive(design, gens) == reference_flag_report(
-                design, gens
-            ), label
+            _assert_same_report(design, gens, label)
 
     def test_psl29_on_spherical32(self, catalogue):
         design = catalogue[("spherical", 3, 2)]
-        gens = projective_group_generators("PSL", 3, 2)
-        report = is_flag_transitive(design, gens)
-        assert report == reference_flag_report(design, gens)
+        report = _assert_same_report(design, projective_group_generators("PSL", 3, 2))
         assert report.block_orbit_sizes == (15, 15)
 
     def test_agl116_on_affine4(self, catalogue):
         design = catalogue[("affine", 4)]
-        gens = affine_group_generators("AGL_1", 4)
-        report = is_flag_transitive(design, gens)
-        assert report == reference_flag_report(design, gens)
+        report = _assert_same_report(design, affine_group_generators("AGL_1", 4))
         assert (report.flag_orbit_size, report.flag_count) == (240, 560)
         assert report.block_orbit_sizes == (60, 60, 20)
 
     def test_trivial_group(self):
-        design = construct_boolean_affine(3)
-        gens = GeneratorSet(8, ())
-        assert is_flag_transitive(design, gens) == reference_flag_report(design, gens)
+        _assert_same_report(construct_boolean_affine(3), GeneratorSet(8, ()))
 
     @pytest.mark.parametrize("key", [("spherical", 3, 2), ("netto", 19), ("witt",)])
     def test_empty_generator_set(self, catalogue, key):
@@ -284,10 +303,27 @@ class TestFlagReportDifferential:
         # group of order 2 with several point, pair and block orbits
         design = construct_spherical(3, 2)
         frob = projective_group_generators("PSigmaL", 3, 2).gens[-1]
-        gens = GeneratorSet(10, (frob,))
-        report = is_flag_transitive(design, gens)
-        assert report == reference_flag_report(design, gens)
+        report = _assert_same_report(design, GeneratorSet(10, (frob,)))
         assert report.point_orbit_count > 1
+
+    def test_subgroups_of_catalogue_groups(self, flag_transitive_pairs):
+        # some of a group's generators and products of two of them: the
+        # point stabiliser is then often non-trivial and splits the
+        # blocks through the point into several orbits
+        small = [(label, design, gens) for label, design, gens in flag_transitive_pairs
+                 if design.v <= 32]
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=12)
+        @given(st.data())
+        def check(data):
+            label, design, gens = data.draw(st.sampled_from(small))
+            index = st.integers(0, len(gens.gens) - 1)
+            picks = data.draw(st.lists(st.tuples(index, st.none() | index), min_size=1, max_size=3))
+            chosen = [gens.gens[i] if j is None else _product(gens.gens[i], gens.gens[j])
+                      for i, j in picks]
+            _assert_same_report(design, GeneratorSet(design.v, chosen), label)
+
+        check()
 
 
 GROUPGENS_DIGESTS = {
