@@ -14,6 +14,7 @@ intermediate counts raise instead of producing a wrong design.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -94,20 +95,75 @@ class ProjectiveLine:
 
 
 def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list:
-    """Sorted images of a base block under the group the generators span:
-    a breadth-first closure over point sets, which have no dense index."""
-    seen = {base}
-    frontier = [base]
-    while frontier:
-        new = []
-        for g in gens:
-            for block in frontier:
-                image = tuple(sorted(map(g.__getitem__, block)))
-                if image not in seen:
-                    seen.add(image)
-                    new.append(image)
-        frontier = new
-    return sorted(seen)
+    """Sorted images of a sorted base block of at least 3 points under the
+    group the generators span, as tuples of ints.
+
+    Breadth-first over a preallocated (cap, k) block array, cap the block
+    count C(v,3)/C(k,3) of a Steiner 3-design: each level maps the whole
+    frontier through every generator at once and sorts the rows.  A block
+    is keyed by its first three points, found among the seen keys by
+    searchsorted, and compared with the stored block of that key.
+    Two blocks sharing a key share a 3-subset, so the orbit is not a
+    partial Steiner 3-system: that, or more than cap blocks, raises.
+    Distinct keys make key order lexicographic order.  With
+    STEINER3_TRACE=1 in the environment, one JSON line of counters goes
+    to stderr.
+    """
+    if not gens:
+        return [base]
+    v, k = len(gens[0]), len(base)
+    cap = math.comb(v, 3) // math.comb(k, 3)
+    table = np.array(gens, dtype=np.uint8)
+    store = np.empty((cap, k), dtype=np.uint8)
+    store[0] = base
+    keys = _triple_key(store[:1], v)  # the seen keys, sorted
+    owner = np.zeros(1, dtype=np.intp)  # owner[i]: the row whose key is keys[i]
+    lo, hi = 0, 1
+    levels = images = 0
+    while lo < hi:
+        rows = np.sort(table[:, store[lo:hi]].reshape(-1, k), axis=1)
+        levels += 1
+        images += len(rows)
+        key = _triple_key(rows, v)
+        order = key.argsort()
+        rows, key = rows[order], key[order]
+        head = np.empty(len(key), dtype=bool)  # the first row of each key
+        head[0] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        level_keys = key[head]
+        at = np.searchsorted(keys, level_keys)
+        new = keys[np.minimum(at, len(keys) - 1)] != level_keys
+        lo, hi = hi, hi + int(np.count_nonzero(new))
+        if hi > cap:
+            raise CatalogError(f"block orbit exceeds the {cap} blocks of a Steiner 3-design")
+        store[lo:hi] = rows[head][new]
+        # row_of[i]: the stored block keyed level_keys[i]
+        row_of = np.empty(len(level_keys), dtype=np.intp)
+        row_of[~new] = owner[at[~new]]
+        row_of[new] = np.arange(lo, hi)
+        # an equal key is an equal first three points: compare the rest
+        if not (rows[:, 3:] == store[row_of[head.cumsum() - 1], 3:]).all():
+            raise CatalogError("block orbit has two blocks sharing three points")
+        keys = np.insert(keys, at[new], level_keys[new])
+        owner = np.insert(owner, at[new], row_of[new])
+    if os.environ.get("STEINER3_TRACE") == "1":
+        counts = {
+            "stage": "catalog._block_orbit",
+            "levels": levels,
+            "images": images,
+            "blocks": hi,
+        }
+        print(json.dumps(counts), file=sys.stderr)
+    # k lists of points zipped into tuples: never a list per block
+    return list(zip(*store[owner].T.tolist()))
+
+
+def _triple_key(rows: np.ndarray, v: int) -> np.ndarray:
+    """The first three points of each row as an int32 base-v number."""
+    key = rows[:, 0].astype(np.int32)
+    for j in (1, 2):
+        key = key * v + rows[:, j]
+    return key
 
 
 # -- design constructors -------------------------------------------------------

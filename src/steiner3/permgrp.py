@@ -25,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -142,7 +143,11 @@ class _Level:
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
-    return tuple(g[x] for x in f)
+    """f, then g: x -> g[f[x]], gathered by one C-level itemgetter call."""
+    if len(f) < 2:
+        # itemgetter of one index returns that item, not a 1-tuple
+        return tuple(g[x] for x in f)
+    return itemgetter(*f)(g)
 
 
 def _invert(p: tuple) -> tuple:

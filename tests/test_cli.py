@@ -170,6 +170,22 @@ class TestGroups:
         code, out, _ = run(capsys, "order", str(path))
         assert "order: 56" in out
 
+    @pytest.mark.parametrize(
+        "text,out",
+        [
+            ("degree: 1\nimg: 0\n", "order: 1\nbase: \nstabilizer orders: 1\n"),
+            ("degree: 2\n(1 2)\n", "order: 2\nbase: 0\nstabilizer orders: 2,1\n"),
+            ("degree: 2\nimg: 0,1\n", "order: 1\nbase: \nstabilizer orders: 1\n"),
+        ],
+        ids=["degree-1", "degree-2", "degree-2-identity"],
+    )
+    def test_order_at_the_smallest_degrees(self, text, out, tmp_path, capsys):
+        # composition gathers images with itemgetter, which returns a
+        # bare item, not a 1-tuple, for a single index
+        path = tmp_path / "small.gens"
+        path.write_text(text)
+        assert run(capsys, "order", str(path)) == (0, out, "")
+
 
 class TestArithmeticVerbs:
     def test_sieve_text(self, capsys):
@@ -481,6 +497,22 @@ class TestDeterminism:
         # a cached call does no work and writes nothing
         code, _, err = run(capsys, "construct", "--family", "witt", "--out", str(design))
         assert (code, err) == (0, "")
+
+    def test_block_orbit_trace_leaves_outputs_alone(self, tmp_path, monkeypatch, capsys):
+        results = {}
+        for trace in ("0", "1"):
+            monkeypatch.setenv("STEINER3_TRACE", trace)
+            design = tmp_path / f"n127-{trace}.json"
+            code, out, err = run(capsys, "construct", "--family", "netto", "--q", "127",
+                                 "--out", str(design))
+            assert code == 0
+            results[trace] = out, design.read_bytes(), err
+        assert results["0"][:2] == results["1"][:2]
+        assert results["0"][2] == ""
+        # 85344 blocks, each mapped by the 3 generators once
+        assert _trace_lines(results["1"][2]) == [
+            {"stage": "catalog._block_orbit", "levels": 17, "images": 256032, "blocks": 85344}
+        ]
 
     @pytest.mark.parametrize(
         "flag,mode,screened,yielded",

@@ -1,4 +1,5 @@
-"""Peak allocations of the 128-point flag check and design file round trip.
+"""Peak allocations of the 128-point Netto construction, flag check and
+design file round trip.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
@@ -42,6 +43,11 @@ def test_flag_check_holds_no_flag_table():
     design.block_array
     gens = affine_group_generators("AGammaL_1", 7)
     assert peak_mb(is_flag_transitive, design, gens) < 12
+
+
+def test_netto_orbit_holds_no_dense_table():
+    # a dense v^3 table of block owners alone would add 8 MB (int64)
+    assert peak_mb(construct_netto_extension, 127) < 13
 
 
 def test_from_json_never_holds_lists_and_tuples_of_every_block(netto127):

@@ -18,8 +18,13 @@ persistent search must give the same generators in the same order after
 the same trials and search nodes, and leave the fixed prefix's state
 behind every trial.  `reference_lexicode` is the greedy lexicode that
 tested every candidate word against a coset-leader table; reading each
-basis word off the table must give the same words.  The SHA-256
-digests pin the bytes of generator files, the Witt design file and
+basis word off the table must give the same words.
+`reference_block_orbit` is the base-block orbit built one tuple and one
+set probe at a time; the array breadth-first search must give the same
+sorted blocks for every spherical and Netto design up to 128 points.
+`_product`, the generator-expression composition, must give
+Schreier-Sims the same chain as `itemgetter` on every catalogue group.
+The SHA-256 digests pin the bytes of generator files, design files and
 sieve output written by the CLI.
 """
 
@@ -29,7 +34,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import combinations, zip_longest
+from itertools import combinations, permutations, zip_longest
 from operator import attrgetter
 
 import numpy as np
@@ -49,6 +54,7 @@ from steiner3.catalog import (
 )
 from steiner3.cli import main
 from steiner3.design import CAMERON_EQUALITY_CASES, Design, blocksize_bound
+from steiner3.gf import prime_power
 from steiner3.permgrp import (
     AUT_SEARCH_MAX_POINTS,
     FlagReport,
@@ -326,6 +332,158 @@ class TestFlagReportDifferential:
         check()
 
 
+# -- block orbits ----------------------------------------------------------------
+#
+# The base-block orbit as it was before the array breadth-first search:
+# one sorted tuple and one set probe per image.  Kept verbatim but for its
+# name.
+
+
+def reference_block_orbit(gens, base: tuple[int, ...]) -> list:
+    seen = {base}
+    frontier = [base]
+    while frontier:
+        new = []
+        for g in gens:
+            for block in frontier:
+                image = tuple(sorted(map(g.__getitem__, block)))
+                if image not in seen:
+                    seen.add(image)
+                    new.append(image)
+        frontier = new
+    return sorted(seen)
+
+
+SPHERICAL_TO_128 = [(3, 2), (3, 3), (3, 4), (4, 2), (4, 3), (5, 2), (5, 3), (7, 2), (8, 2), (9, 2), (11, 2)]
+NETTO_TO_128 = [7, 19, 31, 43, 67, 79, 103, 127]
+
+
+def _orbit_arguments(monkeypatch, construct, *args) -> tuple:
+    """The generators and base block a constructor hands to
+    `_block_orbit`, and the design it builds from the orbit."""
+    calls = []
+    real = catalog._block_orbit
+
+    def record(gens, base):
+        calls.append((gens, base))
+        return real(gens, base)
+
+    monkeypatch.setattr(catalog, "_block_orbit", record)
+    design = construct(*args)
+    (gens, base), = calls
+    return gens, base, design
+
+
+def _assert_same_orbit(gens, base) -> list:
+    got = catalog._block_orbit(gens, base)
+    assert got == reference_block_orbit(gens, base)
+    assert type(got) is list
+    assert all(type(block) is tuple for block in got)
+    assert all(type(x) is int for block in got for x in block)
+    return got
+
+
+class TestBlockOrbitDifferential:
+    def test_every_family_size_to_128_points_is_covered(self):
+        assert len(SPHERICAL_TO_128) == 11
+        assert all(q**e + 1 <= 128 for q, e in SPHERICAL_TO_128)
+        assert [q for q in range(7, 128, 12) if prime_power(q)] == NETTO_TO_128
+
+    @pytest.mark.parametrize("q,e", SPHERICAL_TO_128, ids=lambda x: str(x))
+    def test_spherical(self, q, e, monkeypatch):
+        gens, base, design = _orbit_arguments(monkeypatch, catalog.construct_spherical, q, e)
+        assert tuple(_assert_same_orbit(gens, base)) == design.blocks
+
+    @pytest.mark.parametrize("q", NETTO_TO_128)
+    def test_netto(self, q, monkeypatch):
+        gens, base, design = _orbit_arguments(monkeypatch, catalog.construct_netto_extension, q)
+        assert tuple(_assert_same_orbit(gens, base)) == design.blocks
+
+    def test_no_generators(self):
+        assert _assert_same_orbit((), (0, 1, 2, 3)) == [(0, 1, 2, 3)]
+
+    def test_not_a_partial_steiner_system(self):
+        # S6 on a 4-subset: all 15 4-subsets of 6 points, which share
+        # 3-subsets; a Steiner 3-design on 6 points has 5 blocks of 4
+        s6 = [(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)]
+        assert len(reference_block_orbit(s6, (0, 1, 2, 3))) == 15
+        with pytest.raises(catalog.CatalogError):
+            catalog._block_orbit(s6, (0, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "gens,base",
+        [
+            # an image shares its first three points with a stored block
+            ([(0, 1, 2, 4, 3, 5, 6, 7)], (0, 1, 2, 3)),
+            # two new images of one level share their first three points
+            ([(3, 4, 5, 0, 1, 2, 6, 7), (3, 4, 5, 0, 1, 2, 7, 6)], (3, 4, 5, 6)),
+        ],
+        ids=["stored", "same-level"],
+    )
+    def test_blocks_sharing_a_key(self, gens, base):
+        # fewer blocks than a Steiner 3-design on 8 points has (14), so
+        # only the key comparison can reject the orbit
+        assert len(reference_block_orbit(gens, base)) < 14
+        with pytest.raises(catalog.CatalogError, match="sharing three points"):
+            catalog._block_orbit(gens, base)
+
+
+# -- Schreier-Sims composition -----------------------------------------------------
+#
+# `_product` above is the generator-expression composition Schreier-Sims
+# used before `itemgetter`; the chain must come out the same.
+
+
+def catalogue_groups() -> dict[str, GeneratorSet]:
+    """The generators of every catalogue group on at most 128 points,
+    but the Witt design's, which takes an automorphism search."""
+    groups = {}
+    for v in range(5, 129):
+        for k in range(4, v):
+            for row in catalog.classify(v, k):
+                for name, recipe in row.groups:
+                    family, _, kind, *rest = recipe.split()
+                    if family == "affine":
+                        groups[name] = affine_group_generators(kind, int(rest[1]))
+                    elif family == "projective":
+                        groups[name] = projective_group_generators(kind, int(rest[1]), int(rest[3]))
+    return groups
+
+
+CATALOGUE_GROUPS = catalogue_groups()
+
+
+def _chain(gens: GeneratorSet) -> tuple:
+    levels, sifts, schreier = permgrp._schreier_sims(gens)
+    summary = permgrp.group_order(gens)
+    return [(lvl.beta, lvl.gens, lvl.transversal) for lvl in levels], sifts, schreier, summary
+
+
+class TestComposeDifferential:
+    def test_every_family_has_groups(self):
+        assert len(CATALOGUE_GROUPS) == 36
+        assert "AGL(7,2)" in CATALOGUE_GROUPS and "PSigmaL(2,127)" in CATALOGUE_GROUPS
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_GROUPS))
+    def test_same_chain(self, name, monkeypatch):
+        gens = CATALOGUE_GROUPS[name]
+        got = _chain(gens)
+        monkeypatch.setattr(permgrp, "_compose", _product)
+        assert got == _chain(gens)
+
+    def test_witt_automorphism_group(self, witt_aut, monkeypatch):
+        got = _chain(witt_aut)
+        monkeypatch.setattr(permgrp, "_compose", _product)
+        assert got == _chain(witt_aut)
+        assert got[3].order == 887040
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_small_degrees(self, degree):
+        for f in permutations(range(degree)):
+            for g in permutations(range(degree)):
+                assert permgrp._compose(f, g) == _product(f, g)
+
+
 GROUPGENS_DIGESTS = {
     ("affine", "AGL_d_2", "--d", "3"): "90adf29f8cabe5ee326885b02185d2a6d6b15f6986abc79c08ff3a3fa381b805",
     ("affine", "AGL_1", "--d", "3"): "f07b93e7fa6b371ed159e0eff8653bb63b7aecbe3d11b11ba9a2cc56c934cbd2",
@@ -346,6 +504,10 @@ AUTGROUP_DIGESTS = {
 
 CONSTRUCT_DIGESTS = {
     ("witt",): "cd647f60ea594981444d3c05d753a3417ac82a136a997c9e7802bf038d1938d4",
+    ("netto", "--q", "127"): "e9af6992a0c312d9c1b8f2f1a6fdce293e61375fec21f2e289561ddb06254246",
+    ("netto", "--q", "43"): "6c3582caf217e52d7ae72b033a2f773151826901375adba7f6174d87dd055f57",
+    ("spherical", "--q", "5", "--e", "3"): "5856913ec6d8d6331c7f17dde624e079ff0c353d72e01681262ac31f68592035",
+    ("spherical", "--q", "3", "--e", "3"): "aab60d6bb6ee9b3c6963e442d31770a2eaf246a5c8f234740f14b70bd226b827",
 }
 
 
