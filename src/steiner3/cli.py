@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 from .catalog import (
     AFFINE_KINDS,
@@ -44,6 +46,7 @@ from .permgrp import (
     parse_generators,
 )
 from .sieve import (
+    SieveReport,
     admissible_parameters,
     cyclotomic_eval,
     ramanujan_nagell,
@@ -52,6 +55,9 @@ from .sieve import (
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+# sieve reports per stdout write: few system calls even when stdout is
+# unbuffered, and one chunk (about 50 KB of JSON) held at a time
+SIEVE_WRITE_CHUNK = 256
 
 
 def _read_text(path: str, error: type[ValueError]) -> str:
@@ -171,24 +177,32 @@ def cmd_order(args) -> int:
     return 0
 
 
+def _write_joined(pieces: Iterator[str], sep: str, head: str = "", tail: str = "") -> None:
+    """Write head + sep.join(pieces) + tail to stdout, one write per
+    SIEVE_WRITE_CHUNK pieces (the tail is written only if non-empty)."""
+    write = sys.stdout.write
+    chunks = iter(lambda: list(islice(pieces, SIEVE_WRITE_CHUNK)), [])
+    write(head + sep.join(next(chunks, ())))
+    for chunk in chunks:
+        write(sep + sep.join(chunk))
+    if tail:
+        write(tail)
+
+
+def _sieve_line(report: SieveReport) -> str:
+    if not report.cameron_equality:
+        return f"v={report.v} k={report.k} admissible\n"
+    listed = " (listed)" if report.equality_listed else ""
+    return f"v={report.v} k={report.k} admissible cameron-equality{listed}\n"
+
+
 def cmd_sieve(args) -> int:
     reports = admissible_parameters(args.v_min, args.v_max, admissible_only=not args.json)
+    # stream in bounded chunks so large sweeps stay constant-memory
     if args.json:
-        # stream the array so large sweeps stay constant-memory
-        sys.stdout.write("[")
-        for i, report in enumerate(reports):
-            if i:
-                sys.stdout.write(",")
-            sys.stdout.write(report.as_json())
-        sys.stdout.write("]\n")
-        return 0
-    for report in reports:
-        line = f"v={report.v} k={report.k} admissible"
-        if report.cameron_equality:
-            line += " cameron-equality"
-            if report.equality_listed:
-                line += " (listed)"
-        print(line)
+        _write_joined(map(SieveReport.as_json, reports), ",", "[", "]\n")
+    else:
+        _write_joined(map(_sieve_line, reports), "")
     return 0
 
 

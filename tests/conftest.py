@@ -70,3 +70,27 @@ def flag_transitive_pairs(catalogue, witt_aut):
         )
     pairs.append(("Aut on witt", catalogue[("witt",)], witt_aut))
     return pairs
+
+
+class CountingSink:
+    """A stdout that keeps no text, only the number of writes, characters
+    and lines written."""
+
+    def __init__(self):
+        self.writes = self.chars = self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.chars += len(text)
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.fixture
+def counting_sink():
+    """A fresh `CountingSink`, to stand in for stdout with `redirect_stdout`
+    inside the test (pytest's capture replaces a stdout set by a fixture)."""
+    return CountingSink()

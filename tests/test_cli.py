@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -226,6 +227,25 @@ class TestArithmeticVerbs:
         code, out, _ = run(capsys, "rnagell", "--max-n", "63")
         assert code == 0
         assert out == "x=5 n=3\nx=7 n=5\nx=9 n=6\nx=23 n=9\n"
+
+
+class TestSieveWrites:
+    """Reports go to stdout SIEVE_WRITE_CHUNK at a time: one or two writes
+    per report made each one a system call on unbuffered stdout."""
+
+    def test_json_sweep(self, counting_sink):
+        pairs = 225_722  # every (v, k) with 4 <= k <= blocksize_bound(v)
+        with redirect_stdout(counting_sink):
+            assert main(["sieve", "--v-min", "4", "--v-max", "5000", "--json"]) == 0
+        assert counting_sink.writes <= -(-pairs // cli.SIEVE_WRITE_CHUNK) + 2
+        assert (counting_sink.lines, counting_sink.chars) == (1, 48_885_997)
+
+    def test_text_sweep(self, counting_sink):
+        lines = 37_173  # admissible pairs with 4 <= v <= 50000
+        with redirect_stdout(counting_sink):
+            assert main(["sieve", "--v-min", "4", "--v-max", "50000"]) == 0
+        assert counting_sink.lines == lines
+        assert counting_sink.writes <= -(-lines // cli.SIEVE_WRITE_CHUNK) + 2
 
 
 class TestErrorContract:

@@ -1,11 +1,12 @@
-"""Peak allocations of the 128-point Netto construction, flag check and
-design file round trip.
+"""Peak allocations of the 128-point Netto construction, flag check,
+design file round trip and `--json` sieve sweep.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
 """
 
 import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -14,6 +15,7 @@ from steiner3.catalog import (
     construct_boolean_affine,
     construct_netto_extension,
 )
+from steiner3.cli import main
 from steiner3.design import from_json, to_json
 from steiner3.permgrp import is_flag_transitive
 
@@ -57,3 +59,17 @@ def test_from_json_never_holds_lists_and_tuples_of_every_block(netto127):
 
 def test_to_json_copies_no_block(netto127):
     assert peak_mb(to_json, netto127) < 6
+
+
+def sieve_json_peak_mb(v_max: int) -> float:
+    return peak_mb(main, ["sieve", "--v-min", "4", "--v-max", str(v_max), "--json"])
+
+
+def test_json_sieve_streams_in_constant_memory(counting_sink):
+    # 225722 reports, 49 MB of JSON, written to a sink that keeps none of
+    # it; a first run builds what is built once (the parser's regexes)
+    with redirect_stdout(counting_sink):
+        sieve_json_peak_mb(500)
+        small, large = sieve_json_peak_mb(500), sieve_json_peak_mb(5000)
+    assert large < 1
+    assert large - small < 0.1

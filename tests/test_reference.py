@@ -24,6 +24,9 @@ set probe at a time; the array breadth-first search must give the same
 sorted blocks for every spherical and Netto design up to 128 points.
 `_product`, the generator-expression composition, must give
 Schreier-Sims the same chain as `itemgetter` on every catalogue group.
+`reference_cmd_sieve` is the `sieve` writer that made one or two writes
+per report; the chunked writer must give the same bytes on windows of
+none, one and about one and two chunks of reports.
 The SHA-256 digests pin the bytes of generator files, design files and
 sieve output written by the CLI.
 """
@@ -31,6 +34,7 @@ sieve output written by the CLI.
 import hashlib
 import json
 import random
+import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
@@ -42,7 +46,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steiner3 import catalog, permgrp, sieve
+from steiner3 import catalog, cli, permgrp, sieve
 from steiner3.catalog import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
@@ -992,6 +996,85 @@ def test_sieve_stdout_digest(case, capsys):
     assert main(["sieve", *case]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SIEVE_DIGESTS[case]
+
+
+def reference_cmd_sieve(v_min: int, v_max: int, as_json: bool) -> None:
+    """`sieve` as it wrote before chunking: one or two writes per report."""
+    reports = admissible_parameters(v_min, v_max, admissible_only=not as_json)
+    if as_json:
+        sys.stdout.write("[")
+        for i, report in enumerate(reports):
+            if i:
+                sys.stdout.write(",")
+            sys.stdout.write(report.as_json())
+        sys.stdout.write("]\n")
+        return
+    for report in reports:
+        line = f"v={report.v} k={report.k} admissible"
+        if report.cameron_equality:
+            line += " cameron-equality"
+            if report.equality_listed:
+                line += " (listed)"
+        print(line)
+
+
+# (v_min, v_max) -> reports: none, one, and one below, at and above one and
+# two chunks of SIEVE_WRITE_CHUNK = 256 reports
+SIEVE_JSON_WINDOWS = {
+    (4, 4): 0,
+    (4, 7): 1,
+    (12, 71): 255,
+    (11, 71): 256,
+    (10, 71): 257,
+    (8, 105): 511,
+    (4, 105): 512,
+    (24, 109): 513,
+}
+SIEVE_TEXT_WINDOWS = {
+    (4, 4): 0,
+    (4, 8): 1,
+    (4, 382): 255,
+    (15, 386): 256,
+    (11, 386): 257,
+    (17, 730): 511,
+    (15, 730): 512,
+    (11, 730): 513,
+}
+
+
+def _sieve_outputs(capsys, v_min: int, v_max: int, as_json: bool) -> tuple[str, str]:
+    argv = ["sieve", "--v-min", str(v_min), "--v-max", str(v_max)]
+    assert main(argv + ["--json"] * as_json) == 0
+    got = capsys.readouterr().out
+    reference_cmd_sieve(v_min, v_max, as_json)
+    return got, capsys.readouterr().out
+
+
+class TestChunkedSieveWriter:
+    """The chunked `sieve` writer against the per-report loop it replaced."""
+
+    def test_chunk_size(self):
+        assert cli.SIEVE_WRITE_CHUNK == 256
+
+    @pytest.mark.parametrize("window", sorted(SIEVE_JSON_WINDOWS))
+    def test_json(self, window, capsys):
+        got, want = _sieve_outputs(capsys, *window, as_json=True)
+        assert got == want
+        assert len(json.loads(got)) == SIEVE_JSON_WINDOWS[window]
+
+    @pytest.mark.parametrize("window", sorted(SIEVE_TEXT_WINDOWS))
+    def test_text(self, window, capsys):
+        got, want = _sieve_outputs(capsys, *window, as_json=False)
+        assert got == want
+        assert got.count("\n") == SIEVE_TEXT_WINDOWS[window]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_small_chunks(self, chunk, as_json, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SIEVE_WRITE_CHUNK", chunk)
+        for window in [(4, 4), (4, 8), (4, 30), (20, 60)]:
+            got, want = _sieve_outputs(capsys, *window, as_json=as_json)
+            assert got == want
 
 
 # -- the lexicode ----------------------------------------------------------------
