@@ -52,6 +52,12 @@ _CHECK_NAMES = (
 _JSON_BOOL = {False: "false", True: "true"}
 
 
+def _checks_json(checks: tuple[tuple[str, bool], ...]) -> str:
+    """A checks tuple as a compact JSON object."""
+    text = ",".join(f'"{name}":{_JSON_BOOL[ok]}' for name, ok in checks)
+    return f"{{{text}}}"
+
+
 def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
     """The checks tuple, admissible flag and compact checks JSON for one
     bit pattern; bit 5 is the first check in `_CHECK_NAMES`, bit 0 the last.
@@ -59,14 +65,15 @@ def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
     checks = tuple(
         (name, bool(mask >> (5 - i) & 1)) for i, name in enumerate(_CHECK_NAMES)
     )
-    text = ",".join(f'"{name}":{_JSON_BOOL[ok]}' for name, ok in checks)
-    return checks, all(ok for _, ok in checks), f"{{{text}}}"
+    return checks, all(ok for _, ok in checks), _checks_json(checks)
 
 
 # every outcome of the six checks, built once: a screened pair looks its
 # outcome up here, so all reports with the same outcome share one tuple
 _OUTCOMES = tuple(_outcome(mask) for mask in range(64))
-_CHECKS_JSON = {checks: text for checks, _, text in _OUTCOMES}
+# keyed by the identity of the shared tuples, which live as long as the
+# table, so a lookup hashes one int, not six nested pairs
+_CHECKS_JSON = {id(checks): text for checks, _, text in _OUTCOMES}
 
 
 @dataclass(slots=True)
@@ -92,8 +99,9 @@ class SieveReport:
 
     def as_json(self) -> str:
         """`as_dict` as compact JSON, assembled from preformatted parts."""
+        checks = _CHECKS_JSON.get(id(self.checks)) or _checks_json(self.checks)
         return (
-            f'{{"v":{self.v},"k":{self.k},"checks":{_CHECKS_JSON[self.checks]},'
+            f'{{"v":{self.v},"k":{self.k},"checks":{checks},'
             f'"admissible":{_JSON_BOOL[self.admissible]},'
             f'"cameron_equality":{_JSON_BOOL[self.cameron_equality]},'
             f'"equality_listed":{_JSON_BOOL[self.equality_listed]}}}'

@@ -1,5 +1,6 @@
 """CLI verbs, exit-code contract, and output stability."""
 
+import gc
 import json
 import os
 import subprocess
@@ -582,16 +583,69 @@ class TestImports:
             "print('numpy.ma' in sys.modules)\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(steiner3.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
             [sys.executable, "-c", script, "flagcheck", str(design), "--gens", str(gens)],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=_child_env(), timeout=60,
         )
         assert result.returncode == 0, result.stderr
         assert "flag-transitive: yes" in result.stdout
         assert result.stdout.splitlines()[-1] == "False"
+
+
+class TestProcessEntry:
+    """`python -m steiner3.cli` freezes the import-time heap; `main(argv)`
+    called in process leaves the caller's collector alone."""
+
+    def test_in_process_main_does_not_freeze(self, capsys):
+        before = gc.get_freeze_count()
+        code, out, _ = run(capsys, "zsigmondy", "--q", "2", "--n", "11")
+        assert (code, out) == (0, "23,89\n")
+        assert gc.get_freeze_count() == before
+
+    def test_gc_trace_line(self):
+        argv = ["zsigmondy", "--q", "2", "--n", "6"]
+        off, on = _entry(argv, trace="0"), _entry(argv, trace="1")
+        assert off.returncode == on.returncode == 0
+        assert off.stdout == on.stdout == "none\n"
+        assert off.stderr == ""
+        line = json.loads(on.stderr.splitlines()[-1])
+        assert line["stage"] == "cli.gc"
+        assert line["frozen"] > 0
+        assert len(line["collections"]) == 3
+
+    @pytest.mark.parametrize(
+        "verb,code",
+        [("zsigmondy", 0), ("flagcheck", 1), ("usage", 2)],
+    )
+    def test_entry_matches_in_process_main(self, verb, code, tmp_path, spherical32_file, capsys):
+        gens = tmp_path / "psl29.gens"
+        run(capsys, "groupgens", "--family", "projective", "--kind", "PSL",
+            "--q", "3", "--e", "2", "--out", str(gens))
+        argv = {
+            "zsigmondy": ["zsigmondy", "--q", "2", "--n", "11"],
+            "flagcheck": ["flagcheck", str(spherical32_file), "--gens", str(gens)],
+            "usage": ["zsigmondy", "--q", "2"],
+        }[verb]
+        got, out, _ = run(capsys, *argv)
+        child = _entry(argv)
+        assert got == child.returncode == code
+        assert child.stdout == out
+
+
+def _child_env(**extra) -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    steiner3."""
+    src = str(Path(steiner3.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
+def _entry(argv, trace="0") -> subprocess.CompletedProcess:
+    """`python -m steiner3.cli ARGV` in a child process, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "steiner3.cli", *argv], capture_output=True, text=True,
+        env=_child_env(STEINER3_TRACE=trace), timeout=60,
+    )
 
 
 def _gens(tmp_path, capsys):

@@ -979,6 +979,14 @@ class TestOutcomeTable:
             report = SieveReport(22, 6, checks, admissible, equality, listed)
             assert report.as_json() == json.dumps(report.as_dict(), separators=(",", ":"))
 
+    @pytest.mark.parametrize("equality,listed", [(False, False), (True, False), (True, True)])
+    def test_as_json_of_an_equal_distinct_tuple(self, equality, listed):
+        for shared, admissible, _ in _OUTCOMES:
+            checks = tuple((name, ok) for name, ok in shared)
+            assert checks == shared and checks is not shared
+            report = SieveReport(22, 6, checks, admissible, equality, listed)
+            assert report.as_json() == json.dumps(report.as_dict(), separators=(",", ":"))
+
     def test_reports_share_the_table_tuples(self):
         first, second = screen_parameters(22, 4), screen_parameters(22, 6)
         assert first.checks is second.checks
