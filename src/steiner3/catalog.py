@@ -13,13 +13,11 @@ intermediate counts raise instead of producing a wrong design.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +26,7 @@ from .design import MAX_POINTS, Design, derived_design
 from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet, parse_generators
+from .trace import emit
 
 AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
 PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
@@ -105,9 +104,8 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list
     searchsorted, and compared with the stored block of that key.
     Two blocks sharing a key share a 3-subset, so the orbit is not a
     partial Steiner 3-system: that, or more than cap blocks, raises.
-    Distinct keys make key order lexicographic order.  With
-    STEINER3_TRACE=1 in the environment, one JSON line of counters goes
-    to stderr.
+    Distinct keys make key order lexicographic order.  When tracing, one
+    JSON line of counters goes to stderr.
     """
     if not gens:
         return [base]
@@ -146,14 +144,7 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list
             raise CatalogError("block orbit has two blocks sharing three points")
         keys = np.insert(keys, at[new], level_keys[new])
         owner = np.insert(owner, at[new], row_of[new])
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "catalog._block_orbit",
-            "levels": levels,
-            "images": images,
-            "blocks": hi,
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit("catalog._block_orbit", levels=levels, images=images, blocks=hi)
     # k lists of points zipped into tuples: never a list per block
     return list(zip(*store[owner].T.tolist()))
 
@@ -174,14 +165,7 @@ def construct_boolean_affine(d: int) -> Design:
     if d < 3 or (1 << d) > MAX_POINTS:
         raise CatalogError(f"need 3 <= d <= 7, got {d}")
     n = 1 << d
-    blocks = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            xy = x ^ y
-            for z in range(y + 1, n):
-                w = xy ^ z
-                if w > z:
-                    blocks.append((x, y, z, w))
+    blocks = [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(n), 3) if x ^ y ^ z > z]
     return Design(n, 3, blocks)
 
 
@@ -270,8 +254,8 @@ def lexicode_codewords() -> tuple[int, ...]:
     a coset is the member with every pivot bit of the reduced basis clear,
     so the next word is read off the coset-leader table: the least
     syndrome that no sum of at most 7 columns reaches, spread back over
-    the non-pivot bits.  With STEINER3_TRACE=1 in the environment, one
-    JSON line of counters goes to stderr per computation.
+    the non-pivot bits.  When tracing, one JSON line of counters goes to
+    stderr per computation.
     """
     basis: list[int] = []
     span = np.zeros(1, dtype=np.uint32)
@@ -293,14 +277,7 @@ def lexicode_codewords() -> tuple[int, ...]:
         raise GolayConstructionError(
             f"lexicode scan found {len(basis)} basis words, expected {_LEX_DIMENSION}"
         )
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "catalog.lexicode_codewords",
-            "basis": len(basis),
-            "scanned": scanned,
-            "tables": tables,
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit("catalog.lexicode_codewords", basis=len(basis), scanned=scanned, tables=tables)
     return tuple(sorted(span.tolist()))
 
 
@@ -514,11 +491,21 @@ _WITT_ENTRY = CatalogueEntry(
 )
 
 
+# classify factors v - 1 and k - 1 by trial division: about 0.1 s for a prime
+# just below 2^40
+CLASSIFY_MAX_BITS = 40
+
+
 def classify(v: int, k: int) -> list[CatalogueEntry]:
     """All catalogue rows with the given parameters; empty means no
     flag-transitive Steiner 3-design with these parameters exists."""
     if not 3 < k < v:
         raise CatalogError(f"need 3 < k < v for a non-trivial design, got {(v, k)}")
+    if (v - 1).bit_length() > CLASSIFY_MAX_BITS:
+        raise CatalogError(
+            f"need v <= 2^{CLASSIFY_MAX_BITS} for factoring, "
+            f"got v - 1 of {(v - 1).bit_length()} bits"
+        )
     rows: list[CatalogueEntry] = []
     if k == 4 and v >= 8:
         d = v.bit_length() - 1

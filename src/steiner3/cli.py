@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
-import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -57,6 +55,7 @@ from .sieve import (
     ramanujan_nagell,
     zsigmondy_ppd,
 )
+from .trace import emit
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -351,13 +350,11 @@ def main(argv=None) -> int:
     # process entry: the import-time heap lives to exit, so no collection need walk it
     gc.freeze()
     code = _run(None)
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "cli.gc",
-            "frozen": gc.get_freeze_count(),
-            "collections": [gen["collections"] for gen in gc.get_stats()],
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit(
+        "cli.gc",
+        frozen=gc.get_freeze_count(),
+        collections=[gen["collections"] for gen in gc.get_stats()],
+    )
     return code
 
 

@@ -135,8 +135,6 @@ class FieldContext:
         self.d = d
         self.order = p ** d
         mod_enc = _smallest_irreducible(p, d)
-        if not _poly_is_irreducible(mod_enc, d, p):
-            raise FieldError("modulus is reducible")  # defensive; cannot happen
         self.modulus: tuple[int, ...] = tuple(_poly_coeffs(mod_enc, p))
         self._mod_enc = mod_enc
         self._exp: list[int] | None = None

@@ -18,11 +18,8 @@ to date as block images are fixed and released.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-import sys
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
@@ -32,6 +29,7 @@ import numpy as np
 
 from .design import MAX_POINTS, Design, DesignError
 from .errors import Steiner3Error
+from .trace import emit
 
 
 class PermutationError(Steiner3Error, ValueError):
@@ -249,8 +247,7 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
     New base points are chosen greedily as the smallest point moved at
     that level; `base_prefix` forces the first base points, which makes
     stabilizer orders along a chosen point sequence directly readable.
-    With STEINER3_TRACE=1 in the environment, one JSON line of counters
-    goes to stderr.
+    When tracing, one JSON line of counters goes to stderr.
     """
     levels, sifts, schreier_formed = _schreier_sims(gens, base_prefix)
     order = 1
@@ -259,14 +256,7 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
         order *= len(lvl.transversal)
         chain.append(order)
     chain.reverse()
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "permgrp.group_order",
-            "levels": len(levels),
-            "sifts": sifts,
-            "schreier": schreier_formed,
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit("permgrp.group_order", levels=len(levels), sifts=sifts, schreier=schreier_formed)
     return GroupSummary(
         order=order,
         base=tuple(lvl.beta for lvl in levels),
@@ -319,9 +309,8 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     point, has size |x0^G| * |B0^(G_x0)| by the orbit-stabiliser theorem:
     a Schreier-Sims chain with base x0 gives the orbit of x0 and strong
     generators of G_x0, which act on the r blocks through x0.  Raises
-    SetNotPreserved if some generator is not an automorphism.  With
-    STEINER3_TRACE=1 in the environment, one JSON line of counters goes
-    to stderr.
+    SetNotPreserved if some generator is not an automorphism.  When
+    tracing, one JSON line of counters goes to stderr.
     """
     if gens.degree != design.v:
         raise PermutationError(
@@ -348,15 +337,13 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     block_orbit_sizes = _orbit_sizes(blocks)
     point_orbit_sizes = _orbit_sizes(points)
     pair_orbit_sizes = _orbit_sizes(pairs, skip=slice(None, None, v + 1))
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "permgrp.is_flag_transitive",
-            "generators": len(points),
-            "stabilizer_generators": len(stabilizer),
-            "through_blocks": len(through),
-            "flag_orbit": flag_orbit_size,
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit(
+        "permgrp.is_flag_transitive",
+        generators=len(points),
+        stabilizer_generators=len(stabilizer),
+        through_blocks=len(through),
+        flag_orbit=flag_orbit_size,
+    )
 
     return FlagReport(
         v=v,
@@ -569,8 +556,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
     finds one automorphism per candidate image of the base point (skipping
     images already reachable by automorphisms found so far), so the union
     of the discovered coset representatives generates the whole group.
-    Output order is deterministic.  With STEINER3_TRACE=1 in the
-    environment, one JSON line of search counters goes to stderr.
+    Output order is deterministic.  When tracing, one JSON line of search
+    counters goes to stderr.
     """
     v = design.v
     if v > AUT_SEARCH_MAX_POINTS:
@@ -579,15 +566,13 @@ def automorphism_group(design: Design) -> GeneratorSet:
         )
     searcher = _AutSearch(design)
     gens = GeneratorSet(v, searcher.generators())
-    if os.environ.get("STEINER3_TRACE") == "1":
-        counts = {
-            "stage": "permgrp.automorphism_group",
-            "levels": searcher.levels,
-            "trials": searcher.trials,
-            "successes": searcher.successes,
-            "nodes": searcher.nodes,
-        }
-        print(json.dumps(counts), file=sys.stderr)
+    emit(
+        "permgrp.automorphism_group",
+        levels=searcher.levels,
+        trials=searcher.trials,
+        successes=searcher.successes,
+        nodes=searcher.nodes,
+    )
     return gens
 
 

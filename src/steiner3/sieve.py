@@ -10,10 +10,7 @@ exactly (k-2) | (v-2), so it appears once under that name.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,6 +24,7 @@ from .design import (
 from .errors import Steiner3Error
 from .gf import factorize
 from .permgrp import GeneratorSet, group_order, is_flag_transitive
+from .trace import emit, tracing
 
 
 CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
@@ -160,16 +158,15 @@ def admissible_parameters(
     bound allows sweeps whose materialized report list would not fit in
     memory, so consumers should stream.  With `admissible_only`, only the
     admissible reports are yielded, and only the k with (k-2) | (v-2) are
-    screened: the same reports, found with far less work.  With
-    STEINER3_TRACE=1 in the environment, one JSON line of counters goes to
-    stderr when the iterator is exhausted.
+    screened: the same reports, found with far less work.  When tracing,
+    one JSON line of counters goes to stderr when the iterator is exhausted.
     """
     if not 4 <= v_min <= v_max <= 10**6:
         raise SieveError(f"need 4 <= v_min <= v_max <= 10^6, got {(v_min, v_max)}")
     screened = [0]
     sweep = _divisor_sweep if admissible_only else _full_sweep
     reports = sweep(v_min, v_max, screened)
-    if os.environ.get("STEINER3_TRACE") == "1":
+    if tracing():
         mode = "divisor" if admissible_only else "full"
         return _traced(reports, mode, v_min, v_max, screened)
     return reports
@@ -215,15 +212,14 @@ def _traced(
     for report in reports:
         yielded += 1
         yield report
-    counts = {
-        "stage": "sieve.admissible_parameters",
-        "mode": mode,
-        "v_min": v_min,
-        "v_max": v_max,
-        "screened": screened[0],
-        "yielded": yielded,
-    }
-    print(json.dumps(counts), file=sys.stderr)
+    emit(
+        "sieve.admissible_parameters",
+        mode=mode,
+        v_min=v_min,
+        v_max=v_max,
+        screened=screened[0],
+        yielded=yielded,
+    )
 
 
 def division_property(r: int, order_point_stabilizer: int) -> bool:

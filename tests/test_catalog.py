@@ -3,6 +3,7 @@
 import pytest
 
 from steiner3.catalog import (
+    CLASSIFY_MAX_BITS,
     CatalogError,
     GolayConstructionError,
     affine_group_generators,
@@ -401,3 +402,9 @@ class TestClassify:
             classify(8, 8)
         with pytest.raises(CatalogError):
             classify(8, 3)
+
+    def test_v_at_the_factoring_cap(self):
+        v = 1 << CLASSIFY_MAX_BITS
+        assert [r.params for r in classify(v, 4)] == [(("d", CLASSIFY_MAX_BITS),)]
+        # k - 1 = 2^40 - 87 is prime: the slowest trial division below the cap
+        assert classify(v, v - 86) == []

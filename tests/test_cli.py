@@ -318,6 +318,24 @@ class TestErrorContract:
         )
         assert not gens.exists()
 
+    @pytest.mark.parametrize(
+        "v,k",
+        [
+            # v - 1 = 2^61 - 1, a prime = 7 mod 12: the Netto test would factor it
+            ("2305843009213693952", "4"),
+            ("1" + "0" * 46, "1" + "0" * 23 + "8"),
+        ],
+        ids=["mersenne-61", "46-digit"],
+    )
+    def test_classify_above_the_factoring_cap(self, v, k):
+        child = _entry(["classify", "--v", v, "--k", k])
+        self.assert_usage_error((child.returncode, child.stdout, child.stderr))
+
+    def test_classify_at_and_above_the_cap(self, capsys):
+        code, out, _ = run(capsys, "classify", "--v", str(1 << 40), "--k", "4")
+        assert (code, out) == (0, "affine(d=40): AGL(40,2)\n")
+        self.assert_usage_error(run(capsys, "classify", "--v", str((1 << 40) + 1), "--k", "4"))
+
     def test_verify_on_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(run(capsys, "verify", str(tmp_path)))
 

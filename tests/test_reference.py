@@ -512,6 +512,8 @@ CONSTRUCT_DIGESTS = {
     ("netto", "--q", "43"): "6c3582caf217e52d7ae72b033a2f773151826901375adba7f6174d87dd055f57",
     ("spherical", "--q", "5", "--e", "3"): "5856913ec6d8d6331c7f17dde624e079ff0c353d72e01681262ac31f68592035",
     ("spherical", "--q", "3", "--e", "3"): "aab60d6bb6ee9b3c6963e442d31770a2eaf246a5c8f234740f14b70bd226b827",
+    ("affine", "--d", "3"): "ec17423cd9b540256846dd4f7248affdc826fb02263ffb7d070439ad47e8cf0e",
+    ("affine", "--d", "7"): "7aff7aa5b35fb1b23cf98c21454571c4b35e8b8baaf1547b736cf22407b3e47e",
 }
 
 
