@@ -92,6 +92,37 @@ class ProjectiveLine:
         images = [ctx.pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity]
         return tuple(images)
 
+    def group(self, kind: str) -> GeneratorSet:
+        """Generators of `kind`, one of PROJECTIVE_KINDS, on the line.  For
+        even order the PSL and PGL sets coincide (squaring is a bijection,
+        and -1 = 1); the catalogue reports such entries once."""
+        ctx = self.ctx
+        if kind in ("PGL", "PGammaL"):
+            gens = [self.translation(), self.scaling(ctx.omega), self.inversion()]
+        else:
+            omega2 = ctx.mul(ctx.omega, ctx.omega)
+            gens = [self.translation(), self.scaling(omega2), self.inversion(negate=True)]
+        if kind in ("PSigmaL", "PGammaL"):
+            gens.append(self.frobenius_map())
+        return GeneratorSet(self.size, gens)
+
+
+def _projective_line(q: int, e: int) -> ProjectiveLine:
+    """The projective line over GF(q^e).  As q^e >= 2^(e * (bits of q - 1)),
+    that product rejects a large q^e before the power is formed, and q is
+    factored only once q^e + 1 is within MAX_POINTS."""
+    if e < 1:
+        raise CatalogError(f"e must be >= 1, got {e}")
+    if q < 2:
+        raise CatalogError(f"q must be a prime power, got {q}")
+    if e * (q.bit_length() - 1) >= MAX_POINTS.bit_length() or q**e + 1 > MAX_POINTS:
+        raise CatalogError(f"q^e + 1 for q = {q}, e = {e} exceeds the {MAX_POINTS} bound")
+    pp = prime_power(q)
+    if pp is None:
+        raise CatalogError(f"q must be a prime power, got {q}")
+    p, j = pp
+    return ProjectiveLine(FieldContext(p, j * e))
+
 
 def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list:
     """Sorted images of a sorted base block of at least 3 points under the
@@ -162,7 +193,7 @@ def _triple_key(rows: np.ndarray, v: int) -> np.ndarray:
 
 def construct_boolean_affine(d: int) -> Design:
     """Points and planes of AG(d,2): all 4-sets with zero XOR sum."""
-    if d < 3 or (1 << d) > MAX_POINTS:
+    if d < 3 or d > MAX_POINTS.bit_length() - 1:
         raise CatalogError(f"need 3 <= d <= 7, got {d}")
     n = 1 << d
     blocks = [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(n), 3) if x ^ y ^ z > z]
@@ -171,36 +202,23 @@ def construct_boolean_affine(d: int) -> Design:
 
 def construct_spherical(q: int, e: int) -> Design:
     """3-(q^e+1, q+1, 1): orbit of the subline GF(q) u {inf} under PGL."""
-    pp = prime_power(q)
-    if pp is None or q < 3:
+    if q < 3:
         raise CatalogError(f"q must be a prime power >= 3, got {q}")
     if e < 2:
         raise CatalogError(f"e must be >= 2, got {e}")
-    if q**e + 1 > MAX_POINTS:
-        raise CatalogError(f"q^e + 1 = {q**e + 1} exceeds the {MAX_POINTS} bound")
-    p, j = pp
-    ctx = FieldContext(p, j * e)
-    line = ProjectiveLine(ctx)
-    base = tuple(sorted(ctx.subfield_indices(q) + [line.infinity]))
-    gens = projective_group_generators("PGL", q, e)
-    blocks = _block_orbit(gens.gens, base)
+    line = _projective_line(q, e)
+    base = tuple(sorted(line.ctx.subfield_indices(q) + [line.infinity]))
+    blocks = _block_orbit(line.group("PGL").gens, base)
     return Design(line.size, 3, blocks)
 
 
 def construct_netto_extension(q: int) -> Design:
     """3-(q+1, 4, 1): orbit of {0, 1, eps, inf} under PSL, q = 7 (mod 12)."""
-    pp = prime_power(q)
-    if pp is None or q % 12 != 7:
+    if q % 12 != 7:
         raise CatalogError(f"q must be a prime power congruent to 7 mod 12, got {q}")
-    if q + 1 > MAX_POINTS:
-        raise CatalogError(f"q + 1 = {q + 1} exceeds the {MAX_POINTS} bound")
-    p, j = pp
-    ctx = FieldContext(p, j)
-    line = ProjectiveLine(ctx)
-    eps = ctx.primitive_sixth_root()
-    base = tuple(sorted((0, 1, eps, line.infinity)))
-    gens = projective_group_generators("PSL", q, 1)
-    blocks = _block_orbit(gens.gens, base)
+    line = _projective_line(q, 1)
+    base = tuple(sorted((0, 1, line.ctx.primitive_sixth_root(), line.infinity)))
+    blocks = _block_orbit(line.group("PSL").gens, base)
     return Design(line.size, 3, blocks)
 
 
@@ -356,7 +374,7 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
     """Generators of the affine-type groups on GF(2)^d (as 0..2^d-1)."""
     if kind not in AFFINE_KINDS:
         raise CatalogError(f"unknown affine kind {kind!r}, expected one of {AFFINE_KINDS}")
-    if d < 1 or (1 << d) > MAX_POINTS:
+    if d < 1 or d > MAX_POINTS.bit_length() - 1:
         raise CatalogError(f"need 1 <= d <= 7, got {d}")
     n = 1 << d
     if kind == "AGL_d_2":
@@ -385,33 +403,12 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
 
 
 def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
-    """Generators of PSL/PGL/PSigmaL/PGammaL(2, q^e) on the projective line.
-
-    For even q the PSL and PGL generator sets coincide (squaring is a
-    bijection there, and -1 = 1); the catalogue reports such entries once.
-    """
+    """Generators of PSL/PGL/PSigmaL/PGammaL(2, q^e) on the projective line."""
     if kind not in PROJECTIVE_KINDS:
         raise CatalogError(
             f"unknown projective kind {kind!r}, expected one of {PROJECTIVE_KINDS}"
         )
-    pp = prime_power(q)
-    if pp is None:
-        raise CatalogError(f"q must be a prime power, got {q}")
-    if e < 1:
-        raise CatalogError(f"e must be >= 1, got {e}")
-    if q**e + 1 > MAX_POINTS:
-        raise CatalogError(f"q^e + 1 = {q**e + 1} exceeds the {MAX_POINTS} bound")
-    p, j = pp
-    ctx = FieldContext(p, j * e)
-    line = ProjectiveLine(ctx)
-    if kind in ("PGL", "PGammaL"):
-        gens = [line.translation(), line.scaling(ctx.omega), line.inversion()]
-    else:
-        omega2 = ctx.mul(ctx.omega, ctx.omega)
-        gens = [line.translation(), line.scaling(omega2), line.inversion(negate=True)]
-    if kind in ("PSigmaL", "PGammaL"):
-        gens.append(line.frobenius_map())
-    return GeneratorSet(line.size, gens)
+    return _projective_line(q, e).group(kind)
 
 
 def load_a7_generators() -> GeneratorSet:

@@ -125,12 +125,14 @@ class FieldContext:
     """
 
     def __init__(self, p: int, d: int):
-        if not is_prime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if d < 1:
             raise FieldError(f"extension degree must be >= 1, got {d}")
-        if p ** d > MAX_ORDER:
+        # p^d >= 2^(d * (bits of p - 1)): no power and no trial division
+        # of p unless the order can be within the bound
+        if d * (p.bit_length() - 1) >= MAX_ORDER.bit_length() or p ** d > MAX_ORDER:
             raise FieldError(f"field order {p}^{d} exceeds the {MAX_ORDER} bound")
+        if not is_prime(p):
+            raise FieldError(f"characteristic {p} is not prime")
         self.p = p
         self.d = d
         self.order = p ** d

@@ -390,6 +390,12 @@ class _AutSearch:
     """
 
     def __init__(self, design: Design):
+        # a block's image is fixed by three of its points: with fewer, no
+        # assignment is ever checked against the blocks
+        if design.k < 3:
+            raise DesignError(
+                f"automorphism search needs blocks of at least 3 points, got {design.k}"
+            )
         self.v = design.v
         self.blocks = design.blocks
         self.nblocks = len(design.blocks)

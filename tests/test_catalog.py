@@ -2,6 +2,7 @@
 
 import pytest
 
+from steiner3 import catalog
 from steiner3.catalog import (
     CLASSIFY_MAX_BITS,
     CatalogError,
@@ -18,7 +19,7 @@ from steiner3.catalog import (
     projective_group_generators,
 )
 from steiner3.design import derived_design, params_of, verify_steiner
-from steiner3.gf import FieldContext
+from steiner3.gf import FieldContext, prime_power
 from steiner3.permgrp import (
     block_action,
     group_order,
@@ -239,6 +240,63 @@ class TestGroupGenerators:
             affine_group_generators("GL", 3)
         with pytest.raises(CatalogError):
             projective_group_generators("PSU", 3, 2)
+
+
+MERSENNE_61 = 2**61 - 1  # a prime = 7 mod 12: trial division takes hours
+
+
+@pytest.fixture
+def small_factoring_only(monkeypatch):
+    """Fail at once if the projective families factor any q above 127."""
+
+    def guarded(q):
+        assert q <= 127, f"prime_power({q}) called"
+        return prime_power(q)
+
+    monkeypatch.setattr(catalog, "prime_power", guarded)
+
+
+class TestProjectiveLineGate:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: construct_spherical(MERSENNE_61, 2),
+            lambda: construct_netto_extension(MERSENNE_61),
+            lambda: projective_group_generators("PSL", MERSENNE_61, 1),
+            lambda: construct_spherical(3, 10000),
+            lambda: projective_group_generators("PGL", 3, 10000),
+        ],
+        ids=["spherical-m61", "netto-m61", "psl-m61", "spherical-e10000", "pgl-e10000"],
+    )
+    def test_bound_before_factoring_or_power(self, build, small_factoring_only):
+        with pytest.raises(CatalogError, match="exceeds the 128 bound"):
+            build()
+
+    def test_bound_agrees_with_the_plain_power(self, small_factoring_only):
+        for q in range(-3, 300):
+            for e in range(-1, 12):
+                valid = e >= 1 and prime_power(q) is not None and q**e + 1 <= 128
+                if valid:
+                    assert projective_group_generators("PGL", q, e).degree == q**e + 1
+                else:
+                    with pytest.raises(CatalogError):
+                        projective_group_generators("PGL", q, e)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: construct_spherical(3, 2), lambda: construct_netto_extension(19)],
+        ids=["spherical", "netto"],
+    )
+    def test_one_field_per_construction(self, build, monkeypatch):
+        built = []
+
+        def counted(p, d):
+            built.append((p, d))
+            return FieldContext(p, d)
+
+        monkeypatch.setattr(catalog, "FieldContext", counted)
+        build()
+        assert len(built) == 1
 
 
 class TestTransitivitySweeps:

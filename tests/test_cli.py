@@ -23,10 +23,12 @@ from steiner3 import (
     SetNotPreserved,
     SieveError,
     Steiner3Error,
+    catalog,
     cli,
 )
 from steiner3.catalog import lexicode_codewords
 from steiner3.cli import main
+from steiner3.gf import prime_power
 
 LIBRARY_ERRORS = (
     CatalogError,
@@ -335,6 +337,45 @@ class TestErrorContract:
         code, out, _ = run(capsys, "classify", "--v", str(1 << 40), "--k", "4")
         assert (code, out) == (0, "affine(d=40): AGL(40,2)\n")
         self.assert_usage_error(run(capsys, "classify", "--v", str((1 << 40) + 1), "--k", "4"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["construct", "--family", "spherical", "--q", "3", "--e", "10000"],
+            ["groupgens", "--family", "projective", "--kind", "PGL", "--q", "3", "--e", "10000"],
+            ["construct", "--family", "netto", "--q", str(2**61 - 1)],
+            ["construct", "--family", "spherical", "--q", str(2**61 - 1), "--e", "2"],
+            ["groupgens", "--family", "projective", "--kind", "PSL", "--q", str(2**61 - 1)]
+            + ["--e", "1"],
+            ["construct", "--family", "affine", "--d", "1000000000"],
+        ],
+        ids=[
+            "spherical-e10000", "pgl-e10000", "netto-m61", "spherical-m61", "psl-m61", "affine-d1e9"
+        ],
+    )
+    def test_family_above_the_point_bound(self, argv, tmp_path, capsys, monkeypatch):
+        def guarded(q):
+            assert q <= 127, f"prime_power({q}) called"
+            return prime_power(q)
+
+        monkeypatch.setattr(catalog, "prime_power", guarded)
+        out = tmp_path / "out"
+        self.assert_usage_error(run(capsys, *argv, "--out", str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [[[0, 1], [2, 3], [4, 5]], [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]],
+        ids=["matching", "path"],
+    )
+    def test_autgroup_on_blocks_of_two_points(self, blocks, tmp_path, capsys):
+        design = tmp_path / "d.json"
+        design.write_text(json.dumps({"v": 6, "t": 1, "blocks": blocks}))
+        gens = tmp_path / "aut.gens"
+        result = run(capsys, "autgroup", str(design), "--out", str(gens))
+        self.assert_usage_error(result)
+        assert result[2] == "error: automorphism search needs blocks of at least 3 points, got 2\n"
+        assert not gens.exists()
 
     def test_verify_on_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(run(capsys, "verify", str(tmp_path)))

@@ -1,7 +1,10 @@
 """Field arithmetic against independent brute-force oracles."""
 
+import tracemalloc
+
 import pytest
 
+from steiner3 import gf
 from steiner3.gf import FieldContext, FieldError, factorize, is_prime, prime_power
 
 
@@ -55,6 +58,34 @@ class TestContextConstruction:
     def test_order_bound_rejected(self):
         with pytest.raises(FieldError):
             FieldContext(2, 21)
+
+    @pytest.mark.parametrize(
+        "p,d,message",
+        [
+            (4, 1, "characteristic 4 is not prime"),
+            (2, 21, "field order 2\\^21 exceeds"),
+            (2, 0, "extension degree must be >= 1"),
+        ],
+    )
+    def test_each_fault_keeps_its_message(self, p, d, message):
+        with pytest.raises(FieldError, match=message):
+            FieldContext(p, d)
+
+    @pytest.mark.parametrize("p,d", [(2**61 - 1, 1), (3, 10**7), (2**61 - 1, 10**7)])
+    def test_order_bounded_before_primality_and_power(self, p, d, monkeypatch):
+        def guarded(n):
+            assert n <= 2**20, f"is_prime({n}) called"
+            return is_prime(n)
+
+        monkeypatch.setattr(gf, "is_prime", guarded)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FieldError, match="exceeds the 1048576 bound"):
+                FieldContext(p, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # 3^(10^7) alone would take 2 MB
 
     def test_enumeration_is_total(self):
         ctx = FieldContext(3, 2)

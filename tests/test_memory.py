@@ -11,6 +11,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from steiner3.catalog import (
+    CatalogError,
     affine_group_generators,
     construct_boolean_affine,
     construct_netto_extension,
@@ -35,6 +36,20 @@ def peak_mb(fn, *args) -> float:
 @pytest.fixture(scope="module")
 def netto127():
     return construct_netto_extension(127)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [construct_boolean_affine, lambda d: affine_group_generators("AGL_d_2", d)],
+    ids=["construct", "generators"],
+)
+def test_affine_dimension_bounded_without_a_power(build):
+    # 1 << 10**9 is a 125 MB integer
+    def rejected(d):
+        with pytest.raises(CatalogError, match="got 1000000000"):
+            build(d)
+
+    assert peak_mb(rejected, 10**9) < 1
 
 
 def test_flag_check_holds_no_flag_table():

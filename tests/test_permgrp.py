@@ -12,6 +12,7 @@ from steiner3.catalog import (
     construct_spherical,
     projective_group_generators,
 )
+from steiner3.design import Design, DesignError
 from steiner3.permgrp import (
     GeneratorSet,
     PermutationError,
@@ -247,6 +248,25 @@ class TestAutomorphismGroup:
         design = construct_boolean_affine(4)
         for g in automorphism_group(design).gens:
             block_action(design, g)  # raises if not an automorphism
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [(0, 1), (2, 3), (4, 5)],  # |Aut| = 48, not the 720 of every bijection
+            [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],
+            [(0,), (1,)],
+        ],
+        ids=["matching", "path", "points"],
+    )
+    def test_blocks_below_three_points_rejected(self, blocks):
+        with pytest.raises(DesignError, match="at least 3 points"):
+            automorphism_group(Design(6, 1, blocks))
+
+    def test_partial_triple_system(self):
+        # two triples through 0 on 7 points: swap or fix the triples,
+        # and the pairs inside them, and S2 on the points 5 and 6
+        design = Design(7, 2, [(0, 1, 2), (0, 3, 4)])
+        assert group_order(automorphism_group(design)).order == 16
 
 
 class TestGeneratorFiles:
