@@ -1,9 +1,13 @@
 """Incidence structures with explicit block lists.
 
-A design is stored canonically: every block a strictly increasing tuple,
-the block list sorted lexicographically.  Verification is exhaustive
-t-subset enumeration; that brute force is the oracle for everything else
-in the package, so it stays free of shortcuts.
+A design is stored canonically: every block strictly increasing, the
+block list sorted lexicographically.  It holds its blocks in the form it
+was built from, a tuple of tuples or a (b, k) int32 array such as
+`from_json` fills, and derives the other form on first use.  Blocks are
+looked up through a table of ranked 3-subsets when each 3-subset lies in
+at most one block, and by sorted prefix keys otherwise.  Verification is
+exhaustive t-subset enumeration; that brute force is the oracle for
+everything else in the package, so it stays free of shortcuts.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import Steiner3Error
 from .gf import FieldContext
 
 MAX_POINTS = 128
+_INT32_POINTS = 2**31  # an int32 block array holds every point below this
 
 CAMERON_EQUALITY_CASES = (
     (3, 4, 8),
@@ -36,52 +41,79 @@ class DesignError(Steiner3Error, ValueError):
 
 
 class Design:
-    """Point count plus a canonical sorted list of k-subsets."""
+    """Point count plus a canonical sorted list of k-subsets.
 
-    __slots__ = ("v", "t", "blocks", "labels", "_array", "_keys")
+    The blocks are given as an iterable of point sequences, or as a 2-D
+    integer array.  An array already canonical and in range is kept as
+    it is, read-only, as `block_array`, and `blocks` is derived from it
+    on first use; anything else is sorted and checked as a tuple list,
+    from which `block_array` is derived on first use.
+    """
+
+    __slots__ = ("v", "t", "labels", "_blocks", "_array", "_keys", "_ranks")
 
     def __init__(
         self,
         v: int,
         t: int,
-        blocks: Iterable[Sequence[int]],
+        blocks: Iterable[Sequence[int]] | np.ndarray,
         labels: Sequence[str] | None = None,
     ):
         if v < 1:
             raise DesignError(f"point count must be positive, got {v}")
         if t < 1:
             raise DesignError(f"strength must be positive, got {t}")
-        canon = list(map(tuple, blocks))
-        if not _is_canonical(canon, v):
-            canon = sorted(tuple(sorted(block)) for block in canon)
-            _check_blocks(canon, v)
+        canon = array = None
+        if isinstance(blocks, np.ndarray) and _is_canonical_array(blocks, v):
+            array = blocks.astype(_point_dtype(v), copy=False)
+            array.flags.writeable = False
+        else:
+            if isinstance(blocks, np.ndarray):
+                blocks = blocks.tolist()
+            canon = list(map(tuple, blocks))
+            if not _is_canonical(canon, v):
+                canon = sorted(tuple(sorted(block)) for block in canon)
+                _check_blocks(canon, v)
+            canon = tuple(canon)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != v:
                 raise DesignError(f"expected {v} labels, got {len(labels)}")
         self.v = v
         self.t = t
-        self.blocks: tuple[tuple[int, ...], ...] = tuple(canon)
         self.labels = labels
-        self._array: np.ndarray | None = None
+        self._blocks: tuple[tuple[int, ...], ...] | None = canon
+        self._array: np.ndarray | None = array
         self._keys: np.ndarray | None = None
+        # the ranked 3-subset table once decided; False when there is none
+        self._ranks: np.ndarray | bool | None = None
 
     @property
     def b(self) -> int:
-        return len(self.blocks)
+        return len(self._blocks if self._array is None else self._array)
 
     @property
     def k(self) -> int:
-        return len(self.blocks[0])
+        return len(self._blocks[0]) if self._array is None else self._array.shape[1]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as strictly increasing tuples, in canonical order."""
+        if self._blocks is None:
+            # k columns of ints zipped into tuples: never a list per block
+            self._blocks = tuple(zip(*self._array.T.tolist()))
+        return self._blocks
 
     @property
     def block_array(self) -> np.ndarray:
-        """The blocks as a read-only (b, k) array, in canonical order."""
+        """The blocks as a read-only (b, k) array, in canonical order:
+        int32 when every point fits, as it does up to 2^31 points."""
         if self._array is None:
             # fromiter fills the array directly; np.array on the nested
             # tuples would hold a second copy while it builds
-            points = chain.from_iterable(self.blocks)
-            array = np.fromiter(points, np.int64, self.b * self.k).reshape(self.b, self.k)
+            points = chain.from_iterable(self._blocks)
+            array = np.fromiter(points, _point_dtype(self.v), self.b * self.k)
+            array = array.reshape(self.b, self.k)
             array.flags.writeable = False
             self._array = array
         return self._array
@@ -90,12 +122,80 @@ class Design:
         """Index of a point set in the canonical block list, or -1.
 
         Given a 2-D array, looks up every row as a point set and returns
-        an array of indices, -1 where a row is not a block.
+        an integer array of indices, -1 where a row is not a block.
         """
         rows = np.asarray(block)
         if rows.ndim == 1:
             return int(self._lookup(rows[np.newaxis])[0])
         return self._lookup(rows)
+
+    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+        if rows.shape[1] != self.k:
+            return np.full(len(rows), -1, dtype=np.int64)
+        ranks = self._rank_table()
+        # the ranked path widens rows to a signed integer dtype, which a
+        # uint64 does not have
+        if ranks is None or rows.dtype.kind not in "iu" or rows.dtype == np.uint64:
+            return self._prefix_lookup(rows)
+        return self._ranked_lookup(rows, ranks)
+
+    def _rank_table(self) -> np.ndarray | None:
+        """The block through each 3-subset a < b < c, at its rank
+        C(c,3) + C(b,2) + a, or -1 where there is none (Knuth, TAOCP 4A,
+        7.2.1.3).  None for k < 3, for more than MAX_POINTS points, and
+        when some 3-subset lies in two blocks.  Built on first use."""
+        if self._ranks is None:
+            self._ranks = self._fill_ranks()
+        return None if self._ranks is False else self._ranks
+
+    def _fill_ranks(self) -> np.ndarray | bool:
+        v, k, b = self.v, self.k, self.b
+        size = math.comb(v, 3)
+        per_block = math.comb(k, 3)
+        # more 3-subsets than there are, counted with repeats, must repeat one
+        if k < 3 or v > MAX_POINTS or b * per_block > size:
+            return False
+        rows = self.block_array
+        table = np.full(size, -1, dtype=np.int32)
+        ids = np.arange(b, dtype=np.int32)[:, np.newaxis]
+        # canonical rows are increasing, so columns i < j < l hold a < b < c;
+        # one pass per (i, j) ranks the 3-subsets with every later l at once
+        for i, j in combinations(range(k - 1), 2):
+            table[_rank3(rows[:, i, np.newaxis], rows[:, j, np.newaxis], rows[:, j + 1 :])] = ids
+        # each block fills C(k,3) entries of its own; a 3-subset in two
+        # blocks leaves fewer
+        if np.count_nonzero(table >= 0) != b * per_block:
+            return False
+        return table
+
+    def _ranked_lookup(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # In a partial Steiner 3-system the block through m0, m1, m2 is the
+        # block through m0, m1, mj exactly when mj lies in it, so a row of k
+        # distinct points in range is a block when every (m0, m1, mj) ranks
+        # to the block of (m0, m1, m2).  Each 3-subset is put in order with
+        # min and max only.  A row that fails the range or distinctness
+        # test gets a meaningless rank, clipped into the table, and -1.
+        # Columns are contiguous, where these elementwise passes are several
+        # times faster than down strided columns, and at least int32, so the
+        # ranks of points below MAX_POINTS cannot overflow.
+        cols = np.ascontiguousarray(rows.T, dtype=np.promote_types(rows.dtype, np.int32))
+        valid = np.ones(len(rows), dtype=bool)
+        for j, mj in enumerate(cols):
+            valid &= (mj >= 0) & (mj < self.v)
+            for mi in cols[:j]:
+                valid &= mi != mj
+        m0, m1 = cols[0], cols[1]
+        low, high, pair = np.minimum(m0, m1), np.maximum(m0, m1), m0 + m1
+
+        def block_through(mj: np.ndarray) -> np.ndarray:
+            a, c = np.minimum(low, mj), np.maximum(high, mj)
+            return ranks.take(_rank3(a, pair + mj - a - c, c), mode="clip")
+
+        found = block_through(cols[2])
+        for mj in cols[3:]:
+            found[block_through(mj) != found] = -1
+        found[~valid] = -1
+        return found
 
     def _prefix_width(self) -> int:
         """How many leading points key a block: min(k, 3), fewer if
@@ -113,14 +213,13 @@ class Design:
             key = key * self.v + rows[:, j]
         return key
 
-    def _lookup(self, rows: np.ndarray) -> np.ndarray:
+    def _prefix_lookup(self, rows: np.ndarray) -> np.ndarray:
+        # The general path, for any design and any rows of width k.
         # Canonical order keeps blocks with the same prefix contiguous, so
         # a row's candidates are one searchsorted range of the prefix keys.
         # Equal keys mean equal prefixes, so only the remaining points of
         # each candidate are compared with the row.
         found = np.full(len(rows), -1, dtype=np.int64)
-        if rows.shape[1] != self.k:
-            return found
         rows = np.sort(rows, axis=1)
         in_range = (rows[:, 0] >= 0) & (rows[:, -1] < self.v)
         if self._keys is None:
@@ -148,6 +247,43 @@ class Design:
 
     def __repr__(self):
         return f"Design({self.t}-({self.v},{self.k},1), b={self.b})"
+
+
+def _point_dtype(v: int) -> type:
+    """The dtype of a block array on v points: int32 while it holds them."""
+    return np.int32 if v <= _INT32_POINTS else np.int64
+
+
+def _rank3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rank C(c,3) + C(b,2) + a of each 3-subset a < b < c."""
+    return c * (c - 1) * (c - 2) // 6 + b * (b - 1) // 2 + a
+
+
+def _is_canonical_array(rows: np.ndarray, v: int) -> bool:
+    """Whether a (b, k) integer array holds a canonical, valid block list:
+    b, k > 0, each row strictly increasing within 0..v-1, the rows in
+    strictly increasing lexicographic order, and v at most 2^31.  Each
+    test is a vectorised pass over the array or one of its columns."""
+    if (
+        rows.ndim != 2
+        or rows.dtype.kind not in "iu"
+        or 0 in rows.shape
+        or v > _INT32_POINTS
+    ):
+        return False
+    if not (rows[:, 1:] > rows[:, :-1]).all():
+        return False
+    # walk the columns, keeping the pairs of consecutive rows tied so far:
+    # a pair must not fall where it is tied, and no pair may stay tied
+    tied = np.ones(len(rows) - 1, dtype=bool)
+    for j in range(rows.shape[1]):
+        before, after = rows[:-1, j], rows[1:, j]
+        if (tied & (after < before)).any():
+            return False
+        tied &= after == before
+    # once sorted, the least point leads the first row and the greatest
+    # ends some row; compared as Python ints, whatever v is
+    return not tied.any() and int(rows[0, 0]) >= 0 and int(rows[:, -1].max()) < v
 
 
 def _is_canonical(blocks: list[tuple[int, ...]], v: int) -> bool:
@@ -407,8 +543,18 @@ def from_json(text: str) -> Design:
         isinstance(labels, list) and all(isinstance(label, str) for label in labels)
     ):
         raise DesignError("'labels' must be a list of strings")
-    # each list gives way to its tuple at once, so the two never coexist
-    # for the whole design; Design keeps these tuples as they are
-    for i, block in enumerate(blocks):
-        blocks[i] = tuple(block)
-    return Design(payload["v"], payload["t"], blocks, labels)
+    return Design(payload["v"], payload["t"], _block_rows(blocks), labels)
+
+
+def _block_rows(blocks: list[list[int]]) -> np.ndarray | list[list[int]]:
+    """The parsed blocks as one (b, k) int32 array, filled straight from
+    the lists, or the lists themselves where they fit no such array:
+    when they are empty, of mixed sizes or hold a point beyond int32."""
+    sizes = set(map(len, blocks))
+    if len(sizes) != 1 or 0 in sizes:
+        return blocks
+    try:
+        rows = np.fromiter(chain.from_iterable(blocks), np.int32, len(blocks) * len(blocks[0]))
+    except OverflowError:
+        return blocks
+    return rows.reshape(len(blocks), -1)

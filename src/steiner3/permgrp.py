@@ -277,10 +277,13 @@ def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    images = design.block_index(np.asarray(g, dtype=np.int32)[design.block_array])
+    # take fills a C-ordered (k, b) array of image columns, which the
+    # lookup reads without a copy; the rows are its transpose
+    rows = np.asarray(g, dtype=np.int32).take(design.block_array.T).T
+    images = design.block_index(rows)
     missing = np.flatnonzero(images < 0)
     if missing.size:
-        raise SetNotPreserved(design.blocks[missing[0]])
+        raise SetNotPreserved(tuple(design.block_array[missing[0]].tolist()))
     return tuple(images.tolist())
 
 
@@ -323,7 +326,7 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
         blocks[i] = block_action(design, g)
     pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
 
-    x0 = design.blocks[0][0]
+    x0 = int(design.block_array[0, 0])
     levels, _, _ = _schreier_sims(gens, (x0,))
     stabilizer = levels[1].gens if len(levels) > 1 else []
     # the blocks through x0, in canonical order, so B0 is the first; G_x0

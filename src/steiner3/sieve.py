@@ -106,14 +106,40 @@ class SieveReport:
         )
 
 
+# blocksize_bound(v) followed by the three values of cameron_limits(3, v)
+_Limits = tuple[int, int, int | None, int | None]
+
+
+def _limits(v: int) -> _Limits:
+    """`blocksize_bound(v)` followed by `cameron_limits(3, v)`."""
+    return (blocksize_bound(v), *cameron_limits(3, v))
+
+
+def _stepped_limits(v_min: int, v_max: int) -> Iterator[tuple[int, _Limits]]:
+    """(v, `_limits(v)`) for v = v_min, ..., v_max.  Both limits rest on an
+    integer square root that only grows with v, isqrt(4v) for the block-size
+    bound and the largest m with m(m+1) <= v-2 for the Cameron (b) limit,
+    so each is stepped from one v to the next instead of recomputed."""
+    root = math.isqrt(4 * v_min)
+    m = cameron_limits(3, v_min)[1] - 2
+    for v in range(v_min, v_max + 1):
+        while (root + 1) ** 2 <= 4 * v:
+            root += 1
+        while (m + 1) * (m + 2) <= v - 2:
+            m += 1
+        yield v, ((root + 3) // 2, v // 4 + 2, m + 2, m + 2 if m * (m + 1) == v - 2 else None)
+
+
 def _screen(
-    v: int, ks: Iterable[int], admissible_only: bool = False
+    v: int,
+    ks: Iterable[int],
+    limits: _Limits,
+    admissible_only: bool = False,
 ) -> Iterator[SieveReport]:
-    """Reports for (v, k) with k in ks, the v-dependent products and the
-    Cameron limits formed once; with `admissible_only`, no report is
-    built for a pair that fails a check."""
-    bound = blocksize_bound(v)
-    largest_a, largest_b, equality_k = cameron_limits(3, v)
+    """Reports for (v, k) with k in ks, given `_limits(v)`, the
+    v-dependent products formed once; with `admissible_only`, no report
+    is built for a pair that fails a check."""
+    bound, largest_a, largest_b, equality_k = limits
     v2 = v - 2
     r_num = (v - 1) * v2
     b_num = v * r_num
@@ -146,7 +172,7 @@ def screen_parameters(v: int, k: int) -> SieveReport:
     """All named integrality and bound checks for a single (v, k)."""
     if v < 4 or k < 4:
         raise SieveError(f"need v >= 4 and k >= 4, got {(v, k)}")
-    return next(_screen(v, range(k, k + 1)))
+    return next(_screen(v, range(k, k + 1), _limits(v)))
 
 
 def admissible_parameters(
@@ -174,10 +200,10 @@ def admissible_parameters(
 
 def _full_sweep(v_min: int, v_max: int, screened: list[int]) -> Iterator[SieveReport]:
     """Every screened pair's report, k up to the block-size bound."""
-    for v in range(v_min, v_max + 1):
-        ks = range(4, blocksize_bound(v) + 1)
+    for v, limits in _stepped_limits(v_min, v_max):
+        ks = range(4, limits[0] + 1)
         screened[0] += len(ks)
-        yield from _screen(v, ks)
+        yield from _screen(v, ks, limits)
 
 
 def _divisor_sweep(
@@ -190,6 +216,7 @@ def _divisor_sweep(
     at most SIEVE_CHUNK values of v lists a superset of the admissible k,
     in increasing order for each v.
     """
+    stepped = _stepped_limits(v_min, v_max)
     for lo in range(v_min, v_max + 1, SIEVE_CHUNK):
         hi = min(lo + SIEVE_CHUNK - 1, v_max)
         width = hi - lo + 1
@@ -199,9 +226,11 @@ def _divisor_sweep(
             # the first v >= lo with d | (v-2), as an offset into the chunk
             for i in range(-(lo - 2) % d, width, d):
                 candidates[i].append(k)
-        for v, ks in enumerate(candidates, lo):
+        # candidates first: zip stops at the chunk's end without taking
+        # the next v's limits
+        for ks, (v, limits) in zip(candidates, stepped):
             screened[0] += len(ks)
-            yield from _screen(v, ks, admissible_only=True)
+            yield from _screen(v, ks, limits, admissible_only=True)
 
 
 def _traced(

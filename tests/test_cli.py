@@ -152,6 +152,23 @@ class TestFlagcheck:
         assert "witness block:" in out
 
 
+    def test_witness_of_a_loaded_design_is_plain_ints(self, tmp_path, capsys):
+        # the design is loaded as one int32 array; the witness is read off
+        # it and must print as the tuple of ints it was before
+        design = tmp_path / "n43.json"
+        run(capsys, "construct", "--family", "netto", "--q", "43", "--out", str(design))
+        gens = tmp_path / "swap.gens"
+        gens.write_text("degree: 44\n(40 44)\n")
+        out = "preserves blocks: no\nwitness block: 0,1,7,43\n"
+        assert run(capsys, "flagcheck", str(design), "--gens", str(gens)) == (1, out, "")
+        loaded = steiner3.from_json(design.read_text())
+        swap = steiner3.parse_generators(gens.read_text())
+        with pytest.raises(SetNotPreserved) as err:
+            steiner3.is_flag_transitive(loaded, swap)
+        assert str(err.value) == "image of block (0, 1, 7, 43) is not a block"
+        assert all(type(p) is int for p in err.value.witness)
+
+
 class TestGroups:
     def test_autgroup_and_order(self, tmp_path, capsys):
         design = tmp_path / "aff3.json"

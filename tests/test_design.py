@@ -5,6 +5,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from steiner3.design import (
@@ -113,6 +114,20 @@ class TestCanonicalInput:
             assert Design(v, 2, canonical).blocks == want
             assert Design(v, 2, scrambled(canonical, v)).blocks == want
             assert Design(v, 2, iter(canonical)).blocks == want
+
+    def test_arrays(self, catalogue):
+        # a canonical integer array is kept, as int32 and read-only; any
+        # other array goes the way of the lists it holds
+        for design in catalogue.values():
+            for dtype in (np.int64, np.uint8):
+                kept = Design(design.v, design.t, design.block_array.astype(dtype))
+                assert kept._blocks is None and kept.block_array.dtype == np.int32
+                assert not kept.block_array.flags.writeable
+                assert kept == design and kept.blocks == design.blocks
+            unsorted = np.array(scrambled(design.blocks, 1))
+            assert Design(design.v, design.t, unsorted) == design
+        assert design_error(4, np.array([[0, 1], [1, 0]])) == "duplicate block (0, 1)"
+        assert design_error(4, np.array([[0, 4]])) == "block (0, 4) out of range for 4 points"
 
     def test_blocks_are_tuples_of_the_input_points(self):
         design = Design(5, 2, [[0, 1], [2, 4]])

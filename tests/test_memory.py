@@ -1,5 +1,6 @@
 """Peak allocations of the 128-point Netto construction, flag check,
-design file round trip and `--json` sieve sweep.
+design file round trip and `--json` sieve sweep, and what a loaded
+128-point design holds.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
@@ -15,6 +16,7 @@ from steiner3.catalog import (
     affine_group_generators,
     construct_boolean_affine,
     construct_netto_extension,
+    projective_group_generators,
 )
 from steiner3.cli import main
 from steiner3.design import from_json, to_json
@@ -70,6 +72,26 @@ def test_netto_orbit_holds_no_dense_table():
 def test_from_json_never_holds_lists_and_tuples_of_every_block(netto127):
     text = to_json(netto127)
     assert peak_mb(from_json, text) < 10
+
+
+def test_loaded_design_holds_one_block_array(netto127):
+    # a tuple per block held 6.5 MB; the (85344, 4) int32 array is 1.3 MB
+    text = to_json(netto127)
+    tracemalloc.start()
+    try:
+        design = from_json(text)
+        held = tracemalloc.get_traced_memory()[0] / MB
+    finally:
+        tracemalloc.stop()
+    assert design._blocks is None
+    assert held < 3
+
+
+def test_flag_check_of_a_loaded_design(netto127):
+    # loaded as tuples and looked up by prefix keys, this peaked at 18.7 MB
+    text = to_json(netto127)
+    gens = projective_group_generators("PSL", 127, 1)
+    assert peak_mb(lambda: is_flag_transitive(from_json(text), gens)) < 12
 
 
 def test_to_json_copies_no_block(netto127):

@@ -6,7 +6,11 @@ directly on image tuples, with blocks looked up by sort and bisect over
 the block list.  The library's array kernel (vectorised block lookup,
 bitmap frontier `orbit`) must give the same `FlagReport`, field for
 field, and `block_action` the same induced permutation or the same
-witness block.  `reference_flag_orbit` is the flag-table search that
+witness block.  The prefix-key lookup, `Design._prefix_lookup`, is the
+reference for the ranked 3-subset lookup on every kind of row, and
+`reference_from_json`, the loader that built a tuple per block, for the
+array loader: the same design, blocks and JSON bytes, or the same
+error.  `reference_flag_orbit` is the flag-table search that
 the orbit-stabiliser count replaced: a frontier `orbit` over an
 (m, b*k) table of flag images.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
@@ -38,7 +42,7 @@ import sys
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
-from itertools import combinations, permutations, zip_longest
+from itertools import chain, combinations, permutations, zip_longest
 from operator import attrgetter
 
 import numpy as np
@@ -52,12 +56,20 @@ from steiner3.catalog import (
     PROJECTIVE_KINDS,
     affine_group_generators,
     construct_boolean_affine,
+    construct_netto_extension,
     construct_spherical,
     lexicode_codewords,
     projective_group_generators,
 )
 from steiner3.cli import main
-from steiner3.design import CAMERON_EQUALITY_CASES, Design, blocksize_bound
+from steiner3.design import (
+    CAMERON_EQUALITY_CASES,
+    Design,
+    DesignError,
+    blocksize_bound,
+    from_json,
+    to_json,
+)
 from steiner3.gf import prime_power
 from steiner3.permgrp import (
     AUT_SEARCH_MAX_POINTS,
@@ -225,6 +237,209 @@ class TestBlockLookupDifferential:
         assert design.block_index(rows).tolist() == [0, -1, -1, design.b - 1, -1]
         assert design.block_index(rows[:, :3]).tolist() == [-1] * 5
         assert design.block_index(np.zeros((0, 4), dtype=int)).tolist() == []
+
+
+@pytest.fixture(scope="module")
+def ranked_designs(catalogue):
+    """Partial Steiner 3-systems on which `block_index` takes the ranked
+    path: affine d = 3..7, spherical (3,3) and (5,3) (k = 6), Netto q = 43
+    and q = 127, the last two as `from_json` loads them."""
+    designs = {f"aff{d}": construct_boolean_affine(d) for d in range(3, 8)}
+    designs["s33"] = catalogue[("spherical", 3, 3)]
+    designs["s53"] = construct_spherical(5, 3)
+    designs["n43"] = from_json(to_json(catalogue[("netto", 43)]))
+    designs["n127"] = from_json(to_json(construct_netto_extension(127)))
+    return designs
+
+
+def _query_rows(design: Design, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Rows of width k: blocks and their images under a random permutation,
+    each with its points shuffled, random k-sets, and rows with a repeated,
+    negative or out-of-range point."""
+    v, k = design.v, design.k
+    blocks = design.block_array[rng.integers(0, design.b, count)]
+    images = rng.permutation(v)[blocks]
+    subsets = np.argsort(rng.random((count, v)), axis=1)[:, :k]
+    bad = blocks.copy()
+    col = rng.integers(0, k, count)
+    other = (col + rng.integers(1, k, count)) % k
+    rows = np.arange(count)
+    bad[rows[0::3], col[0::3]] = bad[rows[0::3], other[0::3]]
+    bad[rows[1::3], col[1::3]] = -1 - rng.integers(0, 3, len(rows[1::3]))
+    bad[rows[2::3], col[2::3]] = v + rng.integers(0, 3, len(rows[2::3]))
+    every = np.concatenate([blocks, images, subsets, bad])
+    return rng.permuted(every, axis=1)
+
+
+class TestRankedLookupDifferential:
+    """The ranked 3-subset lookup against the prefix lookup it stands in
+    for, on every row the two can be given."""
+
+    @pytest.mark.parametrize("name", ["aff3", "aff4", "aff5", "aff6", "aff7", "s33", "s53", "n43", "n127"])
+    def test_random_and_permuted_rows(self, name, ranked_designs):
+        design = ranked_designs[name]
+        assert design._rank_table() is not None
+        rng = np.random.default_rng(design.v * design.k)
+        rows = _query_rows(design, rng, 3000)
+        for dtype in (np.int32, np.int64, np.uint8):
+            # uint8 wraps the negative points round to large ones
+            typed = rows.astype(dtype)
+            got = design.block_index(typed)
+            assert got.tolist() == design._prefix_lookup(typed).tolist()
+        found = design.block_index(rows)
+        assert (found[:3000] == design.block_index(np.sort(rows[:3000], axis=1))).all()
+        assert (found[:3000] >= 0).all()
+        assert (found[-3000:] == -1).all()
+
+    def test_rows_of_the_wrong_width(self, ranked_designs):
+        design = ranked_designs["aff4"]
+        rows = design.block_array[:5]
+        for width in (rows[:, :3], np.concatenate([rows, rows[:, :1]], axis=1)):
+            assert design.block_index(width).tolist() == [-1] * 5
+
+    def test_one_row_at_a_time(self, ranked_designs):
+        design = ranked_designs["s53"]
+        for i in (0, 1, design.b - 1):
+            block = list(design.blocks[i])
+            assert design.block_index(block[::-1]) == i
+            assert design.block_index(block[:-1] + block[:1]) == -1
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [s for s in combinations(range(7), 4) if sum(s) % 2 == 0],
+            list(combinations(range(6), 4)),
+            [(0, 1, 2, 3), (0, 1, 2, 4)],
+        ],
+        ids=["even-sum", "all-4-sets", "two-blocks"],
+    )
+    def test_a_repeated_3_subset_keeps_the_prefix_lookup(self, blocks):
+        design = Design(max(map(max, blocks)) + 1, 3, blocks)
+        assert design._rank_table() is None
+        queries = [list(s) for s in combinations(range(design.v), 4)]
+        random.Random(3).shuffle(queries)
+        want = [_reference_index(design, q) for q in queries]
+        assert design.block_index(np.array(queries)).tolist() == want
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_small_blocks_build_no_table(self, k):
+        design = Design(9, k, [s for s in combinations(range(9), k) if s[0] % 3 == 0])
+        assert design._rank_table() is None
+        queries = np.array(list(permutations(range(9), k)))
+        want = [_reference_index(design, q) for q in queries]
+        assert design.block_index(queries).tolist() == want
+
+    def test_more_than_128_points_build_no_table(self):
+        design = Design(200, 3, [(0, 1, 2, 3), (4, 5, 6, 199)])
+        assert design._rank_table() is None and design._ranks is False
+        rows = np.array([[3, 2, 1, 0], [199, 6, 5, 4], [0, 1, 2, 4]])
+        assert design.block_index(rows).tolist() == [0, 1, -1]
+
+    def test_array_loaded_flag_reports(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            loaded = from_json(to_json(design))
+            assert is_flag_transitive(loaded, gens) == is_flag_transitive(design, gens), label
+
+
+def reference_from_json(text: str) -> Design:
+    """The loader that turned every parsed block into a tuple and built
+    the design from the tuple list."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DesignError(f"invalid design JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DesignError("design JSON must be an object")
+    for key in ("v", "t", "blocks"):
+        if key not in payload:
+            raise DesignError(f"design JSON is missing {key!r}")
+    lam = payload.get("lambda", 1)
+    if type(lam) is not int or lam != 1:
+        raise DesignError("only lambda = 1 designs are supported")
+    for key in ("v", "t"):
+        if type(payload[key]) is not int:
+            raise DesignError(f"{key!r} must be an integer, got {payload[key]!r}")
+    blocks = payload["blocks"]
+    if (
+        type(blocks) is not list
+        or not set(map(type, blocks)) <= {list}
+        or not set(map(type, chain.from_iterable(blocks))) <= {int}
+    ):
+        raise DesignError("'blocks' must be a list of lists of integers")
+    labels = payload.get("labels")
+    if labels is not None and not (
+        isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+    ):
+        raise DesignError("'labels' must be a list of strings")
+    return Design(payload["v"], payload["t"], [tuple(block) for block in blocks], labels)
+
+
+def _load_outcome(load, text: str):
+    try:
+        design = load(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return design, design.blocks, to_json(design)
+
+
+_BAD_POINTS = (2**70, -(2**70), 2**31, -1, 8)
+
+
+class TestArrayLoaderDifferential:
+    """`from_json`, which fills one block array, against the loader that
+    built a tuple per block: the same design, or the same error."""
+
+    def test_catalogue_designs(self, catalogue):
+        for key, design in sorted(catalogue.items()):
+            text = to_json(design)
+            # loaded as one array, no tuple built
+            assert from_json(text)._blocks is None, key
+            loaded, blocks, emitted = _load_outcome(from_json, text)
+            assert (loaded, blocks, emitted) == _load_outcome(reference_from_json, text), key
+            assert loaded == design and emitted == text, key
+
+    def test_labels_and_lambda(self):
+        text = json.dumps({"v": 4, "t": 2, "lambda": 1, "labels": list("abcd"), "blocks": [[0, 1], [2, 3]]})
+        assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
+
+    @pytest.mark.parametrize(
+        "v, blocks",
+        [
+            (8, [[0, 1, 2, True]]),
+            (8, [[0, 1, 2, 3.0]]),
+            (8, [[0, 1, 2], [0, 1, 2, 3]]),
+            (8, [[0, 1, 2, 3], []]),
+            (8, [[]]),
+            (8, []),
+            (8, [[0, 1, 2, 4], [0, 1, 2, 3]]),
+            (8, [[0, 2, 1, 3]]),
+            (8, [[0, 1, 2, 3], [0, 1, 2, 3]]),
+            (8, [[0, 1, 1, 3]]),
+            *[(8, [[0, 1, 2, p]]) for p in _BAD_POINTS],
+            *[(8, [[p, 1, 2, 3]]) for p in _BAD_POINTS],
+            (2**100, [[0, 1, 2, 3]]),
+            (2**100, [[0, 1, 2, 2**70]]),
+            (2**100, [[3, 1, 2, 2**70], [0, 1, 2, 3]]),
+            (2**31, [[0, 1, 2, 2**31 - 1]]),
+            (2**31 + 1, [[0, 1, 2, 2**31]]),
+            (0, [[0, 1, 2, 3]]),
+            (-5, [[0, 1, 2, 3]]),
+        ],
+    )
+    def test_same_design_or_same_error(self, v, blocks):
+        for t in (3, 0):
+            text = json.dumps({"v": v, "t": t, "blocks": blocks})
+            assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
+
+    def test_random_block_lists(self):
+        rng = random.Random(16)
+        for _ in range(300):
+            v, k = rng.randint(1, 12), rng.randint(0, 4)
+            blocks = [rng.sample(range(-1, v + 1), min(k, v + 2)) for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.5:
+                blocks = sorted(sorted(b) for b in blocks)
+            text = json.dumps({"v": v, "t": 2, "blocks": blocks})
+            assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
 
 
 class TestBlockActionDifferential:
