@@ -17,12 +17,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
-from .design import MAX_POINTS, Design, derived_design
+from .design import MAX_POINTS, Design, derived_design, mark_triples, rank3
 from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet, parse_generators
@@ -124,68 +123,57 @@ def _projective_line(q: int, e: int) -> ProjectiveLine:
     return ProjectiveLine(FieldContext(p, j * e))
 
 
-def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> list:
-    """Sorted images of a sorted base block of at least 3 points under the
-    group the generators span, as tuples of ints.
+def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.ndarray:
+    """Images of a sorted base block of at least 3 points under the group
+    the generators span, as a sorted (b, k) int32 array.
 
     Breadth-first over a preallocated (cap, k) block array, cap the block
     count C(v,3)/C(k,3) of a Steiner 3-design: each level maps the whole
-    frontier through every generator at once and sorts the rows.  A block
-    is keyed by its first three points, found among the seen keys by
-    searchsorted, and compared with the stored block of that key.
-    Two blocks sharing a key share a 3-subset, so the orbit is not a
-    partial Steiner 3-system: that, or more than cap blocks, raises.
-    Distinct keys make key order lexicographic order.  When tracing, one
-    JSON line of counters goes to stderr.
+    frontier through every generator at once and sorts the rows.  Every
+    3-subset of a stored block is marked with the block in a table of
+    C(v,3) ranked 3-subsets, ranked as `Design` ranks them, so an image is
+    found through the rank of its first three points, and an image whose
+    first three points are unmarked is new.  A new block marking an
+    already marked 3-subset, or an image other than the stored block its
+    first three points give, means two blocks share three points, so the
+    orbit is not a partial Steiner 3-system: that, or more than cap
+    blocks, raises.  Distinct first three points make their order the
+    lexicographic order.  When tracing, one JSON line of counters goes to
+    stderr.
     """
     if not gens:
-        return [base]
+        return np.array([base], dtype=np.int32)
     v, k = len(gens[0]), len(base)
-    cap = math.comb(v, 3) // math.comb(k, 3)
+    per_block = math.comb(k, 3)
+    cap = math.comb(v, 3) // per_block
     table = np.array(gens, dtype=np.uint8)
-    store = np.empty((cap, k), dtype=np.uint8)
+    store = np.empty((cap, k), dtype=np.int32)
     store[0] = base
-    keys = _triple_key(store[:1], v)  # the seen keys, sorted
-    owner = np.zeros(1, dtype=np.intp)  # owner[i]: the row whose key is keys[i]
+    # block_of[r]: the stored block through the 3-subset of rank r, or -1
+    block_of = np.full(math.comb(v, 3), -1, dtype=np.int32)
+    mark_triples(block_of, store[:1], 0)
     lo, hi = 0, 1
     levels = images = 0
     while lo < hi:
-        rows = np.sort(table[:, store[lo:hi]].reshape(-1, k), axis=1)
+        rows = np.sort(table[:, store[lo:hi]].reshape(-1, k), axis=1).astype(np.int32)
         levels += 1
         images += len(rows)
-        key = _triple_key(rows, v)
-        order = key.argsort()
-        rows, key = rows[order], key[order]
-        head = np.empty(len(key), dtype=bool)  # the first row of each key
-        head[0] = True
-        np.not_equal(key[1:], key[:-1], out=head[1:])
-        level_keys = key[head]
-        at = np.searchsorted(keys, level_keys)
-        new = keys[np.minimum(at, len(keys) - 1)] != level_keys
-        lo, hi = hi, hi + int(np.count_nonzero(new))
+        first = rank3(rows[:, 0], rows[:, 1], rows[:, 2])
+        unseen = np.flatnonzero(block_of[first] < 0)
+        _, new = np.unique(first[unseen], return_index=True)
+        lo, hi = hi, hi + len(new)
         if hi > cap:
             raise CatalogError(f"block orbit exceeds the {cap} blocks of a Steiner 3-design")
-        store[lo:hi] = rows[head][new]
-        # row_of[i]: the stored block keyed level_keys[i]
-        row_of = np.empty(len(level_keys), dtype=np.intp)
-        row_of[~new] = owner[at[~new]]
-        row_of[new] = np.arange(lo, hi)
-        # an equal key is an equal first three points: compare the rest
-        if not (rows[:, 3:] == store[row_of[head.cumsum() - 1], 3:]).all():
+        store[lo:hi] = rows[unseen[new]]
+        mark_triples(block_of, store[lo:hi], lo)
+        if (
+            np.count_nonzero(block_of >= 0) != hi * per_block
+            or not (store[block_of[first]] == rows).all()
+        ):
             raise CatalogError("block orbit has two blocks sharing three points")
-        keys = np.insert(keys, at[new], level_keys[new])
-        owner = np.insert(owner, at[new], row_of[new])
     emit("catalog._block_orbit", levels=levels, images=images, blocks=hi)
-    # k lists of points zipped into tuples: never a list per block
-    return list(zip(*store[owner].T.tolist()))
-
-
-def _triple_key(rows: np.ndarray, v: int) -> np.ndarray:
-    """The first three points of each row as an int32 base-v number."""
-    key = rows[:, 0].astype(np.int32)
-    for j in (1, 2):
-        key = key * v + rows[:, j]
-    return key
+    blocks = store[:hi]
+    return blocks[np.lexsort(blocks[:, 2::-1].T)]
 
 
 # -- design constructors -------------------------------------------------------
@@ -196,7 +184,17 @@ def construct_boolean_affine(d: int) -> Design:
     if d < 3 or d > MAX_POINTS.bit_length() - 1:
         raise CatalogError(f"need 3 <= d <= 7, got {d}")
     n = 1 << d
-    blocks = [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(n), 3) if x ^ y ^ z > z]
+    # the pairs x < y in lexicographic order and, for each, every z above
+    # y whose fourth point x^y^z lies above z: the blocks in canonical order
+    points = np.arange(n, dtype=np.uint8)
+    x, y = (p.astype(np.uint8) for p in np.triu_indices(n, 1))
+    s = x ^ y
+    pair, z = np.nonzero((points > y[:, np.newaxis]) & ((points ^ s[:, np.newaxis]) > points))
+    blocks = np.empty((len(z), 4), dtype=np.int32)
+    blocks[:, 0] = x[pair]
+    blocks[:, 1] = y[pair]
+    blocks[:, 2] = z
+    blocks[:, 3] = z ^ s[pair]
     return Design(n, 3, blocks)
 
 

@@ -2,10 +2,14 @@
 
 A design is stored canonically: every block strictly increasing, the
 block list sorted lexicographically.  It holds its blocks in the form it
-was built from, a tuple of tuples or a (b, k) int32 array such as
-`from_json` fills, and derives the other form on first use.  Blocks are
-looked up through a table of ranked 3-subsets when each 3-subset lies in
-at most one block, and by sorted prefix keys otherwise.  Verification is
+was built from, a tuple of tuples or a (b, k) int32 array, and derives
+the other form on first use.  The catalogue's orbit and affine
+constructions and `from_json` of a file in the layout `to_json` writes
+all give the array, so a 128-point design goes from construction to disk
+and back without a Python object per block.  Blocks are looked up through
+a table of ranked 3-subsets when each 3-subset lies in at most one block,
+and by sorted prefix keys otherwise; the table is filled, and rows are
+looked up and written out, CHUNK_ROWS rows at a time.  Verification is
 exhaustive t-subset enumeration; that brute force is the oracle for
 everything else in the package, so it stays free of shortcuts.
 """
@@ -14,10 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain, combinations, islice
 from operator import itemgetter, lt
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +31,9 @@ from .gf import FieldContext
 
 MAX_POINTS = 128
 _INT32_POINTS = 2**31  # an int32 block array holds every point below this
+# rows per pass of the row-wise array loops: their temporaries stay a few
+# hundred KB whatever the block count
+CHUNK_ROWS = 16384
 
 CAMERON_EQUALITY_CASES = (
     (3, 4, 8),
@@ -71,6 +79,7 @@ class Design:
             if isinstance(blocks, np.ndarray):
                 blocks = blocks.tolist()
             canon = list(map(tuple, blocks))
+            _check_points_are_ints(canon)
             if not _is_canonical(canon, v):
                 canon = sorted(tuple(sorted(block)) for block in canon)
                 _check_blocks(canon, v)
@@ -155,13 +164,8 @@ class Design:
         # more 3-subsets than there are, counted with repeats, must repeat one
         if k < 3 or v > MAX_POINTS or b * per_block > size:
             return False
-        rows = self.block_array
         table = np.full(size, -1, dtype=np.int32)
-        ids = np.arange(b, dtype=np.int32)[:, np.newaxis]
-        # canonical rows are increasing, so columns i < j < l hold a < b < c;
-        # one pass per (i, j) ranks the 3-subsets with every later l at once
-        for i, j in combinations(range(k - 1), 2):
-            table[_rank3(rows[:, i, np.newaxis], rows[:, j, np.newaxis], rows[:, j + 1 :])] = ids
+        mark_triples(table, self.block_array, 0)
         # each block fills C(k,3) entries of its own; a 3-subset in two
         # blocks leaves fewer
         if np.count_nonzero(table >= 0) != b * per_block:
@@ -169,17 +173,27 @@ class Design:
         return table
 
     def _ranked_lookup(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+        # CHUNK_ROWS rows at a time, each chunk's columns made contiguous,
+        # where the elementwise passes are several times faster than down
+        # a strided column, and at least int32, so the ranks of points
+        # below MAX_POINTS cannot overflow.  The columns of a transposed
+        # C-ordered array, as `block_action` passes, are used as they are.
+        found = np.empty(len(rows), dtype=np.int32)
+        dtype = np.promote_types(rows.dtype, np.int32)
+        for start in range(0, len(rows), CHUNK_ROWS):
+            chunk = rows[start : start + CHUNK_ROWS]
+            cols = [np.ascontiguousarray(col, dtype=dtype) for col in chunk.T]
+            found[start : start + CHUNK_ROWS] = self._ranked_columns(cols, ranks)
+        return found
+
+    def _ranked_columns(self, cols: list[np.ndarray], ranks: np.ndarray) -> np.ndarray:
         # In a partial Steiner 3-system the block through m0, m1, m2 is the
         # block through m0, m1, mj exactly when mj lies in it, so a row of k
         # distinct points in range is a block when every (m0, m1, mj) ranks
         # to the block of (m0, m1, m2).  Each 3-subset is put in order with
         # min and max only.  A row that fails the range or distinctness
         # test gets a meaningless rank, clipped into the table, and -1.
-        # Columns are contiguous, where these elementwise passes are several
-        # times faster than down strided columns, and at least int32, so the
-        # ranks of points below MAX_POINTS cannot overflow.
-        cols = np.ascontiguousarray(rows.T, dtype=np.promote_types(rows.dtype, np.int32))
-        valid = np.ones(len(rows), dtype=bool)
+        valid = np.ones(len(cols[0]), dtype=bool)
         for j, mj in enumerate(cols):
             valid &= (mj >= 0) & (mj < self.v)
             for mi in cols[:j]:
@@ -189,7 +203,7 @@ class Design:
 
         def block_through(mj: np.ndarray) -> np.ndarray:
             a, c = np.minimum(low, mj), np.maximum(high, mj)
-            return ranks.take(_rank3(a, pair + mj - a - c, c), mode="clip")
+            return ranks.take(rank3(a, pair + mj - a - c, c), mode="clip")
 
         found = block_through(cols[2])
         for mj in cols[3:]:
@@ -254,9 +268,30 @@ def _point_dtype(v: int) -> type:
     return np.int32 if v <= _INT32_POINTS else np.int64
 
 
-def _rank3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The rank C(c,3) + C(b,2) + a of each 3-subset a < b < c."""
+def rank3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rank C(c,3) + C(b,2) + a of each 3-subset a < b < c (Knuth,
+    TAOCP 4A, 7.2.1.3): 0..C(v,3)-1 for points below v.  The points must
+    be of a dtype that holds C(c,3), int32 up to MAX_POINTS points."""
     return c * (c - 1) * (c - 2) // 6 + b * (b - 1) // 2 + a
+
+
+def mark_triples(table: np.ndarray, rows: np.ndarray, first: int) -> None:
+    """Write first + i into table at the rank of every 3-subset of rows[i].
+
+    The rows are strictly increasing, of at least 3 points and a dtype
+    `rank3` can use; CHUNK_ROWS rows are ranked at a time.  A 3-subset
+    of two rows keeps one of them, so a caller that must find repeats
+    counts the entries set.
+    """
+    k = rows.shape[1]
+    for start in range(0, len(rows), CHUNK_ROWS):
+        chunk = rows[start : start + CHUNK_ROWS]
+        ids = np.arange(first + start, first + start + len(chunk), dtype=np.int32)
+        # columns i < j < l hold a < b < c; one pass per (i, j) ranks the
+        # 3-subsets with every later l at once
+        for i, j in combinations(range(k - 1), 2):
+            ranks = rank3(chunk[:, i, np.newaxis], chunk[:, j, np.newaxis], chunk[:, j + 1 :])
+            table[ranks] = ids[:, np.newaxis]
 
 
 def _is_canonical_array(rows: np.ndarray, v: int) -> bool:
@@ -306,6 +341,17 @@ def _is_canonical(blocks: list[tuple[int, ...]], v: int) -> bool:
         and blocks[0][0] >= 0
         and max(column(k - 1)) < v
     )
+
+
+def _check_points_are_ints(blocks: list[tuple]) -> None:
+    """Raise DesignError naming the first block with a point whose type
+    is not exactly int: a float, a bool or a NumPy integer would be
+    written to JSON as something other than an integer, or not at all."""
+    if set(map(type, chain.from_iterable(blocks))) <= {int}:
+        return
+    for block in blocks:
+        if not set(map(type, block)) <= {int}:
+            raise DesignError(f"block {block} has a point that is not an int")
 
 
 def _check_blocks(canon: list[tuple[int, ...]], v: int) -> None:
@@ -505,16 +551,52 @@ def blocksize_bound(v: int) -> int:
 
 
 def to_json(design: Design) -> str:
-    """Canonical JSON; parse(emit(d)) == d byte-for-byte on re-emission."""
-    payload: dict = {"v": design.v, "t": design.t, "lambda": 1}
-    if design.labels is not None:
-        payload["labels"] = list(design.labels)
-    # json writes tuples as arrays
-    payload["blocks"] = design.blocks
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+    """Canonical JSON; parse(emit(d)) == d byte-for-byte on re-emission.
+    The same bytes as `json.dumps` of the payload with `(",", ":")`
+    separators, the blocks written by `_block_text` from whichever form
+    the design holds, the array when it holds both."""
+    blocks = design._blocks if design._array is None else design._array
+    return _json_head(design.v, design.t, design.labels) + "".join(_block_text(blocks)) + "]}\n"
+
+
+def _json_head(v: int, t: int, labels: Sequence[str] | None) -> str:
+    """The design JSON up to the opening bracket of its block list."""
+    payload: dict = {"v": v, "t": t, "lambda": 1}
+    if labels is not None:
+        payload["labels"] = list(labels)
+    return json.dumps(payload, separators=(",", ":"))[:-1] + ',"blocks":['
+
+
+def _block_text(blocks: np.ndarray | Sequence[tuple[int, ...]]) -> Iterator[str]:
+    """A non-empty (b, k) array or tuple of k-tuples of ints as JSON rows
+    "[0,1,2,3],..." in pieces of CHUNK_ROWS rows, each after the first
+    led by its comma.  Each piece is one %-format of its points; "%d"
+    writes an int as `json` does."""
+    row = "[" + ",".join(["%d"] * len(blocks[0])) + "]"
+    full = ",".join([row] * CHUNK_ROWS)
+    for start in range(0, len(blocks), CHUNK_ROWS):
+        chunk = blocks[start : start + CHUNK_ROWS]
+        form = full if len(chunk) == CHUNK_ROWS else ",".join([row] * len(chunk))
+        if start:
+            form = "," + form
+        if isinstance(chunk, np.ndarray):
+            yield form % tuple(chunk.ravel().tolist())
+        else:
+            yield form % tuple(chain.from_iterable(chunk))
+
+
+# the opening of a file in to_json's layout without labels; v and t of at
+# most 18 digits, which int() reads at once
+_CANONICAL_HEAD = re.compile(r'\{"v":(-?\d{1,18}),"t":(-?\d{1,18}),"lambda":1,"blocks":\[')
 
 
 def from_json(text: str) -> Design:
+    """The design a JSON text describes.  A text in the layout `to_json`
+    writes, without labels, is parsed straight into one block array; any
+    other goes through `json.loads`, with every field's type checked."""
+    canonical = _canonical_rows(text)
+    if canonical is not None:
+        return Design(*canonical)
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -544,6 +626,42 @@ def from_json(text: str) -> Design:
     ):
         raise DesignError("'labels' must be a list of strings")
     return Design(payload["v"], payload["t"], _block_rows(blocks), labels)
+
+
+def _canonical_rows(text: str) -> tuple[int, int, np.ndarray] | None:
+    """v, t and the blocks as a (b, k) int32 array, for a text that
+    `to_json` writes for a design without labels (the final newline
+    optional); None for any other text.
+
+    The points are parsed by `np.fromstring` with the row brackets
+    removed, which makes no Python object per point.  The array is kept
+    only when `_block_text` writes it back as the text's own bytes: the
+    text is then exactly what `to_json` writes, whose blocks `json.loads`
+    reads as these rows.  That test also rejects every point the parse
+    misread, such as a leading zero, -0, a float or one beyond int32.
+    """
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    v, t = int(head[1]), int(head[2])
+    start, end = head.end(), len(text) - (3 if text.endswith("\n") else 2)
+    first = text.find("]", start, end)
+    if head[0] != _json_head(v, t, None) or first < 0 or not text.startswith("]}", end):
+        return None
+    k = text.count(",", start, first) + 1
+    try:
+        points = np.fromstring(text[start + 1 : end - 1].replace("],[", ","), np.int32, sep=",")
+    except ValueError:
+        return None
+    if points.size == 0 or points.size % k:
+        return None
+    rows = points.reshape(-1, k)
+    at = start
+    for piece in _block_text(rows):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return (v, t, rows) if at == end else None
 
 
 def _block_rows(blocks: list[list[int]]) -> np.ndarray | list[list[int]]:

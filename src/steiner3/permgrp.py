@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import MAX_POINTS, Design, DesignError
+from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError
 from .errors import Steiner3Error
 from .trace import emit
 
@@ -277,14 +277,26 @@ def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    # take fills a C-ordered (k, b) array of image columns, which the
-    # lookup reads without a copy; the rows are its transpose
-    rows = np.asarray(g, dtype=np.int32).take(design.block_array.T).T
-    images = design.block_index(rows)
+    # the image rows are freed once looked up, before the tuple is built
+    images = design.block_index(_image_rows(design, g))
     missing = np.flatnonzero(images < 0)
     if missing.size:
         raise SetNotPreserved(tuple(design.block_array[missing[0]].tolist()))
     return tuple(images.tolist())
+
+
+def _image_rows(design: Design, g: tuple[int, ...]) -> np.ndarray:
+    """The image of every block under g, as the transpose of a C-ordered
+    (k, b) int32 array, whose columns the lookup reads without a copy.
+    It is filled CHUNK_ROWS blocks at a time: take copies its indices to
+    intp, so one gather over every block would hold twice the blocks."""
+    perm = np.asarray(g, dtype=np.int32)
+    blocks = design.block_array
+    columns = np.empty((design.k, design.b), dtype=np.int32)
+    for start in range(0, design.b, CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        columns[:, start:stop] = perm.take(blocks[start:stop].T)
+    return columns.T
 
 
 @dataclass(frozen=True)

@@ -668,6 +668,47 @@ class TestImports:
         assert result.stdout.splitlines()[-1] == "False"
 
 
+class TestBenchTraceSpans:
+    """`bench/run.py --trace 1` fails a groups run in which the
+    `design.from_json` or `permgrp.block_action` span records no call, so
+    the 128-point flag check must keep calling both through the names a
+    tracer can wrap."""
+
+    def test_flagcheck_at_128_points(self, tmp_path, capsys, monkeypatch):
+        design, gens = tmp_path / "n127.json", tmp_path / "psl127.gens"
+        run(capsys, "construct", "--family", "netto", "--q", "127", "--out", str(design))
+        run(capsys, "groupgens", "--family", "projective", "--kind", "PSL", "--q", "127",
+            "--e", "1", "--out", str(gens))
+        calls = _count_calls(monkeypatch, ("design", "from_json"), ("permgrp", "block_action"))
+        code, out, _ = run(capsys, "flagcheck", str(design), "--gens", str(gens))
+        assert code == 0 and "flag-transitive: yes" in out
+        count = len(steiner3.parse_generators(gens.read_text()).gens)
+        assert count == 3
+        assert calls == {"design.from_json": 1, "permgrp.block_action": count}
+
+
+def _count_calls(monkeypatch, *names) -> dict[str, int]:
+    """Put a counting wrapper in place of each (module, function) wherever
+    the package or one of its modules binds it, as bench/tracer.py wraps
+    every public function; returns the counts, keyed "module.function"."""
+    modules = [steiner3] + [m for name, m in sys.modules.items() if name.startswith("steiner3.")]
+    calls = {}
+    for short, attr in names:
+        real = getattr(sys.modules[f"steiner3.{short}"], attr)
+        key = f"{short}.{attr}"
+        calls[key] = 0
+
+        def counted(*args, _real=real, _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(*args, **kwargs)
+
+        for module in modules:
+            for bound, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, bound, counted)
+    return calls
+
+
 class TestProcessEntry:
     """`python -m steiner3.cli` freezes the import-time heap; `main(argv)`
     called in process leaves the caller's collector alone."""

@@ -152,6 +152,22 @@ class TestCanonicalInput:
         for seed in range(3):
             assert design_error(v, scrambled(canonical, seed)) == message
 
+    @pytest.mark.parametrize(
+        "blocks,named",
+        [
+            ([[0, 1, 2.5, 3]], "(0, 1, 2.5, 3)"),
+            (np.array([[0.0, 1.0, 2.0, 3.0]]), "(0.0, 1.0, 2.0, 3.0)"),
+            ([[True, 2, 3, 4]], "(True, 2, 3, 4)"),
+            ([[0, 1, 2, 3], [4, 5, 6, np.int64(7)]], "(4, 5, 6, np.int64(7))"),
+        ],
+        ids=["float-point", "float-array", "bool-point", "numpy-int-point"],
+    )
+    def test_points_that_are_not_ints(self, blocks, named):
+        # to_json used to write these, and from_json to reject what it wrote
+        with pytest.raises(DesignError) as info:
+            Design(8, 3, blocks)
+        assert str(info.value) == f"block {named} has a point that is not an int"
+
 
 class TestBlockCount:
     def test_steiner_systems_sit_at_the_limit(self, catalogue):

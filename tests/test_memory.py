@@ -1,6 +1,6 @@
 """Peak allocations of the 128-point Netto construction, flag check,
-design file round trip and `--json` sieve sweep, and what a loaded
-128-point design holds.
+design file round trip and `--json` sieve sweep, and what a constructed
+or loaded 128-point design holds.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
@@ -96,6 +96,40 @@ def test_flag_check_of_a_loaded_design(netto127):
 
 def test_to_json_copies_no_block(netto127):
     assert peak_mb(to_json, netto127) < 6
+
+
+@pytest.mark.parametrize(
+    "build,arg",
+    [(construct_netto_extension, 127), (construct_boolean_affine, 7)],
+    ids=["netto-127", "affine-7"],
+)
+def test_constructed_design_holds_one_block_array(build, arg):
+    # as 85344 tuples the design held 6.5 MB; the (85344, 4) int32 array
+    # is 1.3 MB
+    tracemalloc.start()
+    try:
+        design = build(arg)
+        held = tracemalloc.get_traced_memory()[0] / MB
+    finally:
+        tracemalloc.stop()
+    assert design._blocks is None
+    assert held < 3
+
+
+def test_from_json_parses_its_own_layout_without_lists(netto127):
+    # json.loads made a list per block: 9.45 MB; the parse straight into
+    # the array peaks at 3.0 MB
+    text = to_json(netto127)
+    assert peak_mb(from_json, text) < 4.5
+
+
+def test_to_json_writes_an_array_in_chunks():
+    # from the array the constructor built, with no tuple per block: the
+    # tuples and json.dumps peaked at 3.8 MB over the tuples, the chunked
+    # writer at 2.4 MB
+    design = construct_netto_extension(127)
+    assert design._blocks is None
+    assert peak_mb(to_json, design) < 3.5
 
 
 def sieve_json_peak_mb(v_max: int) -> float:

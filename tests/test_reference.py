@@ -9,8 +9,12 @@ field, and `block_action` the same induced permutation or the same
 witness block.  The prefix-key lookup, `Design._prefix_lookup`, is the
 reference for the ranked 3-subset lookup on every kind of row, and
 `reference_from_json`, the loader that built a tuple per block, for the
-array loader: the same design, blocks and JSON bytes, or the same
-error.  `reference_flag_orbit` is the flag-table search that
+array loader and for the parse of to_json's own layout straight into an
+array: the same design, blocks and JSON bytes, or the same error.
+`reference_to_json`, `json.dumps` of the block tuples, is the reference
+for the chunked row writer, and `reference_boolean_affine`, the
+comprehension over 3-subsets, for the NumPy affine construction.
+`reference_flag_orbit` is the flag-table search that
 the orbit-stabiliser count replaced: a frontier `orbit` over an
 (m, b*k) table of flag images.  `reference_screen` is the
 sieve's screen written check by check with a frozen, self-checking
@@ -64,9 +68,12 @@ from steiner3.catalog import (
 from steiner3.cli import main
 from steiner3.design import (
     CAMERON_EQUALITY_CASES,
+    CHUNK_ROWS,
     Design,
     DesignError,
+    _canonical_rows,
     blocksize_bound,
+    derived_design,
     from_json,
     to_json,
 )
@@ -442,6 +449,163 @@ class TestArrayLoaderDifferential:
             assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
 
 
+def reference_to_json(design: Design) -> str:
+    """The writer that handed the payload, blocks as tuples, to json.dumps."""
+    payload: dict = {"v": design.v, "t": design.t, "lambda": 1}
+    if design.labels is not None:
+        payload["labels"] = list(design.labels)
+    payload["blocks"] = design.blocks
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+def reference_boolean_affine(d: int) -> list[tuple[int, ...]]:
+    """The planes of AG(d,2) as the comprehension over 3-subsets built them."""
+    n = 1 << d
+    return [(x, y, z, x ^ y ^ z) for x, y, z in combinations(range(n), 3) if x ^ y ^ z > z]
+
+
+@pytest.fixture(scope="module")
+def designs_to_128():
+    """Every catalogue design on at most 128 points, as its constructor
+    builds it: affine d = 3..7, every spherical and Netto design, Witt."""
+    designs = {f"aff{d}": construct_boolean_affine(d) for d in range(3, 8)}
+    designs.update({f"s{q},{e}": construct_spherical(q, e) for q, e in SPHERICAL_TO_128})
+    designs.update({f"n{q}": construct_netto_extension(q) for q in NETTO_TO_128})
+    designs["witt"] = catalog.construct_witt_22()
+    return designs
+
+
+def _chunk_edge_designs():
+    """Designs of one block less than, exactly and one more than one and
+    two chunks of the row writer, held as tuples and as an array."""
+    quads = list(combinations(range(40), 4))
+    for b in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1):
+        design = Design(40, 3, quads[:b])
+        yield design
+        yield Design(40, 3, design.block_array)
+
+
+# to_json of the 3-(8,4,1) design, AG(3,2), whose near misses follow
+_AFF3 = to_json(Design(8, 3, reference_boolean_affine(3)))
+
+
+class TestCanonicalLoaderDifferential:
+    """`from_json` parses a text in to_json's layout straight into one
+    int32 array, and keeps it only when the row writer gives the text
+    back; any other text goes through `json.loads`.  Either way the
+    outcome must be the one `reference_from_json` gives."""
+
+    def test_designs_to_128_points(self, designs_to_128):
+        for name, design in designs_to_128.items():
+            text = to_json(design)
+            assert _canonical_rows(text) is not None, name
+            loaded = from_json(text)
+            assert loaded._blocks is None and loaded.block_array.dtype == np.int32, name
+            want = reference_from_json(text)
+            assert loaded == want == design, name
+            assert to_json(loaded) == text, name
+
+    def test_chunk_edges(self):
+        for design in _chunk_edge_designs():
+            text = to_json(design)
+            assert _canonical_rows(text) is not None, design.b
+            assert from_json(text) == design
+
+    @pytest.mark.parametrize(
+        "text,fast",
+        [
+            (_AFF3, True),
+            (_AFF3[:-1], True),
+            (_AFF3.replace("[0,1,2,3]", "[0, 1,2,3]"), False),
+            (_AFF3.replace('{"v":8,', '{ "v":8,'), False),
+            (_AFF3 + " ", False),
+            (_AFF3.replace("[0,1,4,5]", "[0,1,04,5]"), False),
+            (_AFF3.replace("[0,1,4,5]", "[-0,1,4,5]"), False),
+            (_AFF3.replace('"v":8', '"v":08'), False),
+            (_AFF3.replace('"v":8', '"v":-0'), False),
+            (_AFF3.replace("[0,1,4,5]", "[0,1,4,5e0]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,1e2]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2.0,3]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[true,1,2,3]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,2147483648]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,4294967299]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[-1,1,2,3]"), True),
+            (_AFF3[:-3] + '],"blocks":[[0,1,2,3]]}\n', False),
+            (_AFF3.replace('"lambda":1', '"lambda":1.0'), False),
+            (_AFF3.replace('"lambda":1', '"lambda":1,"labels":["a","b","c","d","e","f","g","h"]'), False),
+            (_AFF3 + "x", False),
+            (_AFF3 + "\n\n", False),
+            (_AFF3[:-5], False),
+            (_AFF3[: len(_AFF3) // 2], False),
+            (_AFF3.replace("[0,1,2,3],[0,1,4,5]", "[0,1,4,5],[0,1,2,3]"), True),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,3,4]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,3],[0,1,2,3]"), True),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,3,2]"), True),
+            (_AFF3.replace("[0,1,2,3]", "[0,1,2,3]]"), False),
+            (_AFF3.replace("[0,1,2,3]", "[[0,1,2,3]"), False),
+            (_AFF3.replace("[0,1,2,3],", "[0,1,2,3],,"), False),
+            ('{"v":8,"t":3,"lambda":1,"blocks":[]}\n', False),
+            ('{"v":8,"t":3,"lambda":1,"blocks":[[]]}\n', False),
+            ('{"v":8,"t":3,"lambda":1,"blocks":[[0,1,2,3]]}\n', True),
+            ('{"v":0,"t":3,"lambda":1,"blocks":[[0,1,2,3]]}\n', True),
+            ('{"v":8,"t":-3,"lambda":1,"blocks":[[0,1,2,3]]}\n', True),
+        ],
+        ids=[
+            "canonical", "no-newline", "inner-space", "outer-space", "trailing-space",
+            "leading-zero", "minus-zero", "leading-zero-v", "minus-zero-v", "exponent",
+            "1e2", "float", "true", "2^31", "2^32+3", "negative", "second-blocks",
+            "lambda-float", "labels", "trailing-bytes", "two-newlines", "truncated",
+            "half", "unsorted", "short-row", "long-row", "repeated", "unsorted-row",
+            "extra-bracket", "nested-row", "empty-field", "no-blocks", "empty-block",
+            "one-block", "no-points", "negative-t",
+        ],
+    )
+    def test_near_misses(self, text, fast):
+        assert (_canonical_rows(text) is not None) == fast
+        assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
+
+
+class TestBlockWriterDifferential:
+    """`to_json` writes the blocks in chunks of rows, one %-format each;
+    `reference_to_json` hands the block tuples to json.dumps."""
+
+    def test_designs_to_128_points(self, designs_to_128):
+        for name, design in designs_to_128.items():
+            text = to_json(design)  # from the array the constructor built
+            tuples = Design(design.v, design.t, design.blocks)
+            assert tuples._array is None
+            assert text == to_json(tuples) == reference_to_json(design), name
+
+    def test_derived_designs(self, designs_to_128):
+        for name, design in designs_to_128.items():
+            for x in sorted({0, design.v // 2, design.v - 1}):
+                derived = derived_design(design, x)
+                assert to_json(derived) == reference_to_json(derived), (name, x)
+
+    def test_labelled_designs(self, designs_to_128):
+        labels = ["p", 'q"uote', "back\\slash", "caf\u00e9", "tab\t", "\u2603"]
+        for name, design in designs_to_128.items():
+            names = [labels[i % len(labels)] + str(i) for i in range(design.v)]
+            for blocks in (design.block_array, design.blocks):
+                labelled = Design(design.v, design.t, blocks, labels=names)
+                text = to_json(labelled)
+                assert text == reference_to_json(labelled), name
+                assert from_json(text) == labelled, name
+
+    def test_chunk_edges(self):
+        for design in _chunk_edge_designs():
+            assert to_json(design) == reference_to_json(design), design.b
+
+
+@pytest.mark.parametrize("d", range(3, 8))
+def test_boolean_affine_against_the_comprehension(d):
+    design = construct_boolean_affine(d)
+    assert design._blocks is None
+    assert design.block_array.dtype == np.int32
+    assert design.block_array.tolist() == [list(block) for block in reference_boolean_affine(d)]
+
+
 class TestBlockActionDifferential:
     def test_automorphisms(self, flag_transitive_pairs):
         for label, design, gens in flag_transitive_pairs:
@@ -593,12 +757,12 @@ def _orbit_arguments(monkeypatch, construct, *args) -> tuple:
     return gens, base, design
 
 
-def _assert_same_orbit(gens, base) -> list:
+def _assert_same_orbit(gens, base) -> np.ndarray:
     got = catalog._block_orbit(gens, base)
-    assert got == reference_block_orbit(gens, base)
-    assert type(got) is list
-    assert all(type(block) is tuple for block in got)
-    assert all(type(x) is int for block in got for x in block)
+    want = reference_block_orbit(gens, base)
+    assert got.tolist() == [list(block) for block in want]
+    assert got.dtype == np.int32
+    assert got.shape == (len(want), len(base))
     return got
 
 
@@ -611,15 +775,15 @@ class TestBlockOrbitDifferential:
     @pytest.mark.parametrize("q,e", SPHERICAL_TO_128, ids=lambda x: str(x))
     def test_spherical(self, q, e, monkeypatch):
         gens, base, design = _orbit_arguments(monkeypatch, catalog.construct_spherical, q, e)
-        assert tuple(_assert_same_orbit(gens, base)) == design.blocks
+        assert _assert_same_orbit(gens, base).tolist() == design.block_array.tolist()
 
     @pytest.mark.parametrize("q", NETTO_TO_128)
     def test_netto(self, q, monkeypatch):
         gens, base, design = _orbit_arguments(monkeypatch, catalog.construct_netto_extension, q)
-        assert tuple(_assert_same_orbit(gens, base)) == design.blocks
+        assert _assert_same_orbit(gens, base).tolist() == design.block_array.tolist()
 
     def test_no_generators(self):
-        assert _assert_same_orbit((), (0, 1, 2, 3)) == [(0, 1, 2, 3)]
+        assert _assert_same_orbit((), (0, 1, 2, 3)).tolist() == [[0, 1, 2, 3]]
 
     def test_not_a_partial_steiner_system(self):
         # S6 on a 4-subset: all 15 4-subsets of 6 points, which share
