@@ -157,20 +157,42 @@ class Design:
             self._ranks = self._fill_ranks()
         return None if self._ranks is False else self._ranks
 
+    def rank_table(self) -> np.ndarray:
+        """The block through each 3-subset at its rank, -1 where there is
+        none, as `_rank_table` gives it; for blocks of at least 3 points on
+        at most MAX_POINTS points.  Raises DesignError when some 3-subset
+        lies in two blocks, naming how many distinct 3-subsets the blocks
+        cover, as the table fill counts them."""
+        table = self._rank_table()
+        if table is not None:
+            return table
+        if self.k < 3 or self.v > MAX_POINTS:
+            raise DesignError(
+                f"no ranked 3-subset table for blocks of {self.k} points on {self.v} points"
+            )
+        _, covered = self._mark_ranks()
+        raise DesignError(
+            f"{self.b} blocks of size {self.k} cover {covered} 3-subsets, "
+            f"not {self.b * math.comb(self.k, 3)}: some 3-subset lies in two blocks"
+        )
+
     def _fill_ranks(self) -> np.ndarray | bool:
         v, k, b = self.v, self.k, self.b
-        size = math.comb(v, 3)
         per_block = math.comb(k, 3)
         # more 3-subsets than there are, counted with repeats, must repeat one
-        if k < 3 or v > MAX_POINTS or b * per_block > size:
+        if k < 3 or v > MAX_POINTS or b * per_block > math.comb(v, 3):
             return False
-        table = np.full(size, -1, dtype=np.int32)
+        table, covered = self._mark_ranks()
+        return table if covered == b * per_block else False
+
+    def _mark_ranks(self) -> tuple[np.ndarray, int]:
+        """The C(v,3) table with every block's index marked at the ranks
+        of its 3-subsets, and how many entries are marked: each block
+        marks C(k,3) of its own, and a 3-subset in two blocks leaves
+        fewer."""
+        table = np.full(math.comb(self.v, 3), -1, dtype=np.int32)
         mark_triples(table, self.block_array, 0)
-        # each block fills C(k,3) entries of its own; a 3-subset in two
-        # blocks leaves fewer
-        if np.count_nonzero(table >= 0) != b * per_block:
-            return False
-        return table
+        return table, int(np.count_nonzero(table >= 0))
 
     def _ranked_lookup(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
         # CHUNK_ROWS rows at a time, each chunk's columns made contiguous,
@@ -250,14 +272,19 @@ class Design:
         return found
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Design)
-            and (self.v, self.t, self.blocks, self.labels)
-            == (other.v, other.t, other.blocks, other.labels)
-        )
+        if not isinstance(other, Design):
+            return False
+        if (self.v, self.t, self.labels) != (other.v, other.t, other.labels):
+            return False
+        # both canonical: the arrays are compared when either design holds
+        # one, so the comparison builds no tuple form
+        if self._array is None and other._array is None:
+            return self._blocks == other._blocks
+        return np.array_equal(self.block_array, other.block_array)
 
     def __hash__(self):
-        return hash((self.v, self.t, self.blocks))
+        # equal designs have equal block arrays: of one dtype, for one v
+        return hash((self.v, self.t, self.block_array.shape, self.block_array.tobytes()))
 
     def __repr__(self):
         return f"Design({self.t}-({self.v},{self.k},1), b={self.b})"

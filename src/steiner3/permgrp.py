@@ -13,12 +13,15 @@ returning one coset representative per new image of each base point.
 One search state lives for the whole stabilizer-chain walk: the fixed
 prefix of base points is assigned once, each trial assigns and undoes
 only its own images on top of it, and the branching scores are kept up
-to date as block images are fixed and released.
+to date as block images are fixed and released.  Image blocks are found
+through the design's ranked 3-subset table.  For blocks of 4 points the
+search also keeps the closure of its map under forced images, extended
+with each assignment, which refutes a subtree at a contradiction and
+settles it with one block lookup once every point is forced.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError
+from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError, rank3
 from .errors import Steiner3Error
 from .trace import emit
 
@@ -393,15 +396,32 @@ class _AutSearch:
     holds that count of determined blocks through x, kept live by
     `_assign` and `_unassign`; an assigned point's score is lowered by
     `taken`, so the first maximum of `score` is the branch point.  Each
-    block keeps the bitmask of its assigned points' images, which is the
-    key of its image block in `triple` once three are assigned; `used`
+    block keeps the bitmask of its assigned points' images; once three are
+    assigned, its image block is the one the design's ranked 3-subset
+    table (`Design.rank_table`) holds at the rank of those images.  `used`
     is the bitmask of all assigned images.
 
+    Beside the assignment runs its closure under forced images
+    (`closure`, `cimg`, `cpre`): for k = 4, three closed points fix the
+    fourth point of their block, whose image must be the fourth point of
+    the block through their images.  The closure is anchored on its first
+    two points: each newly closed point is tried with each anchor and the
+    points closed after that anchor, through a table of the fourth points
+    of the blocks through each anchor and through its image (`_fourth`).
+    Every candidate image is closed before it is assigned.  A
+    contradiction (a forced image already taken or different, or a block
+    on one side only) refutes the subtree; a closure of all v points is
+    the subtree's one candidate, kept only when every block's image is a
+    block (`_settle`).  The tree and its candidate order are those of the
+    search without the closure, so the first automorphism found is the
+    same.  For other k the closure stays empty.
+
     One searcher serves the whole stabilizer-chain walk: `generators`
-    assigns each finished base point to itself once, and every trial
-    assigns and undoes only base -> y on top of that fixed prefix, its
-    search unwinding all of its own assignments whether it succeeds or
-    not.  `levels`, `trials`, `successes` and `nodes` count the work.
+    fixes each finished base point once, and every trial closes and
+    assigns base -> y on top of that fixed prefix, its search unwinding
+    all of its own assignments and closed points whether it succeeds or
+    not.  `levels`, `trials`, `successes`, `nodes` and `settled` count
+    the work.
     """
 
     def __init__(self, design: Design):
@@ -411,40 +431,46 @@ class _AutSearch:
             raise DesignError(
                 f"automorphism search needs blocks of at least 3 points, got {design.k}"
             )
-        self.v = design.v
-        self.blocks = design.blocks
-        self.nblocks = len(design.blocks)
-        self.through: list[list[int]] = [[] for _ in range(self.v)]
-        for bi, block in enumerate(design.blocks):
-            for x in block:
-                self.through[x].append(bi)
-        # block index of each 3-subset, keyed by its bitmask of points
-        self.triple: dict[int, int] = {}
-        for bi, block in enumerate(design.blocks):
-            for a, b, c in combinations(block, 3):
-                self.triple[(1 << a) | (1 << b) | (1 << c)] = bi
-        # the search maps each 3-subset to its one block
-        covered = self.nblocks * math.comb(design.k, 3)
-        if len(self.triple) != covered:
-            raise DesignError(
-                f"{self.nblocks} blocks of size {design.k} cover {len(self.triple)} "
-                f"3-subsets, not {covered}: some 3-subset lies in two blocks"
-            )
-        self.points = [sum(1 << x for x in block) for block in design.blocks]
-        self.img = [-1] * self.v
+        self.design = design
+        # the search maps each 3-subset to its one block, read one entry at
+        # a time through a memoryview
+        self.ranks = memoryview(design.rank_table())
+        self.v = v = design.v
+        # the rank of a < b < c is cubes[c] + pairs[(1 << a) | (1 << b)]
+        self.cubes = [c * (c - 1) * (c - 2) // 6 for c in range(v)]
+        self.pairs = {
+            (1 << a) | (1 << b): b * (b - 1) // 2 + a for a, b in combinations(range(v), 2)
+        }
+        rows = design.block_array
+        self.blocks = rows.tolist()
+        self.nblocks = len(self.blocks)
+        # the blocks through each point, in block order: a stable sort of
+        # the flattened rows groups each point's block indices, ascending
+        flat = rows.ravel()
+        order = np.argsort(flat, kind="stable") // design.k
+        ends = np.cumsum(np.bincount(flat, minlength=v))
+        self.through: list[list[int]] = [part.tolist() for part in np.split(order, ends[:-1])]
+        self.points = [sum(1 << x for x in block) for block in self.blocks]
+        self.img = [-1] * v
         self.blk_img = [-1] * self.nblocks
         self.blk_pre = [-1] * self.nblocks
         self.mask = [0] * self.nblocks
         self.used = 0
-        self.score = [0] * self.v
+        self.score = [0] * v
         self.taken = self.nblocks + 1
-        self.levels = self.trials = self.successes = self.nodes = 0
+        self.closure: list[int] = []
+        self.cimg = [-1] * v
+        self.cpre = [-1] * v
+        # only blocks of 4 points have a point fixed by three others
+        self.fourths: dict[int, list[int]] | None = {} if design.k == 4 else None
+        self.levels = self.trials = self.successes = self.nodes = self.settled = 0
 
     def generators(self) -> list[tuple[int, ...]]:
         """One automorphism per new image of each base point 0, 1, 2, ...
 
         A per-level bitmap marks the images already reachable by the
         generators found so far that fix the prefix, or already refuted.
+        With no such generator an image's orbit is itself.
         """
         v = self.v
         gens: list[tuple[int, ...]] = []
@@ -453,7 +479,7 @@ class _AutSearch:
             fixing = [g for g in gens if all(g[p] == p for p in range(base))]
             table = _image_table(fixing, v)
             seen = np.zeros(v, dtype=bool)
-            seen[orbit(table, [base])] = True
+            seen[orbit(table, [base]) if fixing else base] = True
             # an automorphism fixing 0..base-1 pointwise cannot send base below itself
             for y in range(base + 1, v):
                 if seen[y]:
@@ -461,26 +487,119 @@ class _AutSearch:
                 found = self._trial(base, y)
                 if found is None:
                     # no automorphism sends base into the orbit of y either
-                    seen[orbit(table, [y])] = True
+                    seen[orbit(table, [y]) if fixing else y] = True
                     continue
                 gens.append(found)
                 fixing.append(found)
                 table = _image_table(fixing, v)
                 seen[orbit(table, np.flatnonzero(seen))] = True
-            self._assign(base, base)
+            self._fix(base)
         return gens
+
+    def _fix(self, p: int) -> None:
+        """Close and assign p -> p for the rest of the walk."""
+        self._close(p, p)
+        self._assign(p, p)
 
     def _trial(self, base: int, y: int) -> tuple[int, ...] | None:
         """First automorphism extending the prefix and base -> y, or None."""
         self.trials += 1
-        undo = self._assign(base, y)
-        if undo is None:
-            return None
-        found = self._dfs()
-        self._unassign(base, y, self.through[base], undo)
+        found = self._extend(base, y)
         if found is not None:
             self.successes += 1
         return found
+
+    def _extend(self, x: int, y: int) -> tuple[int, ...] | None:
+        """First automorphism extending the current map and x -> y, or
+        None; the map and its closure are left as they were."""
+        mark = len(self.closure)
+        found = None
+        if self._close(x, y):
+            if len(self.closure) == self.v:
+                found = self._settle()
+            else:
+                undo = self._assign(x, y)
+                if undo is not None:
+                    found = self._dfs()
+                    self._unassign(x, y, self.through[x], undo)
+        self._cut(mark)
+        return found
+
+    def _close(self, x: int, y: int) -> bool:
+        """Add x -> y and every image it forces to the closure; False at
+        a contradiction, with the closure left for `_cut` to restore.
+        Without forced images the closure stays empty."""
+        if self.fourths is None:
+            return True
+        cimg, cpre, closure = self.cimg, self.cpre, self.closure
+        if cimg[x] != -1:
+            return cimg[x] == y
+        if cpre[y] != -1:
+            return False
+        cimg[x], cpre[y] = y, x
+        closure.append(x)
+        # each newly closed z meets each anchor, one of the first two
+        # closed points, with every point closed after that anchor and
+        # before z, so each triple of anchor and pair is met once
+        v, i = self.v, len(closure) - 1
+        if i < 2:
+            return True
+        anchors = [
+            (self._fourth(a), self._fourth(cimg[a]), after)
+            for after, a in enumerate(closure[:2], 1)
+        ]
+        while i < len(closure):
+            z = closure[i]
+            zrow, wrow = z * v, cimg[z] * v
+            for pre, post, after in anchors:
+                for c in closure[after:i]:
+                    d, e = pre[zrow + c], post[wrow + cimg[c]]
+                    if d == -1 or e == -1:
+                        # a block on one side only
+                        if d != e:
+                            return False
+                    elif cimg[d] == -1:
+                        if cpre[e] != -1:
+                            return False
+                        cimg[d], cpre[e] = e, d
+                        closure.append(d)
+                    elif cimg[d] != e:
+                        return False
+            i += 1
+        return True
+
+    def _fourth(self, a: int) -> list[int]:
+        """At z*v + c, the fourth point of the block through a, z and c,
+        or -1 where there is none or a, z and c are not distinct.  Built
+        on first use from the ranked 3-subset table, for all z and c at
+        once; the 3-subsets are put in order with min and max only."""
+        table = self.fourths.get(a)
+        if table is None:
+            z, c = np.divmod(np.arange(self.v**2, dtype=np.int32), self.v)
+            first = np.minimum(np.minimum(z, c), a)
+            last = np.maximum(np.maximum(z, c), a)
+            ranks = rank3(first, z + c + a - first - last, last)
+            blocks = self.design.rank_table().take(ranks, mode="clip")
+            sums = self.design.block_array.sum(axis=1, dtype=np.int32)
+            fourth = sums.take(blocks) - (z + c + a)
+            fourth[(blocks < 0) | (z == c) | (z == a) | (c == a)] = -1
+            table = self.fourths[a] = fourth.tolist()
+        return table
+
+    def _cut(self, mark: int) -> None:
+        """Take the points closed after the first `mark` out of the closure."""
+        cimg, cpre, closure = self.cimg, self.cpre, self.closure
+        for x in closure[mark:]:
+            cpre[cimg[x]] = -1
+            cimg[x] = -1
+        del closure[mark:]
+
+    def _settle(self) -> tuple[int, ...] | None:
+        """The closure, complete, if it maps every block to a block."""
+        self.settled += 1
+        found = tuple(self.cimg)
+        images = self.design.block_index(_image_rows(self.design, found))
+        return found if (images >= 0).all() else None
 
     def _assign(self, x: int, y: int) -> list[int] | None:
         """Set x -> y and the block images it determines; the list of
@@ -495,7 +614,8 @@ class _AutSearch:
         score = self.score
         score[x] -= self.taken
         mask, blk_img, blk_pre = self.mask, self.blk_img, self.blk_pre
-        points, used = self.points, self.used
+        points, used, ranks = self.points, self.used, self.ranks
+        cubes, pairs = self.cubes, self.pairs
         through = self.through[x]
         determined = []
         for bi in through:
@@ -508,9 +628,11 @@ class _AutSearch:
                 continue
             if images.bit_count() != 3:
                 continue
-            # the image block, unclaimed, and no point outside bi maps into it
-            ti = self.triple.get(images)
-            if ti is None or blk_pre[ti] != -1 or used & points[ti] != images:
+            # the image block, at the rank of the three images a < b < c,
+            # unclaimed, and no point outside bi maps into it
+            c = images.bit_length() - 1
+            ti = ranks[cubes[c] + pairs[images ^ (1 << c)]]
+            if ti == -1 or blk_pre[ti] != -1 or used & points[ti] != images:
                 break
             blk_img[bi] = ti
             blk_pre[ti] = bi
@@ -549,8 +671,13 @@ class _AutSearch:
         self.nodes += 1
         x, score = self._next_point()
         if x == -1:
+            # every point assigned; with a closure, `_extend` settles the
+            # map before this
             return tuple(self.img)
-        if score > 0:
+        if self.cimg[x] != -1:
+            # the closure leaves x one image
+            images = [self.cimg[x]]
+        elif score > 0:
             for bi in self.through[x]:
                 ti = self.blk_img[bi]
                 if ti != -1:
@@ -560,11 +687,7 @@ class _AutSearch:
             images = range(self.v)
         candidates = [w for w in images if not self.used >> w & 1]
         for y in candidates:
-            undo = self._assign(x, y)
-            if undo is None:
-                continue
-            found = self._dfs()
-            self._unassign(x, y, self.through[x], undo)
+            found = self._extend(x, y)
             if found is not None:
                 return found
         return None
@@ -593,6 +716,7 @@ def automorphism_group(design: Design) -> GeneratorSet:
         trials=searcher.trials,
         successes=searcher.successes,
         nodes=searcher.nodes,
+        settled=searcher.settled,
     )
     return gens
 

@@ -534,6 +534,7 @@ class TestDeterminism:
                 "trials": 166,
                 "successes": 20,
                 "nodes": 398,
+                "settled": 0,
             },
             WITT_AUT_ORDER_TRACE,
         ]

@@ -54,6 +54,27 @@ class TestDesignContainer:
             assert affine3.block_index(block) == i
         assert affine3.block_index((0, 1, 2, 4)) == -1
 
+    def test_rank_table(self, affine3):
+        table = affine3.rank_table()
+        for rank, (a, b, c) in enumerate(
+            sorted(combinations(range(8), 3), key=lambda s: s[::-1])
+        ):
+            assert table[rank] == affine3.block_index((a, b, c, a ^ b ^ c))
+
+    @pytest.mark.parametrize(
+        "design,message",
+        [
+            # each of the C(6,3) = 20 3-subsets lies in 3 of the 15 blocks
+            (Design(6, 3, combinations(range(6), 4)), "15 blocks of size 4 cover 20 3-subsets"),
+            (Design(200, 3, [(0, 1, 2, 3)]), "no ranked 3-subset table"),
+            (Design(6, 2, [(0, 1), (2, 3)]), "no ranked 3-subset table"),
+        ],
+        ids=["repeated-3-subsets", "200-points", "blocks-of-2"],
+    )
+    def test_no_rank_table(self, design, message):
+        with pytest.raises(DesignError, match=message):
+            design.rank_table()
+
     def test_rejects_duplicates(self):
         with pytest.raises(DesignError):
             Design(4, 2, [[0, 1], [1, 0]])

@@ -5,10 +5,12 @@ import random
 import numpy as np
 import pytest
 
+from steiner3 import permgrp
 from steiner3.catalog import (
     _block_orbit,
     affine_group_generators,
     construct_boolean_affine,
+    construct_netto_extension,
     construct_spherical,
     projective_group_generators,
 )
@@ -237,6 +239,13 @@ class TestAutomorphismGroup:
     def test_budget_bound(self):
         with pytest.raises(SearchBudgetExceeded):
             automorphism_group(construct_boolean_affine(7))
+
+    def test_128_points_with_the_cap_lifted(self, monkeypatch):
+        # the search runs on the ranked 3-subset table, built up to 128
+        # points; only the cap keeps it to 64
+        monkeypatch.setattr(permgrp, "AUT_SEARCH_MAX_POINTS", 128)
+        gens = automorphism_group(construct_netto_extension(127))
+        assert group_order(gens).order == 128 * 127 * 126 // 2 == 1024128  # |PSigmaL(2,127)|
 
     def test_deterministic(self):
         design = construct_spherical(3, 2)

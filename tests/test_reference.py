@@ -21,10 +21,12 @@ sieve's screen written check by check with a frozen, self-checking
 report; the table-driven sieve must give the same fields for every
 pair, and the divisor-driven `admissible_only` path must yield exactly
 the full screen's admissible reports.  `ReferenceAutSearch` is the
-automorphism search that rebuilt its state for every trial; the
-persistent search must give the same generators in the same order after
-the same trials and search nodes, and leave the fixed prefix's state
-behind every trial.  `reference_lexicode` is the greedy lexicode that
+automorphism search without the closure under forced images, which
+found image blocks in a bitmask dict; the search must give the same
+generators in the same order after the same levels, trials and
+successes, with its own pinned search nodes, on the catalogue designs
+and on relabellings of them, and leave the fixed prefix's state, the
+closure included, behind every trial.  `reference_lexicode` is the greedy lexicode that
 tested every candidate word against a coset-leader table; reading each
 basis word off the table must give the same words.
 `reference_block_orbit` is the base-block orbit built one tuple and one
@@ -41,6 +43,7 @@ sieve output written by the CLI.
 
 import hashlib
 import json
+import math
 import random
 import sys
 from bisect import bisect_left
@@ -79,14 +82,13 @@ from steiner3.design import (
 )
 from steiner3.gf import prime_power
 from steiner3.permgrp import (
-    AUT_SEARCH_MAX_POINTS,
     FlagReport,
     GeneratorSet,
-    SearchBudgetExceeded,
     SetNotPreserved,
     _image_table,
     automorphism_group,
     block_action,
+    group_order,
     is_flag_transitive,
     orbit,
 )
@@ -938,10 +940,10 @@ class TestGoldenDigests:
 
 # -- the automorphism search ---------------------------------------------------
 #
-# The search as it was before its state became persistent: every `find`
-# allocates fresh per-point and per-block state and assigns the whole
-# prefix again, and every node recounts the branch scores.  Kept verbatim
-# but for its names and the injectable searcher class.
+# The search as it was before it kept the closure of its map under forced
+# images: every subtree is searched point by point, and each block's image
+# is found in a dict keyed by the bitmask of three image points.  Kept
+# verbatim but for its name.
 
 
 class ReferenceAutSearch:
@@ -949,11 +951,29 @@ class ReferenceAutSearch:
 
     Once three assigned points of a block determine its image block, every
     further point of that block is confined to the image; the next point
-    to branch on is always one lying in the most already-determined
-    blocks, so refutations stay shallow.
+    to branch on is always the least one lying in the most
+    already-determined blocks, so refutations stay shallow.  `score[x]`
+    holds that count of determined blocks through x, kept live by
+    `_assign` and `_unassign`; an assigned point's score is lowered by
+    `taken`, so the first maximum of `score` is the branch point.  Each
+    block keeps the bitmask of its assigned points' images, which is the
+    key of its image block in `triple` once three are assigned; `used`
+    is the bitmask of all assigned images.
+
+    One searcher serves the whole stabilizer-chain walk: `generators`
+    assigns each finished base point to itself once, and every trial
+    assigns and undoes only base -> y on top of that fixed prefix, its
+    search unwinding all of its own assignments whether it succeeds or
+    not.  `levels`, `trials`, `successes` and `nodes` count the work.
     """
 
     def __init__(self, design: Design):
+        # a block's image is fixed by three of its points: with fewer, no
+        # assignment is ever checked against the blocks
+        if design.k < 3:
+            raise DesignError(
+                f"automorphism search needs blocks of at least 3 points, got {design.k}"
+            )
         self.v = design.v
         self.blocks = design.blocks
         self.nblocks = len(design.blocks)
@@ -961,154 +981,156 @@ class ReferenceAutSearch:
         for bi, block in enumerate(design.blocks):
             for x in block:
                 self.through[x].append(bi)
-        self.triple: dict[tuple[int, int, int], int] = {}
+        # block index of each 3-subset, keyed by its bitmask of points
+        self.triple: dict[int, int] = {}
         for bi, block in enumerate(design.blocks):
-            for tri in combinations(block, 3):
-                self.triple[tri] = bi
-        self.members = [set(block) for block in design.blocks]
-
-    def find(self, partial: dict[int, int]) -> tuple[int, ...] | None:
-        """First automorphism extending the partial point map, or None."""
-        v = self.v
-        self.img = [-1] * v
-        self.pre = [-1] * v
+            for a, b, c in combinations(block, 3):
+                self.triple[(1 << a) | (1 << b) | (1 << c)] = bi
+        # the search maps each 3-subset to its one block
+        covered = self.nblocks * math.comb(design.k, 3)
+        if len(self.triple) != covered:
+            raise DesignError(
+                f"{self.nblocks} blocks of size {design.k} cover {len(self.triple)} "
+                f"3-subsets, not {covered}: some 3-subset lies in two blocks"
+            )
+        self.points = [sum(1 << x for x in block) for block in design.blocks]
+        self.img = [-1] * self.v
         self.blk_img = [-1] * self.nblocks
         self.blk_pre = [-1] * self.nblocks
-        self.count = [0] * self.nblocks
-        self.assigned = [[] for _ in range(self.nblocks)]
-        for x, y in partial.items():
-            if self._assign(x, y) is None:
-                return None
-        return tuple(self.img) if self._dfs() else None
+        self.mask = [0] * self.nblocks
+        self.used = 0
+        self.score = [0] * self.v
+        self.taken = self.nblocks + 1
+        self.levels = self.trials = self.successes = self.nodes = 0
 
-    def _assign(self, x: int, y: int):
-        if self.pre[y] != -1 or self.img[x] != -1:
+    def generators(self) -> list[tuple[int, ...]]:
+        """One automorphism per new image of each base point 0, 1, 2, ...
+
+        A per-level bitmap marks the images already reachable by the
+        generators found so far that fix the prefix, or already refuted.
+        """
+        v = self.v
+        gens: list[tuple[int, ...]] = []
+        for base in range(v):
+            self.levels += 1
+            fixing = [g for g in gens if all(g[p] == p for p in range(base))]
+            table = _image_table(fixing, v)
+            seen = np.zeros(v, dtype=bool)
+            seen[orbit(table, [base])] = True
+            # an automorphism fixing 0..base-1 pointwise cannot send base below itself
+            for y in range(base + 1, v):
+                if seen[y]:
+                    continue
+                found = self._trial(base, y)
+                if found is None:
+                    # no automorphism sends base into the orbit of y either
+                    seen[orbit(table, [y])] = True
+                    continue
+                gens.append(found)
+                fixing.append(found)
+                table = _image_table(fixing, v)
+                seen[orbit(table, np.flatnonzero(seen))] = True
+            self._assign(base, base)
+        return gens
+
+    def _trial(self, base: int, y: int) -> tuple[int, ...] | None:
+        """First automorphism extending the prefix and base -> y, or None."""
+        self.trials += 1
+        undo = self._assign(base, y)
+        if undo is None:
             return None
-        self.img[x] = y
-        self.pre[y] = x
-        touched = 0
+        found = self._dfs()
+        self._unassign(base, y, self.through[base], undo)
+        if found is not None:
+            self.successes += 1
+        return found
+
+    def _assign(self, x: int, y: int) -> list[int] | None:
+        """Set x -> y and the block images it determines; the list of
+        those blocks, or None (and no change) if x -> y contradicts the
+        block structure."""
+        img = self.img
+        bit = 1 << y
+        if img[x] != -1 or self.used & bit:
+            return None
+        img[x] = y
+        self.used |= bit
+        score = self.score
+        score[x] -= self.taken
+        mask, blk_img, blk_pre = self.mask, self.blk_img, self.blk_pre
+        points, used = self.points, self.used
+        through = self.through[x]
         determined = []
-        ok = True
-        for bi in self.through[x]:
-            self.count[bi] += 1
-            self.assigned[bi].append(x)
-            touched += 1
-            ti = self.blk_img[bi]
+        for bi in through:
+            images = mask[bi] | bit
+            mask[bi] = images
+            ti = blk_img[bi]
             if ti != -1:
-                if y not in self.members[ti]:
-                    ok = False
+                if not points[ti] & bit:
                     break
                 continue
-            if self.count[bi] != 3:
+            if images.bit_count() != 3:
                 continue
-            a, c = (p for p in self.assigned[bi] if p != x)
-            key = tuple(sorted((self.img[a], self.img[c], y)))
-            ti = self.triple.get(key)
-            if ti is None or self.blk_pre[ti] != -1:
-                ok = False
+            # the image block, unclaimed, and no point outside bi maps into it
+            ti = self.triple.get(images)
+            if ti is None or blk_pre[ti] != -1 or used & points[ti] != images:
                 break
-            consistent = True
-            for w in self.blocks[ti]:
-                z = self.pre[w]
-                if z != -1 and z not in self.members[bi]:
-                    consistent = False
-                    break
-            if not consistent:
-                ok = False
-                break
-            self.blk_img[bi] = ti
-            self.blk_pre[ti] = bi
+            blk_img[bi] = ti
+            blk_pre[ti] = bi
+            for w in self.blocks[bi]:
+                score[w] += 1
             determined.append(bi)
-        if ok:
+        else:
             return determined
-        for bi in self.through[x][:touched]:
-            self.count[bi] -= 1
-            self.assigned[bi].pop()
-        for bi in determined:
-            self.blk_pre[self.blk_img[bi]] = -1
-            self.blk_img[bi] = -1
-        self.img[x] = -1
-        self.pre[y] = -1
+        self._unassign(x, y, through[: through.index(bi) + 1], determined)
         return None
 
-    def _unassign(self, x: int, y: int, determined: list[int]) -> None:
-        for bi in self.through[x]:
-            self.count[bi] -= 1
-            self.assigned[bi].pop()
+    def _unassign(self, x: int, y: int, touched: list[int], determined: list[int]) -> None:
+        """Undo x -> y: `touched` are the blocks through x whose image
+        masks it entered, `determined` those whose image it fixed."""
+        mask = self.mask
+        bit = 1 << y
+        for bi in touched:
+            mask[bi] ^= bit
+        blk_img, score = self.blk_img, self.score
         for bi in determined:
-            self.blk_pre[self.blk_img[bi]] = -1
-            self.blk_img[bi] = -1
+            self.blk_pre[blk_img[bi]] = -1
+            blk_img[bi] = -1
+            for w in self.blocks[bi]:
+                score[w] -= 1
         self.img[x] = -1
-        self.pre[y] = -1
+        self.used ^= bit
+        score[x] += self.taken
 
     def _next_point(self) -> tuple[int, int]:
-        best, best_score = -1, -1
-        for x in range(self.v):
-            if self.img[x] != -1:
-                continue
-            score = sum(1 for bi in self.through[x] if self.blk_img[bi] != -1)
-            if score > best_score:
-                best, best_score = x, score
-        return best, best_score
+        best_score = max(self.score)
+        if best_score < 0:
+            return -1, best_score
+        return self.score.index(best_score), best_score
 
-    def _dfs(self) -> bool:
+    def _dfs(self) -> tuple[int, ...] | None:
+        self.nodes += 1
         x, score = self._next_point()
         if x == -1:
-            return True
+            return tuple(self.img)
         if score > 0:
             for bi in self.through[x]:
                 ti = self.blk_img[bi]
                 if ti != -1:
-                    candidates = [w for w in self.blocks[ti] if self.pre[w] == -1]
+                    images = self.blocks[ti]
                     break
         else:
-            candidates = [w for w in range(self.v) if self.pre[w] == -1]
+            images = range(self.v)
+        candidates = [w for w in images if not self.used >> w & 1]
         for y in candidates:
             undo = self._assign(x, y)
             if undo is None:
                 continue
-            if self._dfs():
-                return True
-            self._unassign(x, y, undo)
-        return False
-
-
-def reference_automorphism_group(design: Design, search=ReferenceAutSearch) -> GeneratorSet:
-    """Generators of the full automorphism group of a design.
-
-    Walks the stabilizer chain of the base 0, 1, 2, ...: at each level it
-    finds one automorphism per candidate image of the base point (skipping
-    images already reachable by automorphisms found so far), so the union
-    of the discovered coset representatives generates the whole group.
-    Output order is deterministic.
-    """
-    v = design.v
-    if v > AUT_SEARCH_MAX_POINTS:
-        raise SearchBudgetExceeded(
-            f"automorphism search supports at most {AUT_SEARCH_MAX_POINTS} points, got {v}"
-        )
-    searcher = search(design)
-    gens: list[tuple[int, ...]] = []
-    prefix: dict[int, int] = {}
-
-    for base in range(v):
-        fixing = [g for g in gens if all(g[p] == p for p in prefix)]
-        table = _image_table(fixing, v)
-        done = orbit(table, [base])
-        # an automorphism fixing 0..base-1 pointwise cannot send base below itself
-        for y in range(base + 1, v):
-            if y in done:
-                continue
-            trial = dict(prefix)
-            trial[base] = y
-            found = searcher.find(trial)
+            found = self._dfs()
+            self._unassign(x, y, self.through[x], undo)
             if found is not None:
-                gens.append(found)
-                fixing.append(found)
-                table = _image_table(fixing, v)
-            done = orbit(table, np.append(done, y))
-        prefix[base] = base
-    return GeneratorSet(v, gens)
+                return found
+        return None
 
 
 AUT_CASES = [
@@ -1125,35 +1147,47 @@ AUT_CASES = [
     ("spherical", 5, 2),
     ("witt",),
 ]
-SEARCH_COUNTERS = ("levels", "trials", "successes", "nodes")
+# the catalogue designs of at most 32 points
+RELABEL_CASES = [key for key in AUT_CASES if key != ("netto", 43)]
+SAME_COUNTERS = ("levels", "trials", "successes")
+# the search nodes and the subtrees settled by a complete closure: only
+# blocks of 4 points force images, so the spherical designs with q > 3 and
+# the Witt design search as the reference does
+SEARCH_WORK = {
+    ("affine", 3): (31, 12),
+    ("affine", 4): (108, 20),
+    ("affine", 5): (341, 30),
+    ("netto", 7): (31, 12),
+    ("netto", 19): (34, 6),
+    ("netto", 31): (26, 5),
+    ("netto", 43): (26, 5),
+    ("spherical", 3, 2): (20, 7),
+    ("spherical", 3, 3): (25, 9),
+    ("spherical", 4, 2): (212, 0),
+    ("spherical", 5, 2): (1601, 0),
+    ("witt",): (398, 0),
+}
 
 
 def _key_id(key: tuple) -> str:
     return "-".join(map(str, key))
 
 
-def _counted_reference(design: Design):
-    """The reference generators, with its finds, successes and DFS nodes."""
-    counts = dict.fromkeys(SEARCH_COUNTERS, 0)
-
-    class Counting(ReferenceAutSearch):
-        def find(self, partial):
-            counts["trials"] += 1
-            found = super().find(partial)
-            counts["successes"] += found is not None
-            return found
-
-        def _dfs(self):
-            counts["nodes"] += 1
-            return super()._dfs()
-
-    gens = reference_automorphism_group(design, Counting)
-    counts["levels"] = design.v
-    return gens.gens, counts
+def _counted_reference(design: Design) -> tuple[tuple, dict]:
+    """The reference generators, with its levels, trials, successes and
+    DFS nodes."""
+    searcher = ReferenceAutSearch(design)
+    gens = tuple(searcher.generators())
+    return gens, {name: getattr(searcher, name) for name in SAME_COUNTERS + ("nodes",)}
 
 
-# the searcher's fields fixed by the design, never written by the search
-SEARCH_TABLES = ("v", "blocks", "nblocks", "through", "triple", "points", "taken")
+# the searcher's fields fixed by the design, never written by the search,
+# and its cache of fourth-point tables
+SEARCH_TABLES = (
+    "design", "ranks", "v", "cubes", "pairs", "blocks", "nblocks", "through", "points",
+    "taken", "fourths",
+)
+SEARCH_COUNTERS = SAME_COUNTERS + ("nodes", "settled")
 
 
 def _search_state(searcher: permgrp._AutSearch) -> dict:
@@ -1166,20 +1200,47 @@ def _search_state(searcher: permgrp._AutSearch) -> dict:
 
 
 def _prefix_states(design: Design) -> list[dict]:
-    """The state of a fresh searcher with 0..n-1 assigned to themselves,
-    for n = 0..v."""
+    """The state of a fresh searcher with 0..n-1 fixed, for n = 0..v."""
     fresh = permgrp._AutSearch(design)
     states = [_search_state(fresh)]
     for p in range(design.v):
-        assert fresh._assign(p, p) is not None
+        fresh._fix(p)
+        assert fresh.img[p] == fresh.cimg[p] == p or fresh.fourths is None
         states.append(_search_state(fresh))
     return states
+
+
+def _relabelled(design: Design, perm: list[int]) -> Design:
+    """The design with each point x renamed perm[x]."""
+    return Design(design.v, design.t, [[perm[x] for x in block] for block in design.blocks])
+
+
+def _closed_form_order(key: tuple) -> int:
+    """|Aut| of a catalogue design: |AGL(d,2)| (1344 for d = 3, where the
+    design is the Netto q = 7 one), |PGammaL(2,q^e)|, |PSigmaL(2,q)| for
+    Netto q > 7, and 887040 for the Witt design."""
+    family, *params = key
+    if family == "affine" or key == ("netto", 7):
+        d = params[0] if family == "affine" else 3
+        order = 2**d
+        for i in range(d):
+            order *= 2**d - 2**i
+        return order
+    if family == "spherical":
+        q, e = params
+        f = prime_power(q)[1]
+        n = q**e
+        return (n + 1) * n * (n - 1) * f * e
+    if family == "netto":
+        (q,) = params
+        return (q + 1) * q * (q - 1) // 2 * prime_power(q)[1]
+    return 887040
 
 
 class TestAutomorphismSearchDifferential:
     def test_cases_cover_the_small_catalogue(self, catalogue):
         small = {key for key, design in catalogue.items() if design.v <= 32}
-        assert small <= set(AUT_CASES) <= set(catalogue)
+        assert small <= set(AUT_CASES) <= set(catalogue) == set(SEARCH_WORK)
 
     @pytest.mark.parametrize("key", AUT_CASES, ids=_key_id)
     def test_same_generators_and_counts(self, key, catalogue):
@@ -1188,7 +1249,11 @@ class TestAutomorphismSearchDifferential:
         searcher = permgrp._AutSearch(design)
         assert tuple(searcher.generators()) == want
         assert automorphism_group(design).gens == want
-        assert {name: getattr(searcher, name) for name in SEARCH_COUNTERS} == counts
+        assert {name: getattr(searcher, name) for name in SAME_COUNTERS} == {
+            name: counts[name] for name in SAME_COUNTERS
+        }
+        assert (searcher.nodes, searcher.settled) == SEARCH_WORK[key]
+        assert searcher.nodes <= counts["nodes"]
 
     @pytest.mark.parametrize("key", AUT_CASES, ids=_key_id)
     def test_every_trial_leaves_the_prefix_state(self, key, catalogue):
@@ -1205,6 +1270,19 @@ class TestAutomorphismSearchDifferential:
         searcher = Checked(design)
         searcher.generators()
         assert _search_state(searcher) == states[design.v]
+
+    @settings(max_examples=24, deadline=None)
+    @given(data=st.data())
+    def test_relabelled_designs(self, catalogue, data):
+        key = data.draw(st.sampled_from(RELABEL_CASES), label="design")
+        design = catalogue[key]
+        assert design.v <= 32
+        perm = data.draw(st.permutations(range(design.v)), label="relabelling")
+        relabelled = _relabelled(design, perm)
+        want, _ = _counted_reference(relabelled)
+        gens = automorphism_group(relabelled)
+        assert gens.gens == want
+        assert group_order(gens).order == _closed_form_order(key)
 
 
 # -- the parameter sieve -------------------------------------------------------
