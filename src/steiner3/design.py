@@ -1,17 +1,18 @@
 """Incidence structures with explicit block lists.
 
 A design is stored canonically: every block strictly increasing, the
-block list sorted lexicographically.  It holds its blocks in the form it
-was built from, a tuple of tuples or a (b, k) int32 array, and derives
-the other form on first use.  The catalogue's orbit and affine
-constructions and `from_json` of a file in the layout `to_json` writes
-all give the array, so a 128-point design goes from construction to disk
-and back without a Python object per block.  Blocks are looked up through
-a table of ranked 3-subsets when each 3-subset lies in at most one block,
-and by sorted prefix keys otherwise; the table is filled, and rows are
-looked up and written out, CHUNK_ROWS rows at a time.  Verification is
-exhaustive t-subset enumeration; that brute force is the oracle for
-everything else in the package, so it stays free of shortcuts.
+block list sorted lexicographically, in one read-only (b, k) int32 array
+that holds every point, as a design has at most 2^31 points; the tuple
+form is derived from it on first use.  The catalogue's constructions,
+`derived_design` and `from_json` of a file in the layout `to_json` writes
+all build the array directly, so a 128-point design goes from
+construction to disk and back without a Python object per block.
+Blocks are looked up through a table of ranked 3-subsets when each
+3-subset lies in at most one block, and by sorted prefix keys otherwise;
+the table is filled, and rows are looked up and written out, CHUNK_ROWS
+rows at a time.  Verification is exhaustive t-subset enumeration; that
+brute force is the oracle for everything else in the package, so it
+stays free of shortcuts.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from operator import itemgetter, lt
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,13 +49,14 @@ class DesignError(Steiner3Error, ValueError):
 
 
 class Design:
-    """Point count plus a canonical sorted list of k-subsets.
+    """Point count (an int, at most 2^31) plus a canonical sorted list of
+    k-subsets, held as one read-only (b, k) int32 array, `block_array`.
 
     The blocks are given as an iterable of point sequences, or as a 2-D
     integer array.  An array already canonical and in range is kept as
-    it is, read-only, as `block_array`, and `blocks` is derived from it
-    on first use; anything else is sorted and checked as a tuple list,
-    from which `block_array` is derived on first use.
+    it is; anything else is filled into an int32 array and kept if that
+    is canonical, or else sorted and checked as a tuple list, which names
+    the first fault.  `blocks`, the tuple form, is derived on first use.
     """
 
     __slots__ = ("v", "t", "labels", "_blocks", "_array", "_keys", "_ranks")
@@ -67,23 +68,26 @@ class Design:
         blocks: Iterable[Sequence[int]] | np.ndarray,
         labels: Sequence[str] | None = None,
     ):
+        # exact type tests, as for the points: JSON writes no other type as an int
+        for name, value in (("point count", v), ("strength", t)):
+            if type(value) is not int:
+                raise DesignError(f"{name} must be an int, got {value!r}")
         if v < 1:
             raise DesignError(f"point count must be positive, got {v}")
         if t < 1:
             raise DesignError(f"strength must be positive, got {t}")
-        canon = array = None
-        if isinstance(blocks, np.ndarray) and _is_canonical_array(blocks, v):
-            array = blocks.astype(_point_dtype(v), copy=False)
-            array.flags.writeable = False
-        else:
-            if isinstance(blocks, np.ndarray):
-                blocks = blocks.tolist()
-            canon = list(map(tuple, blocks))
-            _check_points_are_ints(canon)
-            if not _is_canonical(canon, v):
-                canon = sorted(tuple(sorted(block)) for block in canon)
+        if v > _INT32_POINTS:
+            raise DesignError(f"point count must be at most 2^31, got {v}")
+        if not _is_canonical_array(blocks, v):
+            listed = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
+            _check_points_are_ints(listed)
+            blocks = _block_rows(listed)
+            if not _is_canonical_array(blocks, v):
+                canon = sorted(tuple(sorted(block)) for block in listed)
                 _check_blocks(canon, v)
-            canon = tuple(canon)
+                blocks = _block_rows(canon)
+        array = blocks.astype(np.int32, copy=False)
+        array.flags.writeable = False
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != v:
@@ -91,19 +95,20 @@ class Design:
         self.v = v
         self.t = t
         self.labels = labels
-        self._blocks: tuple[tuple[int, ...], ...] | None = canon
-        self._array: np.ndarray | None = array
+        self._array = array
+        # the tuple form, once `blocks` is read
+        self._blocks: tuple[tuple[int, ...], ...] | None = None
         self._keys: np.ndarray | None = None
         # the ranked 3-subset table once decided; False when there is none
         self._ranks: np.ndarray | bool | None = None
 
     @property
     def b(self) -> int:
-        return len(self._blocks if self._array is None else self._array)
+        return self._array.shape[0]
 
     @property
     def k(self) -> int:
-        return len(self._blocks[0]) if self._array is None else self._array.shape[1]
+        return self._array.shape[1]
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -115,16 +120,7 @@ class Design:
 
     @property
     def block_array(self) -> np.ndarray:
-        """The blocks as a read-only (b, k) array, in canonical order:
-        int32 when every point fits, as it does up to 2^31 points."""
-        if self._array is None:
-            # fromiter fills the array directly; np.array on the nested
-            # tuples would hold a second copy while it builds
-            points = chain.from_iterable(self._blocks)
-            array = np.fromiter(points, _point_dtype(self.v), self.b * self.k)
-            array = array.reshape(self.b, self.k)
-            array.flags.writeable = False
-            self._array = array
+        """The blocks as a read-only (b, k) int32 array, in canonical order."""
         return self._array
 
     def block_index(self, block: Sequence[int] | np.ndarray):
@@ -136,6 +132,8 @@ class Design:
         rows = np.asarray(block)
         if rows.ndim == 1:
             return int(self._lookup(rows[np.newaxis])[0])
+        if rows.ndim != 2:
+            raise DesignError(f"expected one point set or a 2-D array of rows, got {rows.ndim}-D")
         return self._lookup(rows)
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
@@ -276,23 +274,14 @@ class Design:
             return False
         if (self.v, self.t, self.labels) != (other.v, other.t, other.labels):
             return False
-        # both canonical: the arrays are compared when either design holds
-        # one, so the comparison builds no tuple form
-        if self._array is None and other._array is None:
-            return self._blocks == other._blocks
-        return np.array_equal(self.block_array, other.block_array)
+        # both canonical, so equal blocks are equal arrays
+        return np.array_equal(self._array, other._array)
 
     def __hash__(self):
-        # equal designs have equal block arrays: of one dtype, for one v
-        return hash((self.v, self.t, self.block_array.shape, self.block_array.tobytes()))
+        return hash((self.v, self.t, self._array.shape, self._array.tobytes()))
 
     def __repr__(self):
         return f"Design({self.t}-({self.v},{self.k},1), b={self.b})"
-
-
-def _point_dtype(v: int) -> type:
-    """The dtype of a block array on v points: int32 while it holds them."""
-    return np.int32 if v <= _INT32_POINTS else np.int64
 
 
 def rank3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -321,19 +310,14 @@ def mark_triples(table: np.ndarray, rows: np.ndarray, first: int) -> None:
             table[ranks] = ids[:, np.newaxis]
 
 
-def _is_canonical_array(rows: np.ndarray, v: int) -> bool:
-    """Whether a (b, k) integer array holds a canonical, valid block list:
-    b, k > 0, each row strictly increasing within 0..v-1, the rows in
-    strictly increasing lexicographic order, and v at most 2^31.  Each
-    test is a vectorised pass over the array or one of its columns."""
-    if (
-        rows.ndim != 2
-        or rows.dtype.kind not in "iu"
-        or 0 in rows.shape
-        or v > _INT32_POINTS
-    ):
+def _is_canonical_array(rows: object, v: int) -> bool:
+    """Whether rows is a (b, k) integer array holding a canonical, valid
+    block list: b, k > 0, each row strictly increasing within 0..v-1, the
+    rows in strictly increasing lexicographic order.  Each test is a
+    vectorised pass over the array or one of its columns."""
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind in "iu"):
         return False
-    if not (rows[:, 1:] > rows[:, :-1]).all():
+    if 0 in rows.shape or not (rows[:, 1:] > rows[:, :-1]).all():
         return False
     # walk the columns, keeping the pairs of consecutive rows tied so far:
     # a pair must not fall where it is tied, and no pair may stay tied
@@ -348,29 +332,7 @@ def _is_canonical_array(rows: np.ndarray, v: int) -> bool:
     return not tied.any() and int(rows[0, 0]) >= 0 and int(rows[:, -1].max()) < v
 
 
-def _is_canonical(blocks: list[tuple[int, ...]], v: int) -> bool:
-    """Whether the blocks are already canonical and valid: non-empty, of
-    one size, each strictly increasing within 0..v-1, the list strictly
-    increasing.  Each test is one C-level pass that allocates nothing."""
-    if not blocks or len(set(map(len, blocks))) != 1:
-        return False
-    k = len(blocks[0])
-
-    def column(j: int):
-        return map(itemgetter(j), blocks)
-
-    # once sorted, the least point leads the first block, and the greatest
-    # ends some block
-    return (
-        k > 0
-        and all(all(map(lt, column(j), column(j + 1))) for j in range(k - 1))
-        and all(map(lt, blocks, islice(blocks, 1, None)))
-        and blocks[0][0] >= 0
-        and max(column(k - 1)) < v
-    )
-
-
-def _check_points_are_ints(blocks: list[tuple]) -> None:
+def _check_points_are_ints(blocks: list[Sequence]) -> None:
     """Raise DesignError naming the first block with a point whose type
     is not exactly int: a float, a bool or a NumPy integer would be
     written to JSON as something other than an integer, or not at all."""
@@ -378,7 +340,7 @@ def _check_points_are_ints(blocks: list[tuple]) -> None:
         return
     for block in blocks:
         if not set(map(type, block)) <= {int}:
-            raise DesignError(f"block {block} has a point that is not an int")
+            raise DesignError(f"block {tuple(block)} has a point that is not an int")
 
 
 def _check_blocks(canon: list[tuple[int, ...]], v: int) -> None:
@@ -489,11 +451,12 @@ def derived_design(design: Design, x: int) -> Design:
         raise DesignError("derivation needs strength at least 2")
     if not 0 <= x < design.v:
         raise DesignError(f"point {x} out of range")
-    blocks = [
-        tuple(p if p < x else p - 1 for p in block if p != x)
-        for block in design.blocks
-        if x in block
-    ]
+    # the rows through x, x dropped and every point above it lowered by
+    # one: still strictly increasing and in lexicographic order
+    rows = design.block_array
+    through = rows[(rows == x).any(axis=1)]
+    blocks = through[through != x].reshape(len(through), design.k - 1)
+    blocks[blocks > x] -= 1
     labels = None
     if design.labels is not None:
         labels = design.labels[:x] + design.labels[x + 1 :]
@@ -580,10 +543,9 @@ def blocksize_bound(v: int) -> int:
 def to_json(design: Design) -> str:
     """Canonical JSON; parse(emit(d)) == d byte-for-byte on re-emission.
     The same bytes as `json.dumps` of the payload with `(",", ":")`
-    separators, the blocks written by `_block_text` from whichever form
-    the design holds, the array when it holds both."""
-    blocks = design._blocks if design._array is None else design._array
-    return _json_head(design.v, design.t, design.labels) + "".join(_block_text(blocks)) + "]}\n"
+    separators, the blocks written from the array by `_block_text`."""
+    head = _json_head(design.v, design.t, design.labels)
+    return head + "".join(_block_text(design.block_array)) + "]}\n"
 
 
 def _json_head(v: int, t: int, labels: Sequence[str] | None) -> str:
@@ -594,11 +556,11 @@ def _json_head(v: int, t: int, labels: Sequence[str] | None) -> str:
     return json.dumps(payload, separators=(",", ":"))[:-1] + ',"blocks":['
 
 
-def _block_text(blocks: np.ndarray | Sequence[tuple[int, ...]]) -> Iterator[str]:
-    """A non-empty (b, k) array or tuple of k-tuples of ints as JSON rows
-    "[0,1,2,3],..." in pieces of CHUNK_ROWS rows, each after the first
-    led by its comma.  Each piece is one %-format of its points; "%d"
-    writes an int as `json` does."""
+def _block_text(blocks: np.ndarray) -> Iterator[str]:
+    """A non-empty (b, k) integer array as JSON rows "[0,1,2,3],..." in
+    pieces of CHUNK_ROWS rows, each after the first led by its comma.
+    Each piece is one %-format of its points; "%d" writes an int as
+    `json` does."""
     row = "[" + ",".join(["%d"] * len(blocks[0])) + "]"
     full = ",".join([row] * CHUNK_ROWS)
     for start in range(0, len(blocks), CHUNK_ROWS):
@@ -606,10 +568,7 @@ def _block_text(blocks: np.ndarray | Sequence[tuple[int, ...]]) -> Iterator[str]
         form = full if len(chunk) == CHUNK_ROWS else ",".join([row] * len(chunk))
         if start:
             form = "," + form
-        if isinstance(chunk, np.ndarray):
-            yield form % tuple(chunk.ravel().tolist())
-        else:
-            yield form % tuple(chain.from_iterable(chunk))
+        yield form % tuple(chunk.ravel().tolist())
 
 
 # the opening of a file in to_json's layout without labels; v and t of at
@@ -652,7 +611,7 @@ def from_json(text: str) -> Design:
         isinstance(labels, list) and all(isinstance(label, str) for label in labels)
     ):
         raise DesignError("'labels' must be a list of strings")
-    return Design(payload["v"], payload["t"], _block_rows(blocks), labels)
+    return Design(payload["v"], payload["t"], blocks, labels)
 
 
 def _canonical_rows(text: str) -> tuple[int, int, np.ndarray] | None:
@@ -691,10 +650,10 @@ def _canonical_rows(text: str) -> tuple[int, int, np.ndarray] | None:
     return (v, t, rows) if at == end else None
 
 
-def _block_rows(blocks: list[list[int]]) -> np.ndarray | list[list[int]]:
-    """The parsed blocks as one (b, k) int32 array, filled straight from
-    the lists, or the lists themselves where they fit no such array:
-    when they are empty, of mixed sizes or hold a point beyond int32."""
+def _block_rows(blocks: list[Sequence[int]]) -> np.ndarray | list[Sequence[int]]:
+    """The blocks as one (b, k) int32 array, filled straight from the
+    sequences, or the list itself where it fits no such array: when it
+    is empty, of mixed sizes or holds a point beyond int32."""
     sizes = set(map(len, blocks))
     if len(sizes) != 1 or 0 in sizes:
         return blocks

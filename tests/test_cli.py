@@ -294,6 +294,18 @@ class TestErrorContract:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "verb,extra", [("derive", ["--point", "0"]), ("params", [])], ids=["derive", "params"]
+    )
+    def test_design_above_2_to_the_31_points(self, verb, extra, tmp_path, capsys):
+        # derive wrote a design of 2^31 points from this and exited 0
+        design = tmp_path / "big.json"
+        design.write_text(json.dumps({"v": 2**31 + 1, "t": 3, "blocks": [[0, 1, 2, 2**31]]}))
+        out = tmp_path / "derived.json"
+        argv = [verb, str(design), *extra] + (["--out", str(out)] if verb == "derive" else [])
+        self.assert_usage_error(run(capsys, *argv))
+        assert not out.exists()
+
     def test_autgroup_above_search_bound(self, tmp_path, capsys):
         path = tmp_path / "n67.json"
         run(capsys, "construct", "--family", "netto", "--q", "67", "--out", str(path))

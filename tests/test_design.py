@@ -99,6 +99,51 @@ class TestDesignContainer:
         with pytest.raises(DesignError):
             Design(3, 2, [[0, 1]], labels=["a", "b"])
 
+    @pytest.mark.parametrize(
+        "block,dims",
+        [(5, 0), (np.zeros((2, 4, 4), dtype=np.int32), 3)],
+        ids=["scalar", "3-D"],
+    )
+    def test_block_index_takes_one_set_or_rows(self, affine3, block, dims):
+        # these raised IndexError and a broadcasting ValueError
+        with pytest.raises(DesignError) as info:
+            affine3.block_index(block)
+        assert str(info.value) == f"expected one point set or a 2-D array of rows, got {dims}-D"
+
+
+class TestPointCountAndStrength:
+    @pytest.mark.parametrize(
+        "v,t,message",
+        [
+            (np.int64(8), 3, "point count must be an int, got np.int64(8)"),
+            (8.0, 3, "point count must be an int, got 8.0"),
+            (8, 3.0, "strength must be an int, got 3.0"),
+            (True, 1, "point count must be an int, got True"),
+        ],
+        ids=["numpy-v", "float-v", "float-t", "bool-v"],
+    )
+    def test_must_be_ints(self, v, t, message):
+        # to_json raised TypeError on a NumPy v, and wrote the others to a
+        # file that from_json rejected
+        with pytest.raises(DesignError) as info:
+            Design(v, t, [(0, 1, 2, 3)])
+        assert str(info.value) == message
+
+    def test_valid_design_round_trips(self, affine3):
+        labelled = Design(8, 3, affine3.blocks, labels=list("abcdefgh"))
+        for design in (affine3, labelled):
+            text = to_json(design)
+            assert from_json(text) == design and to_json(from_json(text)) == text
+
+    def test_at_most_2_to_the_31_points(self):
+        top = Design(2**31, 3, [[0, 1, 2, 2**31 - 1]])
+        assert top.block_array.dtype == np.int32 and top.blocks == ((0, 1, 2, 2**31 - 1),)
+        text = to_json(top)
+        assert from_json(text) == top and to_json(from_json(text)) == text
+        with pytest.raises(DesignError) as info:
+            Design(2**31 + 1, 3, [[0, 1, 2, 3]])
+        assert str(info.value) == f"point count must be at most 2^31, got {2**31 + 1}"
+
 
 def scrambled(blocks, seed: int) -> list[list[int]]:
     """The same blocks, each with its points and the list itself shuffled."""

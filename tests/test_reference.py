@@ -12,8 +12,10 @@ reference for the ranked 3-subset lookup on every kind of row, and
 array loader and for the parse of to_json's own layout straight into an
 array: the same design, blocks and JSON bytes, or the same error.
 `reference_to_json`, `json.dumps` of the block tuples, is the reference
-for the chunked row writer, and `reference_boolean_affine`, the
-comprehension over 3-subsets, for the NumPy affine construction.
+for the chunked row writer, `reference_boolean_affine`, the
+comprehension over 3-subsets, for the NumPy affine construction, and
+`reference_derived_design`, the comprehension over the block tuples,
+for the derivation on the block array.
 `reference_flag_orbit` is the flag-table search that
 the orbit-stabiliser count replaced: a frontier `orbit` over an
 (m, b*k) table of flag images.  `reference_screen` is the
@@ -479,7 +481,7 @@ def designs_to_128():
 
 def _chunk_edge_designs():
     """Designs of one block less than, exactly and one more than one and
-    two chunks of the row writer, held as tuples and as an array."""
+    two chunks of the row writer, built from tuples and from an array."""
     quads = list(combinations(range(40), 4))
     for b in (CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 1):
         design = Design(40, 3, quads[:b])
@@ -576,7 +578,9 @@ class TestBlockWriterDifferential:
         for name, design in designs_to_128.items():
             text = to_json(design)  # from the array the constructor built
             tuples = Design(design.v, design.t, design.blocks)
-            assert tuples._array is None
+            # built from tuples, it holds the same int32 array
+            assert tuples.block_array.dtype == np.int32, name
+            assert np.array_equal(tuples.block_array, design.block_array), name
             assert text == to_json(tuples) == reference_to_json(design), name
 
     def test_derived_designs(self, designs_to_128):
@@ -606,6 +610,74 @@ def test_boolean_affine_against_the_comprehension(d):
     assert design._blocks is None
     assert design.block_array.dtype == np.int32
     assert design.block_array.tolist() == [list(block) for block in reference_boolean_affine(d)]
+
+
+def reference_derived_design(design: Design, x: int) -> Design:
+    """The derived design as the comprehension over the block tuples
+    built it."""
+    blocks = [
+        tuple(p if p < x else p - 1 for p in block if p != x)
+        for block in design.blocks
+        if x in block
+    ]
+    labels = None
+    if design.labels is not None:
+        labels = design.labels[:x] + design.labels[x + 1 :]
+    return Design(design.v - 1, design.t - 1, blocks, labels)
+
+
+def _labelled(design: Design) -> Design:
+    return Design(design.v, design.t, design.block_array, [f"p{i}" for i in range(design.v)])
+
+
+def _assert_same_derived(design: Design, x: int, label) -> Design:
+    derived, want = derived_design(design, x), reference_derived_design(design, x)
+    assert derived == want and derived.labels == want.labels, label
+    assert derived.blocks == want.blocks, label
+    return derived
+
+
+class TestDerivedDesignDifferential:
+    """`derived_design` takes the rows through x from the block array;
+    the comprehension over the block tuples must give the same design,
+    labels included."""
+
+    def test_designs_to_128_points(self, designs_to_128):
+        for name, design in designs_to_128.items():
+            for x in sorted({0, design.v // 2, design.v - 1}):
+                _assert_same_derived(design, x, (name, x))
+                _assert_same_derived(_labelled(design), x, (name, x, "labelled"))
+
+    def test_witt_chain(self):
+        octads = catalog.construct_octad_design()
+        for design in (octads, _labelled(octads)):
+            first = _assert_same_derived(design, 23, "octads -> 23")
+            second = _assert_same_derived(first, 22, "23 -> 22")
+            assert (first.b, second.b) == (253, 77)
+            assert np.array_equal(second.block_array, catalog.construct_witt_22().block_array)
+        assert second.labels == tuple(f"p{i}" for i in range(22))
+
+
+def test_designs_hold_no_tuple_form_until_read():
+    # every constructor, a derivation and both paths of from_json give
+    # the array alone; reading `.blocks` builds the tuples once
+    witt = catalog.construct_witt_22()
+    text = to_json(witt)
+    spaced = text.replace(",", ", ")
+    assert _canonical_rows(text) is not None and _canonical_rows(spaced) is None
+    designs = [
+        construct_boolean_affine(3),
+        construct_spherical(3, 2),
+        construct_netto_extension(7),
+        catalog.construct_octad_design(),
+        witt,
+        derived_design(witt, 0),
+        from_json(text),
+        from_json(spaced),
+    ]
+    for design in designs:
+        assert design._blocks is None, design
+        assert design.blocks is design.blocks and design._blocks is not None, design
 
 
 class TestBlockActionDifferential:
