@@ -6,8 +6,8 @@ straight from the zero-XOR-sum condition, and the 3-(22,6,1) design is
 built from scratch through the length-24 minimum-distance-8 binary
 lexicode (greedy closure), its 759 weight-8 supports, and two
 derivations.  Each lexicode basis word after the first few is read off
-a coset-leader table as the least coset minimum of leader weight >= 8,
-not found by scanning candidates.  Every route is self-certifying: wrong
+a coset-leader table, built once by meeting in the middle and then
+folded by each word found.  Every route is self-certifying: wrong
 intermediate counts raise instead of producing a wrong design.
 """
 
@@ -62,18 +62,14 @@ class ProjectiveLine:
 
     def translation(self) -> tuple[int, ...]:
         """x -> x + 1."""
-        ctx = self.ctx
-        images = [ctx.add(i, 1) for i in range(ctx.order)] + [self.infinity]
-        return tuple(images)
+        return tuple([self.ctx.add(i, 1) for i in range(self.ctx.order)] + [self.infinity])
 
     def scaling(self, factor_index: int) -> tuple[int, ...]:
         """x -> c x for a fixed nonzero c."""
         ctx = self.ctx
         if factor_index == 0:
             raise CatalogError("scaling factor must be nonzero")
-        images = [ctx.mul(factor_index, i) for i in range(ctx.order)]
-        images.append(self.infinity)
-        return tuple(images)
+        return tuple([ctx.mul(factor_index, i) for i in range(ctx.order)] + [self.infinity])
 
     def inversion(self, negate: bool = False) -> tuple[int, ...]:
         """x -> 1/x, or x -> -1/x with negate=True."""
@@ -88,8 +84,7 @@ class ProjectiveLine:
     def frobenius_map(self) -> tuple[int, ...]:
         """x -> x^p."""
         ctx = self.ctx
-        images = [ctx.pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity]
-        return tuple(images)
+        return tuple([ctx.pow(i, ctx.p) for i in range(ctx.order)] + [self.infinity])
 
     def group(self, kind: str) -> GeneratorSet:
         """Generators of `kind`, one of PROJECTIVE_KINDS, on the line.  For
@@ -222,31 +217,26 @@ def construct_netto_extension(q: int) -> Design:
 
 def construct_octad_design() -> Design:
     """The 5-(24,8,1) design whose blocks are the lexicode octads."""
-    words = lexicode_codewords()
+    words = np.array(lexicode_codewords(), dtype=np.uint32)
     if len(words) != 4096:
         raise GolayConstructionError(f"expected 4096 codewords, got {len(words)}")
-    octads = sorted(
-        tuple(i for i in range(24) if (w >> i) & 1)
-        for w in words
-        if w.bit_count() == 8
-    )
+    octads = words[np.bitwise_count(words) == 8]
     if len(octads) != 759:
         raise GolayConstructionError(f"expected 759 octads, got {len(octads)}")
-    return Design(24, 5, octads)
+    # the support of each octad, one sorted row of 8 points, rows in order
+    bits = (octads[:, np.newaxis] >> np.arange(_LEX_LENGTH, dtype=np.uint32)) & 1
+    rows = bits.nonzero()[1].astype(np.int32).reshape(-1, 8)
+    return Design(_LEX_LENGTH, 5, rows[np.lexsort(rows.T[::-1])])
 
 
 def construct_witt_22() -> Design:
     """The 3-(22,6,1) design: the octad design derived at its two last points."""
     first = derived_design(construct_octad_design(), 23)
     if first.b != 253:
-        raise GolayConstructionError(
-            f"expected 253 blocks after one derivation, got {first.b}"
-        )
+        raise GolayConstructionError(f"expected 253 blocks after one derivation, got {first.b}")
     second = derived_design(first, 22)
     if second.b != 77:
-        raise GolayConstructionError(
-            f"expected 77 blocks after two derivations, got {second.b}"
-        )
+        raise GolayConstructionError(f"expected 77 blocks after two derivations, got {second.b}")
     return second
 
 
@@ -266,16 +256,15 @@ def lexicode_codewords() -> tuple[int, ...]:
 
     The greedy next basis word is the least integer whose coset of the
     span keeps distance >= 8.  The first few are found by scanning
-    candidates against the span words.  After that, the least integer of
-    a coset is the member with every pivot bit of the reduced basis clear,
-    so the next word is read off the coset-leader table: the least
-    syndrome that no sum of at most 7 columns reaches, spread back over
-    the non-pivot bits.  When tracing, one JSON line of counters goes to
-    stderr per computation.
+    candidates against the span words, the rest read off coset-leader
+    tables: one built, each later one the last folded by the word found.
+    When tracing, one JSON line of counters goes to stderr per
+    computation, `tables` counting the words read off a table.
     """
     basis: list[int] = []
     span = np.zeros(1, dtype=np.uint32)
     scanned = tables = 0
+    table = None
     while len(basis) < _LEX_DIMENSION:
         if len(basis) < _LEX_SCAN_WORDS:
             start = basis[-1] + 1 if basis else 1
@@ -283,7 +272,8 @@ def lexicode_codewords() -> tuple[int, ...]:
             if found is not None:
                 scanned += found - start + 1
         else:
-            found = _least_far_coset(basis)
+            table = _coset_table(basis) if table is None else _fold(*table, s)
+            s, found = _read_off(*table)
             tables += 1
         if found is None:
             break
@@ -311,11 +301,8 @@ def _scan_span(span: np.ndarray, start: int) -> int | None:
 
 
 def _rref(basis: list[int]) -> list[tuple[int, int]]:
-    """Row-reduce over GF(2); returns (pivot bit, row) pairs.
-
-    Fully reduced: each row's pivot is its top bit, and no other row has
-    that bit set.
-    """
+    """Row-reduce over GF(2) to (pivot bit, row) pairs, fully reduced: each
+    row's pivot is its top bit, and no other row has that bit set."""
     rows: list[tuple[int, int]] = []
     for word in basis:
         for pivot, row in rows:
@@ -329,40 +316,66 @@ def _rref(basis: list[int]) -> list[tuple[int, int]]:
     return rows
 
 
-def _least_far_coset(basis: list[int]) -> int | None:
-    """The least word at distance >= 8 from the span of `basis`, or None.
+def _syndrome(rows: list[tuple[int, int]], nonpivots: list[int], word: int) -> int:
+    """The non-pivot bits, packed in order, of the word's coset member
+    with every pivot bit clear."""
+    for pivot, row in rows:
+        if (word >> pivot) & 1:
+            word ^= row
+    return sum(1 << i for i, bit in enumerate(nonpivots) if (word >> bit) & 1)
 
-    A word with every pivot bit clear is the least in its coset: adding a
-    nonzero codeword sets the highest pivot involved and no higher bit.
-    Its packed syndrome is its non-pivot bits in order, so spreading a
-    syndrome back over those bits keeps order, and the answer is the
-    least syndrome of coset-leader weight >= 8, spread back.
+
+def _coset_table(basis: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The coset-leader table of the span and its non-pivot bits: entry s
+    is True when a word of weight <= 7 has syndrome s.  Such a word splits
+    into its low and high 12 bits, so the table marks each XOR of a
+    syndrome of a low a-subset with one of a high subset of at most 7 - a
+    bits, a few rows at a time: no index array outgrows the table.
     """
     rows = _rref(basis)
     pivots = {p for p, _ in rows}
     nonpivots = [b for b in range(_LEX_LENGTH) if b not in pivots]
-    columns = []
-    for j in range(_LEX_LENGTH):
-        word = 1 << j
-        for pivot, row in rows:
-            if (word >> pivot) & 1:
-                word ^= row
-        columns.append(sum(1 << i for i, bit in enumerate(nonpivots) if (word >> bit) & 1))
-    # near[s]: some sum of at most 7 columns has syndrome s (leader weight < 8)
+    half = _LEX_LENGTH // 2
+    # low[i] (high[i]): the syndrome of the word with low (high) 12 bits i, the rest 0
+    low, high = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    for j in range(half):
+        low = np.concatenate([low, low ^ _syndrome(rows, nonpivots, 1 << j)])
+        high = np.concatenate([high, high ^ _syndrome(rows, nonpivots, 1 << (half + j))])
+    size = np.bitwise_count(np.arange(1 << half))
     near = np.zeros(1 << len(nonpivots), dtype=bool)
-    near[0] = True
-    frontier = np.zeros(1, dtype=np.intp)
-    for _ in range(_LEX_DISTANCE - 1):
-        fresh = np.zeros_like(near)
-        for col in columns:
-            fresh[frontier ^ col] = True
-        fresh &= ~near
-        near |= fresh
-        frontier = np.flatnonzero(fresh)
+    for a in range(_LEX_DISTANCE):
+        lows, highs = low[size == a], high[size < _LEX_DISTANCE - a]
+        step = max(1, len(near) // (16 * len(highs)))
+        for i in range(0, len(lows), step):
+            near[lows[i : i + step, np.newaxis] ^ highs] = True
+    return near, nonpivots
+
+
+def _fold(near: np.ndarray, nonpivots: list[int], s: int) -> tuple[np.ndarray, list[int]]:
+    """The table once a word of syndrome s joins the basis.  Its pivot is
+    non-pivot bit p, the top bit of s; a syndrome with bit p set gains s,
+    and bit p drops: new[t] = near[u] | near[u ^ s], u being t with a 0
+    inserted at bit p.  On a (2,)*n view, XOR by s reverses some axes.
+    """
+    p = s.bit_length() - 1
+    bits = range(len(nonpivots) - 1, -1, -1)
+    cube = near.reshape((2,) * len(nonpivots))
+    kept = cube[tuple(0 if b == p else slice(None) for b in bits)]
+    moved = cube[tuple(1 if b == p else slice(None, None, -1 if s >> b & 1 else 1) for b in bits)]
+    return (kept | moved).reshape(-1), nonpivots[:p] + nonpivots[p + 1 :]
+
+
+def _read_off(near: np.ndarray, nonpivots: list[int]) -> tuple[int, int | None]:
+    """The least syndrome of leader weight >= 8 and its coset's least word,
+    the one with every pivot bit clear (a codeword sets its highest pivot
+    and no higher bit), or None for the word if every coset is near."""
     s = int(near.argmin())
-    if near[s]:
-        return None
-    return sum(1 << bit for i, bit in enumerate(nonpivots) if (s >> i) & 1)
+    return s, None if near[s] else sum(1 << b for i, b in enumerate(nonpivots) if s >> i & 1)
+
+
+def _least_far_coset(basis: list[int]) -> int | None:
+    """The least word at distance >= 8 from the span of `basis`, or None."""
+    return _read_off(*_coset_table(basis))[1]
 
 
 # -- group generator constructions ---------------------------------------------
@@ -377,12 +390,8 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
     n = 1 << d
     if kind == "AGL_d_2":
         gens = [tuple(x ^ (1 << i) for x in range(n)) for i in range(d)]
-        for i in range(d):
-            for j in range(d):
-                if i != j:
-                    gens.append(
-                        tuple(x ^ (((x >> j) & 1) << i) for x in range(n))
-                    )
+        pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+        gens += [tuple(x ^ (((x >> j) & 1) << i) for x in range(n)) for i, j in pairs]
         return GeneratorSet(n, gens)
     if kind == "T_A7":
         if d != 4:
@@ -403,9 +412,7 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
 def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
     """Generators of PSL/PGL/PSigmaL/PGammaL(2, q^e) on the projective line."""
     if kind not in PROJECTIVE_KINDS:
-        raise CatalogError(
-            f"unknown projective kind {kind!r}, expected one of {PROJECTIVE_KINDS}"
-        )
+        raise CatalogError(f"unknown projective kind {kind!r}, expected one of {PROJECTIVE_KINDS}")
     return _projective_line(q, e).group(kind)
 
 
@@ -458,16 +465,10 @@ def _affine_entry(d: int) -> CatalogueEntry:
 
 
 def _spherical_entry(q: int, e: int) -> CatalogueEntry:
-    groups = [
-        (
-            f"PGL(2,{q**e}) up to PGammaL(2,{q**e})",
-            f"projective --kind PGL --q {q} --e {e}",
-        )
-    ]
+    n = q**e
+    groups = [(f"PGL(2,{n}) up to PGammaL(2,{n})", f"projective --kind PGL --q {q} --e {e}")]
     if e % 2 == 1 and q % 2 == 1:
-        groups.append(
-            (f"PSL(2,{q**e}) (e odd)", f"projective --kind PSL --q {q} --e {e}")
-        )
+        groups.append((f"PSL(2,{n}) (e odd)", f"projective --kind PSL --q {q} --e {e}"))
     return CatalogueEntry("spherical", (("q", q), ("e", e)), tuple(groups))
 
 
@@ -510,8 +511,7 @@ def classify(v: int, k: int) -> list[CatalogueEntry]:
         q = k - 1
         if prime_power(q) is not None and q >= 3:
             base = v - 1
-            e = 0
-            power = 1
+            e, power = 0, 1
             while power < base:
                 power *= q
                 e += 1

@@ -1,6 +1,6 @@
 """Peak allocations of the 128-point Netto construction, flag check,
-design file round trip, design comparison and `--json` sieve sweep, and
-what a constructed or loaded 128-point design holds.
+design file round trip, design comparison, lexicode and `--json` sieve
+sweep, and what a constructed or loaded 128-point design holds.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
@@ -16,6 +16,7 @@ from steiner3.catalog import (
     affine_group_generators,
     construct_boolean_affine,
     construct_netto_extension,
+    lexicode_codewords,
     projective_group_generators,
 )
 from steiner3.cli import main
@@ -143,6 +144,14 @@ def test_to_json_writes_an_array_in_chunks():
     design = construct_netto_extension(127)
     assert design._blocks is None
     assert peak_mb(to_json, design) < 3.5
+
+
+def test_lexicode_folds_its_coset_leader_table():
+    # a breadth-first search per basis word, with its frontier arrays,
+    # peaked at 2.35 MB; one 2^19-entry table, marked a few rows at a time
+    # and then folded, peaks near 0.95 MB
+    lexicode_codewords.cache_clear()
+    assert peak_mb(lexicode_codewords) < 1.25
 
 
 def sieve_json_peak_mb(v_max: int) -> float:

@@ -31,6 +31,12 @@ and on relabellings of them, and leave the fixed prefix's state, the
 closure included, behind every trial.  `reference_lexicode` is the greedy lexicode that
 tested every candidate word against a coset-leader table; reading each
 basis word off the table must give the same words.
+`reference_coset_table` is the coset-leader table built by a breadth-first
+search for every basis; the table marked by meeting in the middle must
+equal it on every lexicode prefix and on random bases, and so must the
+table folded by one more word.  `reference_octad_design`, the
+comprehension over the codewords' bits, is the reference for the NumPy
+octads.
 `reference_block_orbit` is the base-block orbit built one tuple and one
 set probe at a time; the array breadth-first search must give the same
 sorted blocks for every spherical and Netto design up to 128 points.
@@ -60,6 +66,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steiner3 import catalog, cli, permgrp, sieve
+from steiner3 import design as design_module
 from steiner3.catalog import (
     AFFINE_KINDS,
     PROJECTIVE_KINDS,
@@ -1726,3 +1733,116 @@ class TestLexicodeDifferential:
     def test_full_code_has_no_far_coset(self, greedy_lexicode):
         # the Golay code has covering radius 4: every coset is near
         assert catalog._least_far_coset(greedy_lexicode[0]) is None
+
+
+# The coset-leader table as it was built before the meet-in-the-middle
+# marking and the fold: a breadth-first search over sums of at most 7
+# columns, rebuilt for every basis.  Kept verbatim as the reference.
+
+
+def reference_coset_table(basis: list[int]) -> tuple[np.ndarray, list[int]]:
+    rows = catalog._rref(basis)
+    pivots = {p for p, _ in rows}
+    nonpivots = [b for b in range(_LEX) if b not in pivots]
+    columns = []
+    for j in range(_LEX):
+        word = 1 << j
+        for pivot, row in rows:
+            if (word >> pivot) & 1:
+                word ^= row
+        columns.append(sum(1 << i for i, bit in enumerate(nonpivots) if (word >> bit) & 1))
+    # near[s]: some sum of at most 7 columns has syndrome s (leader weight < 8)
+    near = np.zeros(1 << len(nonpivots), dtype=bool)
+    near[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    for _ in range(catalog._LEX_DISTANCE - 1):
+        fresh = np.zeros_like(near)
+        for col in columns:
+            fresh[frontier ^ col] = True
+        fresh &= ~near
+        near |= fresh
+        frontier = np.flatnonzero(fresh)
+    return near, nonpivots
+
+
+def _random_basis(rng: random.Random, size: int) -> list[int]:
+    """`size` independent random words of length 24."""
+    basis: list[int] = []
+    while len(basis) < size:
+        word = rng.getrandbits(_LEX)
+        try:
+            catalog._rref(basis + [word])
+        except catalog.GolayConstructionError:
+            continue
+        basis.append(word)
+    return basis
+
+
+def _assert_same_table(got, want):
+    near, nonpivots = got
+    assert nonpivots == want[1]
+    assert near.dtype == want[0].dtype and near.shape == want[0].shape
+    assert np.array_equal(near, want[0])
+
+
+def _folded(basis: list[int], word: int):
+    """The table of `basis` folded by the syndrome of `word` under it."""
+    near, nonpivots = catalog._coset_table(basis)
+    s = catalog._syndrome(catalog._rref(basis), nonpivots, word)
+    return catalog._fold(near, nonpivots, s)
+
+
+LEX_SIZES = range(catalog._LEX_SCAN_WORDS, catalog._LEX_DIMENSION)
+RANDOM_BASES = [(seed, 5 + seed % 7) for seed in range(21)]
+
+
+class TestCosetTableDifferential:
+    @pytest.mark.parametrize("size", LEX_SIZES)
+    def test_table_of_a_lexicode_prefix(self, size, greedy_lexicode):
+        basis = greedy_lexicode[0][:size]
+        _assert_same_table(catalog._coset_table(basis), reference_coset_table(basis))
+
+    @pytest.mark.parametrize("seed,size", RANDOM_BASES)
+    def test_table_of_a_random_basis(self, seed, size):
+        basis = _random_basis(random.Random(seed), size)
+        _assert_same_table(catalog._coset_table(basis), reference_coset_table(basis))
+
+    @pytest.mark.parametrize("size", LEX_SIZES)
+    def test_fold_at_each_lexicode_step(self, size, greedy_lexicode):
+        basis = greedy_lexicode[0][: size + 1]
+        _assert_same_table(_folded(basis[:-1], basis[-1]), reference_coset_table(basis))
+
+    @pytest.mark.parametrize("seed,size", RANDOM_BASES)
+    def test_fold_by_a_random_word(self, seed, size):
+        basis = _random_basis(random.Random(1000 + seed), size + 1)
+        _assert_same_table(_folded(basis[:-1], basis[-1]), reference_coset_table(basis))
+
+    def test_read_off_matches_the_reference_table(self, greedy_lexicode):
+        basis = greedy_lexicode[0]
+        for size in LEX_SIZES:
+            near, nonpivots = reference_coset_table(basis[:size])
+            assert catalog._read_off(near, nonpivots)[1] == basis[size]
+
+
+# -- the octads -------------------------------------------------------------------
+
+
+def reference_octad_design() -> Design:
+    """The octads by a comprehension over the codewords and their bits."""
+    octads = sorted(
+        tuple(i for i in range(24) if (w >> i) & 1)
+        for w in lexicode_codewords()
+        if w.bit_count() == 8
+    )
+    return Design(24, 5, octads)
+
+
+def test_octad_design_matches_the_comprehension(monkeypatch):
+    want = reference_octad_design()
+    # the rows reach Design canonical, so its sort-and-check path never runs
+    monkeypatch.setattr(design_module, "_check_blocks", None)
+    got = catalog.construct_octad_design()
+    assert got == want
+    assert got.block_array.dtype == np.int32
+    assert np.array_equal(got.block_array, want.block_array)
+    assert got.blocks == want.blocks
