@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import MAX_POINTS, Design, derived_design, mark_triples, rank3
+from .design import CHUNK_ROWS, MAX_POINTS, Design, derived_design, mark_triples, rank3
 from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet, parse_generators
@@ -123,18 +123,19 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
     the generators span, as a sorted (b, k) int32 array.
 
     Breadth-first over a preallocated (cap, k) block array, cap the block
-    count C(v,3)/C(k,3) of a Steiner 3-design: each level maps the whole
-    frontier through every generator at once and sorts the rows.  Every
-    3-subset of a stored block is marked with the block in a table of
-    C(v,3) ranked 3-subsets, ranked as `Design` ranks them, so an image is
-    found through the rank of its first three points, and an image whose
-    first three points are unmarked is new.  A new block marking an
-    already marked 3-subset, or an image other than the stored block its
-    first three points give, means two blocks share three points, so the
-    orbit is not a partial Steiner 3-system: that, or more than cap
-    blocks, raises.  Distinct first three points make their order the
-    lexicographic order.  When tracing, one JSON line of counters goes to
-    stderr.
+    count C(v,3)/C(k,3) of a Steiner 3-design: each level maps its
+    frontier through every generator, CHUNK_ROWS blocks at a time, and
+    sorts the rows.  Every 3-subset of a stored block is marked with the
+    block in a table of C(v,3) ranked 3-subsets, ranked as `Design` ranks
+    them, so an image is found through the rank of its first three
+    points, and an image whose first three points are unmarked is new; a
+    chunk's new blocks are stored and marked before the next is mapped.
+    A new block marking an already marked 3-subset, or an image other
+    than the stored block its first three points give, means two blocks
+    share three points, so the orbit is not a partial Steiner 3-system:
+    that, or more than cap blocks, raises.  Distinct first three points
+    make their order the lexicographic order.  When tracing, one JSON
+    line of counters goes to stderr.
     """
     if not gens:
         return np.array([base], dtype=np.int32)
@@ -147,27 +148,32 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
     # block_of[r]: the stored block through the 3-subset of rank r, or -1
     block_of = np.full(math.comb(v, 3), -1, dtype=np.int32)
     mark_triples(block_of, store[:1], 0)
-    lo, hi = 0, 1
+    # store[lo:hi] is the level's frontier, store[:end] every block found
+    lo, hi, end = 0, 1, 1
     levels = images = 0
     while lo < hi:
-        rows = np.sort(table[:, store[lo:hi]].reshape(-1, k), axis=1).astype(np.int32)
         levels += 1
-        images += len(rows)
-        first = rank3(rows[:, 0], rows[:, 1], rows[:, 2])
-        unseen = np.flatnonzero(block_of[first] < 0)
-        _, new = np.unique(first[unseen], return_index=True)
-        lo, hi = hi, hi + len(new)
-        if hi > cap:
-            raise CatalogError(f"block orbit exceeds the {cap} blocks of a Steiner 3-design")
-        store[lo:hi] = rows[unseen[new]]
-        mark_triples(block_of, store[lo:hi], lo)
-        if (
-            np.count_nonzero(block_of >= 0) != hi * per_block
-            or not (store[block_of[first]] == rows).all()
-        ):
-            raise CatalogError("block orbit has two blocks sharing three points")
-    emit("catalog._block_orbit", levels=levels, images=images, blocks=hi)
-    blocks = store[:hi]
+        for start in range(lo, hi, CHUNK_ROWS):
+            frontier = store[start : min(start + CHUNK_ROWS, hi)]
+            rows = np.sort(table[:, frontier].reshape(-1, k), axis=1).astype(np.int32)
+            images += len(rows)
+            first = rank3(rows[:, 0], rows[:, 1], rows[:, 2])
+            unseen = np.flatnonzero(block_of[first] < 0)
+            _, new = np.unique(first[unseen], return_index=True)
+            if end + len(new) > cap:
+                raise CatalogError(f"block orbit exceeds the {cap} blocks of a Steiner 3-design")
+            store[end : end + len(new)] = rows[unseen[new]]
+            mark_triples(block_of, store[end : end + len(new)], end)
+            end += len(new)
+            if (
+                np.count_nonzero(block_of >= 0) != end * per_block
+                or not (store[block_of[first]] == rows).all()
+            ):
+                raise CatalogError("block orbit has two blocks sharing three points")
+        lo, hi = hi, end
+    emit("catalog._block_orbit", levels=levels, images=images, blocks=end)
+    del block_of
+    blocks = store[:end]
     return blocks[np.lexsort(blocks[:, 2::-1].T)]
 
 

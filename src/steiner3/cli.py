@@ -64,19 +64,20 @@ CHECK_FAILED = 1
 SIEVE_WRITE_CHUNK = 256
 
 
-def _read_text(path: str, error: type[ValueError]) -> str:
+def _read(path: str, load, error: type[ValueError]):
+    """load(the file's bytes), with an error that names a non-UTF-8 file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return load(Path(path).read_bytes())
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _load_design(path: str):
-    return from_json(_read_text(path, DesignError))
+    return _read(path, from_json, DesignError)
 
 
 def _load_generators(path: str):
-    return parse_generators(_read_text(path, PermutationError))
+    return _read(path, lambda data: parse_generators(data.decode("utf-8")), PermutationError)
 
 
 def _summary_line(design) -> str:

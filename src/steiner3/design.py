@@ -127,7 +127,7 @@ class Design:
         """Index of a point set in the canonical block list, or -1.
 
         Given a 2-D array, looks up every row as a point set and returns
-        an integer array of indices, -1 where a row is not a block.
+        an int32 array of indices, -1 where a row is not a block.
         """
         rows = np.asarray(block)
         if rows.ndim == 1:
@@ -138,7 +138,7 @@ class Design:
 
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[1] != self.k:
-            return np.full(len(rows), -1, dtype=np.int64)
+            return np.full(len(rows), -1, dtype=np.int32)
         ranks = self._rank_table()
         # the ranked path widens rows to a signed integer dtype, which a
         # uint64 does not have
@@ -253,7 +253,7 @@ class Design:
         # a row's candidates are one searchsorted range of the prefix keys.
         # Equal keys mean equal prefixes, so only the remaining points of
         # each candidate are compared with the row.
-        found = np.full(len(rows), -1, dtype=np.int64)
+        found = np.full(len(rows), -1, dtype=np.int32)
         rows = np.sort(rows, axis=1)
         in_range = (rows[:, 0] >= 0) & (rows[:, -1] < self.v)
         if self._keys is None:
@@ -558,35 +558,39 @@ def _json_head(v: int, t: int, labels: Sequence[str] | None) -> str:
 
 def _block_text(blocks: np.ndarray) -> Iterator[str]:
     """A non-empty (b, k) integer array as JSON rows "[0,1,2,3],..." in
-    pieces of CHUNK_ROWS rows, each after the first led by its comma.
+    pieces of CHUNK_ROWS rows, with a lone comma between two pieces.
     Each piece is one %-format of its points; "%d" writes an int as
     `json` does."""
     row = "[" + ",".join(["%d"] * len(blocks[0])) + "]"
     full = ",".join([row] * CHUNK_ROWS)
     for start in range(0, len(blocks), CHUNK_ROWS):
         chunk = blocks[start : start + CHUNK_ROWS]
-        form = full if len(chunk) == CHUNK_ROWS else ",".join([row] * len(chunk))
         if start:
-            form = "," + form
+            yield ","
+        form = full if len(chunk) == CHUNK_ROWS else ",".join([row] * len(chunk))
         yield form % tuple(chunk.ravel().tolist())
 
 
 # the opening of a file in to_json's layout without labels; v and t of at
 # most 18 digits, which int() reads at once
-_CANONICAL_HEAD = re.compile(r'\{"v":(-?\d{1,18}),"t":(-?\d{1,18}),"lambda":1,"blocks":\[')
+_CANONICAL_HEAD = re.compile(rb'\{"v":(-?\d{1,18}),"t":(-?\d{1,18}),"lambda":1,"blocks":\[')
 
 
-def from_json(text: str) -> Design:
-    """The design a JSON text describes.  A text in the layout `to_json`
-    writes, without labels, is parsed straight into one block array; any
-    other goes through `json.loads`, with every field's type checked."""
-    canonical = _canonical_rows(text)
+def from_json(data: bytes | str) -> Design:
+    """The design a JSON document, UTF-8 bytes or text, describes.  One
+    in the layout `to_json` writes, without labels, is parsed from its
+    bytes straight into one block array; any other is decoded (bytes
+    that are not UTF-8 raise UnicodeDecodeError) and goes through
+    `json.loads`, with every field's type checked."""
+    canonical = _canonical_rows(data)
     if canonical is not None:
         return Design(*canonical)
     try:
-        payload = json.loads(text)
+        payload = json.loads(data if isinstance(data, str) else data.decode())
     except json.JSONDecodeError as exc:
         raise DesignError(f"invalid design JSON: {exc}") from exc
+    except RecursionError:
+        raise DesignError("design JSON is nested too deeply") from None
     if not isinstance(payload, dict):
         raise DesignError("design JSON must be an object")
     for key in ("v", "t", "blocks"):
@@ -614,29 +618,35 @@ def from_json(text: str) -> Design:
     return Design(payload["v"], payload["t"], blocks, labels)
 
 
-def _canonical_rows(text: str) -> tuple[int, int, np.ndarray] | None:
-    """v, t and the blocks as a (b, k) int32 array, for a text that
+def _canonical_rows(data: bytes | str) -> tuple[int, int, np.ndarray] | None:
+    """v, t and the blocks as a (b, k) int32 array, for a document that
     `to_json` writes for a design without labels (the final newline
-    optional); None for any other text.
+    optional); None for any other.  Text is encoded once.
 
-    The points are parsed by `np.fromstring` with the row brackets
-    removed, which makes no Python object per point.  The array is kept
-    only when `_block_text` writes it back as the text's own bytes: the
-    text is then exactly what `to_json` writes, whose blocks `json.loads`
-    reads as these rows.  That test also rejects every point the parse
-    misread, such as a leading zero, -0, a float or one beyond int32.
+    The points are parsed by `np.fromstring` from one copy of the rows,
+    their brackets deleted, which makes no Python object per point.  The
+    array is kept only when `_block_text` writes it back as the document's
+    own bytes: the document is then exactly what `to_json` writes, whose
+    blocks `json.loads` reads as these rows.  That test also rejects every
+    point the parse misread, such as a leading zero, -0, a float or one
+    beyond int32.
     """
-    head = _CANONICAL_HEAD.match(text)
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    head = _CANONICAL_HEAD.match(data)
     if head is None:
         return None
     v, t = int(head[1]), int(head[2])
-    start, end = head.end(), len(text) - (3 if text.endswith("\n") else 2)
-    first = text.find("]", start, end)
-    if head[0] != _json_head(v, t, None) or first < 0 or not text.startswith("]}", end):
+    start, end = head.end(), len(data) - (3 if data.endswith(b"\n") else 2)
+    first = data.find(b"]", start, end)
+    if head[0] != _json_head(v, t, None).encode() or first < 0 or not data.startswith(b"]}", end):
         return None
-    k = text.count(",", start, first) + 1
+    k = data.count(b",", start, first) + 1
+    # brackets deleted: the head loses its last byte and the tail its first
     try:
-        points = np.fromstring(text[start + 1 : end - 1].replace("],[", ","), np.int32, sep=",")
+        points = np.fromstring(
+            data.translate(None, b"[]")[start - 1 : end + 1 - len(data)], np.int32, sep=","
+        )
     except ValueError:
         return None
     if points.size == 0 or points.size % k:
@@ -644,7 +654,7 @@ def _canonical_rows(text: str) -> tuple[int, int, np.ndarray] | None:
     rows = points.reshape(-1, k)
     at = start
     for piece in _block_text(rows):
-        if not text.startswith(piece, at):
+        if not data.startswith(piece.encode(), at):
             return None
         at += len(piece)
     return (v, t, rows) if at == end else None

@@ -270,8 +270,9 @@ def group_order(gens: GeneratorSet, base_prefix: Sequence[int] = ()) -> GroupSum
 # -- actions on designs ----------------------------------------------------
 
 
-def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
-    """The permutation induced on block indices, if g preserves the blocks.
+def block_action(design: Design, g: tuple[int, ...]) -> np.ndarray:
+    """The permutation induced on block indices, if g preserves the blocks,
+    as a read-only (b,) int32 array: block i goes to block images[i].
 
     Otherwise raises SetNotPreserved with the first block, in canonical
     order, whose image is not a block.
@@ -280,12 +281,13 @@ def block_action(design: Design, g: tuple[int, ...]) -> tuple[int, ...]:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    # the image rows are freed once looked up, before the tuple is built
+    # the image rows are freed once looked up
     images = design.block_index(_image_rows(design, g))
     missing = np.flatnonzero(images < 0)
     if missing.size:
         raise SetNotPreserved(tuple(design.block_array[missing[0]].tolist()))
-    return tuple(images.tolist())
+    images.flags.writeable = False
+    return images
 
 
 def _image_rows(design: Design, g: tuple[int, ...]) -> np.ndarray:

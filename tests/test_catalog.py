@@ -1,5 +1,6 @@
 """Family constructors, group generator tables, the classification map."""
 
+import numpy as np
 import pytest
 
 from steiner3 import catalog
@@ -91,7 +92,8 @@ class TestSpherical:
         maps.append(tuple(inversion))
         for g in maps:
             induced = block_action(design, g)
-            assert induced[base_idx] == base_idx
+            assert induced.tolist()[base_idx] == base_idx
+            assert induced.dtype == np.int32 and not induced.flags.writeable
 
     @pytest.mark.parametrize("q,e", [(2, 2), (6, 2), (3, 1), (13, 2)])
     def test_bad_parameters_rejected(self, q, e):

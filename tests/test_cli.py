@@ -406,6 +406,35 @@ class TestErrorContract:
         assert result[2] == "error: automorphism search needs blocks of at least 3 points, got 2\n"
         assert not gens.exists()
 
+    @pytest.mark.parametrize(
+        "verb,extra",
+        [
+            ("verify", []),
+            ("params", []),
+            ("derive", ["--point", "0", "--out", "derived.json"]),
+            ("flagcheck", ["--gens", "agl18.gens"]),
+            ("autgroup", ["--out", "aut.gens"]),
+        ],
+        ids=["verify", "params", "derive", "flagcheck", "autgroup"],
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 3000 + "]" * 3000,
+            '{"v":4,"t":3,"blocks":[[0,1,2,3]],"labels":' + "[" * 10**5 + "]" * 10**5 + "}",
+        ],
+        ids=["nested-array", "nested-labels"],
+    )
+    def test_design_json_nested_too_deeply(self, verb, extra, text, tmp_path, capsys, monkeypatch):
+        # json.loads raised RecursionError: exit 1 and a traceback
+        monkeypatch.chdir(tmp_path)
+        Path("deep.json").write_text(text)
+        Path("agl18.gens").write_text("degree: 4\n(1 2)\n")
+        result = run(capsys, verb, "deep.json", *extra)
+        self.assert_usage_error(result)
+        assert result[2] == "error: design JSON is nested too deeply\n"
+        assert not Path("derived.json").exists() and not Path("aut.gens").exists()
+
     def test_verify_on_a_directory(self, tmp_path, capsys):
         self.assert_usage_error(run(capsys, "verify", str(tmp_path)))
 
@@ -698,6 +727,18 @@ class TestBenchTraceSpans:
         count = len(steiner3.parse_generators(gens.read_text()).gens)
         assert count == 3
         assert calls == {"design.from_json": 1, "permgrp.block_action": count}
+
+    def test_agl62_flagcheck_calls_block_action_per_generator(self, tmp_path, capsys, monkeypatch):
+        # the groups workload's other flag check that reaches block_action:
+        # 36 of its 46 calls, one per generator
+        design, gens = tmp_path / "aff6.json", tmp_path / "agl62.gens"
+        run(capsys, "construct", "--family", "affine", "--d", "6", "--out", str(design))
+        run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_d_2", "--d", "6",
+            "--out", str(gens))
+        calls = _count_calls(monkeypatch, ("design", "from_json"), ("permgrp", "block_action"))
+        code, out, _ = run(capsys, "flagcheck", str(design), "--gens", str(gens))
+        assert code == 0 and "flag-transitive: yes" in out
+        assert calls == {"design.from_json": 1, "permgrp.block_action": 36}
 
 
 def _count_calls(monkeypatch, *names) -> dict[str, int]:

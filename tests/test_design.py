@@ -110,6 +110,27 @@ class TestDesignContainer:
             affine3.block_index(block)
         assert str(info.value) == f"expected one point set or a 2-D array of rows, got {dims}-D"
 
+    @pytest.mark.parametrize(
+        "design",
+        [
+            Design(8, 3, xor_quadruples(3)),
+            Design(200, 3, [(0, 1, 2, 3), (0, 1, 4, 199), (5, 6, 7, 8)]),
+            Design(6, 2, [(0, 1), (2, 3), (4, 5)]),
+        ],
+        ids=["ranked", "200-points", "blocks-of-2"],
+    )
+    def test_block_index_of_rows_is_int32(self, design):
+        # the prefix lookup and the width check returned int64, the
+        # ranked lookup int32
+        rows = design.block_array
+        for dtype in (np.int32, np.int64, np.uint8):
+            found = design.block_index(rows[::-1].astype(dtype))
+            assert found.dtype == np.int32
+            assert found.tolist() == list(range(design.b))[::-1]
+        for width in (rows[:, :-1], np.concatenate([rows, rows[:, :1]], axis=1)):
+            found = design.block_index(width)
+            assert found.dtype == np.int32 and found.tolist() == [-1] * design.b
+
 
 class TestPointCountAndStrength:
     @pytest.mark.parametrize(

@@ -148,6 +148,25 @@ def test_from_json_on_arbitrary_text(text):
     load_or_library_error(text)
 
 
+@st.composite
+def nested_documents(draw):
+    """A design document, or one of its values, nested in arrays up to a
+    few thousand deep, past the depth at which json.loads recurses out."""
+    depth = draw(st.integers(1, 5000))
+    nested = "[" * depth + draw(st.sampled_from(["", "0", '"a"'])) + "]" * depth
+    key = draw(st.sampled_from([None, "v", "t", "blocks", "labels", "lambda"]))
+    if key is None:
+        return nested
+    # a repeated key: json.loads keeps the last value
+    return '{"v":4,"t":3,"blocks":[[0,1,2,3]],' + f'"{key}":{nested}}}'
+
+
+@FUZZ
+@given(nested_documents(), st.booleans())
+def test_from_json_on_deeply_nested_documents(text, as_bytes):
+    load_or_library_error(text.encode() if as_bytes else text)
+
+
 # -- CLI argument vectors ------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
-"""Peak allocations of the 128-point Netto construction, flag check,
-design file round trip, design comparison, lexicode and `--json` sieve
-sweep, and what a constructed or loaded 128-point design holds.
+"""Peak allocations of the 128-point Netto construction and its block
+orbit, flag check and block action, design file round trip, design
+comparison, lexicode and `--json` sieve sweep, and what a constructed or
+loaded 128-point design holds.
 
 `tracemalloc` sees NumPy's array buffers as well as Python objects, so
 these peaks are deterministic for a given interpreter and NumPy.
@@ -13,6 +14,8 @@ import pytest
 
 from steiner3.catalog import (
     CatalogError,
+    _block_orbit,
+    _projective_line,
     affine_group_generators,
     construct_boolean_affine,
     construct_netto_extension,
@@ -21,7 +24,7 @@ from steiner3.catalog import (
 )
 from steiner3.cli import main
 from steiner3.design import from_json, to_json
-from steiner3.permgrp import is_flag_transitive
+from steiner3.permgrp import block_action, is_flag_transitive
 
 MB = 2**20
 
@@ -166,3 +169,36 @@ def test_json_sieve_streams_in_constant_memory(counting_sink):
         small, large = sieve_json_peak_mb(500), sieve_json_peak_mb(5000)
     assert large < 1
     assert large - small < 0.1
+
+
+def test_block_action_makes_no_int_per_block(netto127):
+    # the induced permutation as a tuple held 85344 ints, 3.25 MB, and
+    # the call peaked at 4.23 MB; as an int32 array it holds 0.33 MB and
+    # the call peaks at 2.27 MB (the image rows and their lookup)
+    netto127.rank_table()
+    g = projective_group_generators("PSL", 127, 1).gens[0]
+    tracemalloc.start()
+    try:
+        induced = block_action(netto127, g)
+        held, peak = (size / MB for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert induced.nbytes == 4 * netto127.b
+    assert held < 0.4
+    assert peak < 2.5
+
+
+def test_netto_orbit_maps_each_level_in_chunks():
+    # a whole level mapped at once peaked at 5.93 MB, over frontiers of
+    # up to 35k blocks; CHUNK_ROWS frontier blocks at a time, 4.95 MB
+    line = _projective_line(127, 1)
+    base = tuple(sorted((0, 1, line.ctx.primitive_sixth_root(), line.infinity)))
+    gens = line.group("PSL").gens
+    assert peak_mb(_block_orbit, gens, base) < 5.3
+
+
+def test_from_json_parses_the_bytes_of_its_own_layout(netto127):
+    # the text, its slice and the slice without row brackets peaked at
+    # 2.97 MB; from the bytes, with one copy of the rows, 2.52 MB
+    data = to_json(netto127).encode()
+    assert peak_mb(from_json, data) < 2.75

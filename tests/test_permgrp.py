@@ -157,13 +157,16 @@ class TestGroupOrder:
 class TestBlockAction:
     def test_identity(self):
         design = construct_boolean_affine(3)
-        assert block_action(design, tuple(range(8))) == tuple(range(design.b))
+        induced = block_action(design, tuple(range(8)))
+        assert induced.tolist() == list(range(design.b))
+        assert induced.dtype == np.int32 and not induced.flags.writeable
 
     def test_translation_preserves_blocks(self):
         design = construct_boolean_affine(3)
         g = tuple(x ^ 1 for x in range(8))
         induced = block_action(design, g)
-        assert sorted(induced) == list(range(design.b))
+        assert sorted(induced.tolist()) == list(range(design.b))
+        assert induced.dtype == np.int32 and not induced.flags.writeable
 
     def test_transposition_is_rejected_with_witness(self):
         design = construct_boolean_affine(3)
@@ -186,10 +189,26 @@ class TestBlockAction:
             product = word[0]
             for g in word[1:]:
                 product = compose(product, g)
-            induced = block_action(design, word[0])
+            induced = block_action(design, word[0]).tolist()
             for g in word[1:]:
-                induced = compose(induced, block_action(design, g))
-            assert block_action(design, product) == induced
+                induced = compose(induced, block_action(design, g).tolist())
+            assert block_action(design, product).tolist() == list(induced)
+
+    @pytest.mark.parametrize(
+        "design,g",
+        [
+            (construct_netto_extension(19), projective_group_generators("PSL", 19, 1).gens[0]),
+            (Design(200, 3, [(0, 1, 2, 3), (0, 1, 4, 199), (5, 6, 7, 8)]), tuple(range(200))),
+            (Design(6, 2, [(0, 1), (2, 3), (4, 5)]), (5, 4, 3, 2, 1, 0)),
+        ],
+        ids=["ranked", "200-points", "blocks-of-2"],
+    )
+    def test_induced_permutation_is_a_read_only_int32_array(self, design, g):
+        induced = block_action(design, g)
+        assert induced.dtype == np.int32 and induced.shape == (design.b,)
+        assert not induced.flags.writeable
+        images = [design.block_index([g[x] for x in block]) for block in design.blocks]
+        assert induced.tolist() == images
 
 
 class TestFlagTransitivity:

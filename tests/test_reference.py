@@ -577,6 +577,82 @@ class TestCanonicalLoaderDifferential:
         assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
 
 
+def _parametrized(test) -> list[tuple]:
+    """The argument tuples a parametrized test above runs with."""
+    (mark,) = [mark for mark in test.pytestmark if mark.name == "parametrize"]
+    return list(mark.args[1])
+
+
+def _reference_bytes(data: bytes):
+    """The reference loader on a file's bytes, decoded as the CLI decoded
+    them when it read text: strict UTF-8, which names the first bad byte."""
+    return reference_from_json(data.decode("utf-8"))
+
+
+def _assert_same_from_bytes(data: bytes):
+    outcome = _load_outcome(from_json, data)
+    assert outcome == _load_outcome(_reference_bytes, data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    assert outcome == _load_outcome(from_json, text)
+
+
+# the affine 3-(8,4,1) document with non-ASCII bytes in its canonical
+# layout, and with bytes that are not UTF-8 before, in and after the head
+_AFF3_BYTES = _AFF3.encode()
+_BYTE_CASES = [
+    _AFF3.replace("[0,1,2,3]", "[0,1,2,3\u00e9]").encode(),
+    _AFF3.replace("[0,1,2,3]", "[0,1,2,\u0663]").encode(),  # an Arabic-Indic 3
+    _AFF3.replace('"v":8', '"v":\u0668').encode(),
+    _AFF3.replace("[0,1,2,3]", "[0,1,2,\uff13]").encode(),  # a fullwidth 3
+    "\ufeff".encode() + _AFF3_BYTES,
+    b"\xff" + _AFF3_BYTES,
+    b"\xef\xbb" + _AFF3_BYTES,
+    _AFF3_BYTES.replace(b'"t"', b'"t\xe9"'),
+    _AFF3_BYTES.replace(b"[0,1,2,3]", b"[0,1,2,\xff3]"),
+    _AFF3_BYTES.replace(b"[0,1,2,3]", b"[0,1,2,3\xed\xa0\x80]"),  # an encoded surrogate
+    _AFF3_BYTES[:-3] + b"\xc3]}\n",
+    _AFF3_BYTES + b"\x80",
+    b'{"v": 8, "t": 3, "labels": ["\xe9"]}',
+    b'{"v":2,"t":1,"lambda":1,"labels":["\xc3\xa9","\xe2\x98\x83"],"blocks":[[0],[1]]}',
+]
+
+
+class TestByteLoaderDifferential:
+    """`from_json` of a file's bytes, of the same document as text, and
+    the reference loader of the decoded text: the same design, blocks
+    and `to_json` text, or the same error.  Bytes that are not UTF-8
+    raise the UnicodeDecodeError that decoding them raises."""
+
+    def test_catalogue_designs(self, designs_to_128, catalogue):
+        for design in [*designs_to_128.values(), *catalogue.values()]:
+            data = to_json(design).encode()
+            loaded = from_json(data)
+            assert loaded._blocks is None and loaded == design, design
+            _assert_same_from_bytes(data)
+
+    def test_array_loader_faults(self):
+        for v, blocks in _parametrized(TestArrayLoaderDifferential.test_same_design_or_same_error):
+            for t in (3, 0):
+                _assert_same_from_bytes(json.dumps({"v": v, "t": t, "blocks": blocks}).encode())
+
+    def test_canonical_loader_near_misses(self):
+        for text, fast in _parametrized(TestCanonicalLoaderDifferential.test_near_misses):
+            assert (_canonical_rows(text.encode()) is not None) == fast, text
+            _assert_same_from_bytes(text.encode())
+
+    @pytest.mark.parametrize("data", _BYTE_CASES, ids=range(len(_BYTE_CASES)))
+    def test_non_ascii_and_non_utf8_bytes(self, data):
+        assert _canonical_rows(data) is None
+        _assert_same_from_bytes(data)
+
+    def test_a_lone_surrogate_in_text(self):
+        text = '{"v":2,"t":1,"labels":["\ud800","a"],"blocks":[[0],[1]]}'
+        assert _load_outcome(from_json, text) == _load_outcome(reference_from_json, text)
+
+
 class TestBlockWriterDifferential:
     """`to_json` writes the blocks in chunks of rows, one %-format each;
     `reference_to_json` hands the block tuples to json.dumps."""
@@ -691,7 +767,9 @@ class TestBlockActionDifferential:
     def test_automorphisms(self, flag_transitive_pairs):
         for label, design, gens in flag_transitive_pairs:
             for g in gens.gens:
-                assert block_action(design, g) == _block_images(design, g), label
+                induced = block_action(design, g)
+                assert induced.tolist() == list(_block_images(design, g)), label
+                assert induced.dtype == np.int32 and not induced.flags.writeable, label
 
     def test_witness_of_random_permutations(self, catalogue):
         rng = random.Random(2024)
@@ -700,7 +778,9 @@ class TestBlockActionDifferential:
                 g = _random_permutation(rng, design.v)
                 witness = _reference_witness(design, g)
                 if witness is None:
-                    assert block_action(design, g) == _block_images(design, g)
+                    induced = block_action(design, g)
+                    assert induced.tolist() == list(_block_images(design, g)), key
+                    assert induced.dtype == np.int32 and not induced.flags.writeable, key
                     continue
                 with pytest.raises(SetNotPreserved) as err:
                     block_action(design, g)
