@@ -11,6 +11,7 @@ so the transitivity test is a redundant safety invariant, not a class
 selector; both conjugacy classes of A7 serve the affine construction.
 
 Run from the repository root:  python3 scripts/find_a7_generators.py
+`generator_file()` returns the file's text without writing it.
 """
 
 import random
@@ -23,6 +24,7 @@ from steiner3.permgrp import GeneratorSet, format_generators, group_order, orbit
 
 SEED = 20240229
 TARGET_ORDER = 2520
+DATA_FILE = Path(__file__).resolve().parent.parent / "src" / "steiner3" / "data" / "a7_gl42.gens"
 
 
 def random_invertible(rng: random.Random) -> list[int]:
@@ -59,7 +61,9 @@ def matrix_permutation(rows: list[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def main() -> int:
+def generator_file() -> str:
+    """The text of a7_gl42.gens: the first accepted pair, with the search
+    that found it in the comment."""
     rng = random.Random(SEED)
     attempts = 0
     while True:
@@ -67,14 +71,11 @@ def main() -> int:
         a = matrix_permutation(random_invertible(rng))
         b = matrix_permutation(random_invertible(rng))
         gens = GeneratorSet(16, (a, b))
-        summary = group_order(gens)
-        if summary.order != TARGET_ORDER:
+        if group_order(gens).order != TARGET_ORDER:
             continue
         if len(orbit(gens.gens, [1])) != 15:
             continue
         break
-    out = Path(__file__).resolve().parent.parent / "src" / "steiner3" / "data" / "a7_gl42.gens"
-    out.parent.mkdir(parents=True, exist_ok=True)
     comment = (
         "A7 <= GL(4,2) acting on GF(2)^4 (vectors as integers 0..15).\n"
         f"Search oracle: random matrix pairs, seed {SEED}, accepted on\n"
@@ -82,8 +83,13 @@ def main() -> int:
         f"(pair found after {attempts} attempts).\n"
         "Regenerate with scripts/find_a7_generators.py."
     )
-    out.write_text(format_generators(gens, comment), encoding="utf-8")
-    print(f"wrote {out} after {attempts} attempts, order {summary.order}")
+    return format_generators(gens, comment)
+
+
+def main() -> int:
+    DATA_FILE.parent.mkdir(parents=True, exist_ok=True)
+    DATA_FILE.write_text(generator_file(), encoding="utf-8")
+    print(f"wrote {DATA_FILE}")
     return 0
 
 

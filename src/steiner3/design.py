@@ -9,10 +9,11 @@ all build the array directly, so a 128-point design goes from
 construction to disk and back without a Python object per block.
 Blocks are looked up through a table of ranked 3-subsets when each
 3-subset lies in at most one block, and by sorted prefix keys otherwise;
-the table is filled, and rows are looked up and written out, CHUNK_ROWS
-rows at a time.  Verification is exhaustive t-subset enumeration; that
-brute force is the oracle for everything else in the package, so it
-stays free of shortcuts.
+`Design.block_through` is the one vectorised read of that table.  The
+table is filled, and rows are looked up and written out, CHUNK_ROWS rows
+at a time, each written piece from a template of its own rows.
+Verification is exhaustive t-subset enumeration; that brute force is the
+oracle for everything else in the package, so it stays free of shortcuts.
 """
 
 from __future__ import annotations
@@ -139,12 +140,11 @@ class Design:
     def _lookup(self, rows: np.ndarray) -> np.ndarray:
         if rows.shape[1] != self.k:
             return np.full(len(rows), -1, dtype=np.int32)
-        ranks = self._rank_table()
         # the ranked path widens rows to a signed integer dtype, which a
         # uint64 does not have
-        if ranks is None or rows.dtype.kind not in "iu" or rows.dtype == np.uint64:
+        if self._rank_table() is None or rows.dtype.kind not in "iu" or rows.dtype == np.uint64:
             return self._prefix_lookup(rows)
-        return self._ranked_lookup(rows, ranks)
+        return self._ranked_lookup(rows)
 
     def _rank_table(self) -> np.ndarray | None:
         """The block through each 3-subset a < b < c, at its rank
@@ -174,6 +174,25 @@ class Design:
             f"not {self.b * math.comb(self.k, 3)}: some 3-subset lies in two blocks"
         )
 
+    def block_through(self, x, y, z) -> np.ndarray:
+        """The index of the block through each 3-subset {x, y, z}, or -1
+        where there is none or x, y and z are not three distinct points
+        below v.  The points are integers or integer arrays, which
+        broadcast, and are put in order with min and max only to read
+        `rank_table`, which raises DesignError where there is no table."""
+        ranks = self.rank_table()
+        # at least int32, so the ranks of points below MAX_POINTS cannot overflow
+        dtype = np.result_type(*map(np.asarray, (x, y, z)), np.int32)
+        x, y, z = (np.asarray(p, dtype=dtype) for p in (x, y, z))
+        low = np.minimum(np.minimum(x, y), z)
+        high = np.maximum(np.maximum(x, y), z)
+        mid = x + y + z - low - high
+        # a 3-subset out of range or with a repeated point gets a
+        # meaningless rank, clipped into the table, and -1
+        found = np.asarray(ranks.take(rank3(low, mid, high), mode="clip"))
+        found[(low < 0) | (high >= self.v) | (low == mid) | (mid == high)] = -1
+        return found
+
     def _fill_ranks(self) -> np.ndarray | bool:
         v, k, b = self.v, self.k, self.b
         per_block = math.comb(k, 3)
@@ -192,43 +211,23 @@ class Design:
         mark_triples(table, self.block_array, 0)
         return table, int(np.count_nonzero(table >= 0))
 
-    def _ranked_lookup(self, rows: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        # CHUNK_ROWS rows at a time, each chunk's columns made contiguous,
-        # where the elementwise passes are several times faster than down
-        # a strided column, and at least int32, so the ranks of points
-        # below MAX_POINTS cannot overflow.  The columns of a transposed
-        # C-ordered array, as `block_action` passes, are used as they are.
-        found = np.empty(len(rows), dtype=np.int32)
-        dtype = np.promote_types(rows.dtype, np.int32)
-        for start in range(0, len(rows), CHUNK_ROWS):
-            chunk = rows[start : start + CHUNK_ROWS]
-            cols = [np.ascontiguousarray(col, dtype=dtype) for col in chunk.T]
-            found[start : start + CHUNK_ROWS] = self._ranked_columns(cols, ranks)
-        return found
-
-    def _ranked_columns(self, cols: list[np.ndarray], ranks: np.ndarray) -> np.ndarray:
+    def _ranked_lookup(self, rows: np.ndarray) -> np.ndarray:
         # In a partial Steiner 3-system the block through m0, m1, m2 is the
         # block through m0, m1, mj exactly when mj lies in it, so a row of k
-        # distinct points in range is a block when every (m0, m1, mj) ranks
-        # to the block of (m0, m1, m2).  Each 3-subset is put in order with
-        # min and max only.  A row that fails the range or distinctness
-        # test gets a meaningless rank, clipped into the table, and -1.
-        valid = np.ones(len(cols[0]), dtype=bool)
-        for j, mj in enumerate(cols):
-            valid &= (mj >= 0) & (mj < self.v)
-            for mi in cols[:j]:
-                valid &= mi != mj
-        m0, m1 = cols[0], cols[1]
-        low, high, pair = np.minimum(m0, m1), np.maximum(m0, m1), m0 + m1
-
-        def block_through(mj: np.ndarray) -> np.ndarray:
-            a, c = np.minimum(low, mj), np.maximum(high, mj)
-            return ranks.take(rank3(a, pair + mj - a - c, c), mode="clip")
-
-        found = block_through(cols[2])
-        for mj in cols[3:]:
-            found[block_through(mj) != found] = -1
-        found[~valid] = -1
+        # distinct points is a block when every (m0, m1, mj) gives the block
+        # of (m0, m1, m2); `block_through` gives -1 for an mj out of range
+        # or equal to m0 or m1.  CHUNK_ROWS rows go at a time, each chunk's
+        # columns made contiguous, where the elementwise passes are several
+        # times faster than down a strided column.
+        found = np.empty(len(rows), dtype=np.int32)
+        for start in range(0, len(rows), CHUNK_ROWS):
+            m0, m1, *rest = map(np.ascontiguousarray, rows[start : start + CHUNK_ROWS].T)
+            block = self.block_through(m0, m1, rest[0])
+            for j, mj in enumerate(rest[1:], 1):
+                block[self.block_through(m0, m1, mj) != block] = -1
+                for mi in rest[:j]:
+                    block[mi == mj] = -1
+            found[start : start + CHUNK_ROWS] = block
         return found
 
     def _prefix_width(self) -> int:
@@ -562,13 +561,11 @@ def _block_text(blocks: np.ndarray) -> Iterator[str]:
     Each piece is one %-format of its points; "%d" writes an int as
     `json` does."""
     row = "[" + ",".join(["%d"] * len(blocks[0])) + "]"
-    full = ",".join([row] * CHUNK_ROWS)
     for start in range(0, len(blocks), CHUNK_ROWS):
         chunk = blocks[start : start + CHUNK_ROWS]
         if start:
             yield ","
-        form = full if len(chunk) == CHUNK_ROWS else ",".join([row] * len(chunk))
-        yield form % tuple(chunk.ravel().tolist())
+        yield ",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 # the opening of a file in to_json's layout without labels; v and t of at

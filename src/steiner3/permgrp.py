@@ -17,7 +17,9 @@ to date as block images are fixed and released.  Image blocks are found
 through the design's ranked 3-subset table.  For blocks of 4 points the
 search also keeps the closure of its map under forced images, extended
 with each assignment, which refutes a subtree at a contradiction and
-settles it with one block lookup once every point is forced.
+settles it through `block_action`, the flag checks' own test, once every
+point is forced.  `block_action` maps and looks up CHUNK_ROWS blocks at
+a time.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError, rank3
+from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError
 from .errors import Steiner3Error
 from .trace import emit
 
@@ -275,33 +277,25 @@ def block_action(design: Design, g: tuple[int, ...]) -> np.ndarray:
     as a read-only (b,) int32 array: block i goes to block images[i].
 
     Otherwise raises SetNotPreserved with the first block, in canonical
-    order, whose image is not a block.
+    order, whose image is not a block.  The blocks are mapped and looked
+    up CHUNK_ROWS at a time: take copies its indices to intp, so one
+    gather over every block would hold twice the blocks.
     """
     if len(g) != design.v:
         raise PermutationError(
             f"permutation degree {len(g)} != point count {design.v}"
         )
-    # the image rows are freed once looked up
-    images = design.block_index(_image_rows(design, g))
-    missing = np.flatnonzero(images < 0)
-    if missing.size:
-        raise SetNotPreserved(tuple(design.block_array[missing[0]].tolist()))
-    images.flags.writeable = False
-    return images
-
-
-def _image_rows(design: Design, g: tuple[int, ...]) -> np.ndarray:
-    """The image of every block under g, as the transpose of a C-ordered
-    (k, b) int32 array, whose columns the lookup reads without a copy.
-    It is filled CHUNK_ROWS blocks at a time: take copies its indices to
-    intp, so one gather over every block would hold twice the blocks."""
     perm = np.asarray(g, dtype=np.int32)
     blocks = design.block_array
-    columns = np.empty((design.k, design.b), dtype=np.int32)
+    images = np.empty(design.b, dtype=np.int32)
     for start in range(0, design.b, CHUNK_ROWS):
-        stop = start + CHUNK_ROWS
-        columns[:, start:stop] = perm.take(blocks[start:stop].T)
-    return columns.T
+        found = design.block_index(perm.take(blocks[start : start + CHUNK_ROWS]))
+        missing = np.flatnonzero(found < 0)
+        if missing.size:
+            raise SetNotPreserved(tuple(blocks[start + missing[0]].tolist()))
+        images[start : start + len(found)] = found
+    images.flags.writeable = False
+    return images
 
 
 @dataclass(frozen=True)
@@ -413,8 +407,8 @@ class _AutSearch:
     Every candidate image is closed before it is assigned.  A
     contradiction (a forced image already taken or different, or a block
     on one side only) refutes the subtree; a closure of all v points is
-    the subtree's one candidate, kept only when every block's image is a
-    block (`_settle`).  The tree and its candidate order are those of the
+    the subtree's one candidate, kept only when it passes `block_action`
+    (`_settle`).  The tree and its candidate order are those of the
     search without the closure, so the first automorphism found is the
     same.  For other k the closure stays empty.
 
@@ -573,18 +567,14 @@ class _AutSearch:
     def _fourth(self, a: int) -> list[int]:
         """At z*v + c, the fourth point of the block through a, z and c,
         or -1 where there is none or a, z and c are not distinct.  Built
-        on first use from the ranked 3-subset table, for all z and c at
-        once; the 3-subsets are put in order with min and max only."""
+        on first use by `Design.block_through`, for all z and c at once."""
         table = self.fourths.get(a)
         if table is None:
             z, c = np.divmod(np.arange(self.v**2, dtype=np.int32), self.v)
-            first = np.minimum(np.minimum(z, c), a)
-            last = np.maximum(np.maximum(z, c), a)
-            ranks = rank3(first, z + c + a - first - last, last)
-            blocks = self.design.rank_table().take(ranks, mode="clip")
+            blocks = self.design.block_through(a, z, c)
             sums = self.design.block_array.sum(axis=1, dtype=np.int32)
             fourth = sums.take(blocks) - (z + c + a)
-            fourth[(blocks < 0) | (z == c) | (z == a) | (c == a)] = -1
+            fourth[blocks < 0] = -1
             table = self.fourths[a] = fourth.tolist()
         return table
 
@@ -600,8 +590,11 @@ class _AutSearch:
         """The closure, complete, if it maps every block to a block."""
         self.settled += 1
         found = tuple(self.cimg)
-        images = self.design.block_index(_image_rows(self.design, found))
-        return found if (images >= 0).all() else None
+        try:
+            block_action(self.design, found)
+        except SetNotPreserved:
+            return None
+        return found
 
     def _assign(self, x: int, y: int) -> list[int] | None:
         """Set x -> y and the block images it determines; the list of

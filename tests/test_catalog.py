@@ -1,5 +1,10 @@
 """Family constructors, group generator tables, the classification map."""
 
+import importlib.util
+import sys
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -232,6 +237,16 @@ class TestGroupGenerators:
 
         # transitive on nonzero vectors
         assert orbit(gens.gens, [1]).tolist() == list(range(1, 16))
+
+    def test_a7_data_file_is_what_the_script_writes(self, monkeypatch):
+        # the script puts the repository's src on sys.path as it loads
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        script = Path(__file__).resolve().parent.parent / "scripts" / "find_a7_generators.py"
+        spec = importlib.util.spec_from_file_location("find_a7_generators", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        bundled = resources.files("steiner3") / "data" / "a7_gl42.gens"
+        assert bundled.read_bytes() == module.generator_file().encode("utf-8")
 
     def test_t_a7_needs_dimension_4(self):
         with pytest.raises(CatalogError):

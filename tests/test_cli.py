@@ -730,7 +730,8 @@ class TestBenchTraceSpans:
 
     def test_agl62_flagcheck_calls_block_action_per_generator(self, tmp_path, capsys, monkeypatch):
         # the groups workload's other flag check that reaches block_action:
-        # 36 of its 46 calls, one per generator
+        # 36 of its 90 calls, one per generator; 44 others settle
+        # automorphism searches
         design, gens = tmp_path / "aff6.json", tmp_path / "agl62.gens"
         run(capsys, "construct", "--family", "affine", "--d", "6", "--out", str(design))
         run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_d_2", "--d", "6",

@@ -3,7 +3,7 @@
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -130,6 +130,54 @@ class TestDesignContainer:
         for width in (rows[:, :-1], np.concatenate([rows, rows[:, :1]], axis=1)):
             found = design.block_index(width)
             assert found.dtype == np.int32 and found.tolist() == [-1] * design.b
+
+
+def scanned_block_through(design: Design, x: int, y: int, z: int) -> int:
+    """The first block holding {x, y, z}, found by scanning `.blocks`;
+    -1 where there is none or the three points are not distinct."""
+    triple = {x, y, z}
+    if len(triple) == 3:
+        for i, block in enumerate(design.blocks):
+            if triple <= set(block):
+                return i
+    return -1
+
+
+class TestBlockThrough:
+    @pytest.mark.parametrize(
+        "key",
+        [("affine", 3), ("netto", 7), ("spherical", 3, 2), ("witt",)],
+        ids=["aff3", "n7", "s32", "witt"],
+    )
+    def test_against_a_scan_of_the_blocks(self, key, catalogue):
+        # every (x, y, z) over the points and one beyond each end
+        design = catalogue[key]
+        points = range(-1, design.v + 1)
+        triples = list(product(points, repeat=3))
+        want = [scanned_block_through(design, *triple) for triple in triples]
+        x, y, z = np.array(triples).T
+        assert design.block_through(x, y, z).tolist() == want
+        assert [int(design.block_through(*triple)) for triple in triples] == want
+        # a scalar broadcast against arrays, and int32 arrays
+        per_x = np.array(want).reshape(len(points), -1)
+        for i, point in enumerate(points):
+            found = design.block_through(point, y[: per_x.shape[1]], z[: per_x.shape[1]])
+            assert found.tolist() == per_x[i].tolist()
+        typed = (p.astype(np.int32) for p in (x, y, z))
+        assert design.block_through(*typed).tolist() == want
+
+    @pytest.mark.parametrize(
+        "design,message",
+        [
+            (Design(6, 2, [(0, 1), (2, 3)]), "no ranked 3-subset table"),
+            (Design(200, 3, [(0, 1, 2, 3)]), "no ranked 3-subset table"),
+            (Design(7, 3, [(0, 1, 2, 3), (0, 1, 2, 4)]), "2 blocks of size 4 cover 7 3-subsets"),
+        ],
+        ids=["blocks-of-2", "200-points", "repeated-3-subset"],
+    )
+    def test_no_rank_table(self, design, message):
+        with pytest.raises(DesignError, match=message):
+            design.block_through(0, 1, 2)
 
 
 class TestPointCountAndStrength:
@@ -288,7 +336,7 @@ class TestParams:
 
     def test_lambda_two_design_rejected(self):
         # all 3-subsets of 6 points form a 2-(6,3,2) design
-        from itertools import combinations
+        from itertools import combinations, product
 
         with pytest.raises(DesignError):
             params_of(Design(6, 2, combinations(range(6), 3)))

@@ -23,7 +23,7 @@ from steiner3.catalog import (
     projective_group_generators,
 )
 from steiner3.cli import main
-from steiner3.design import from_json, to_json
+from steiner3.design import Design, from_json, to_json
 from steiner3.permgrp import block_action, is_flag_transitive
 
 MB = 2**20
@@ -186,6 +186,23 @@ def test_block_action_makes_no_int_per_block(netto127):
     assert induced.nbytes == 4 * netto127.b
     assert held < 0.4
     assert peak < 2.5
+
+
+def test_block_action_maps_the_blocks_in_chunks(netto127):
+    # the image rows of every block, gathered before the lookup, peaked
+    # at 2.27 MB; CHUNK_ROWS blocks mapped and looked up at a time, 1.45 MB
+    netto127.rank_table()
+    g = projective_group_generators("PSL", 127, 1).gens[0]
+    assert peak_mb(block_action, netto127, g) < 1.6
+
+
+def test_block_writer_grows_with_the_file_not_the_block_width():
+    # one 2000-point block: a template of CHUNK_ROWS rows of 2000 "%d"
+    # each, built whatever the block count, peaked at 93.9 MB
+    design = Design(2**31, 2000, [list(range(2000))])
+    text = to_json(design)
+    assert peak_mb(to_json, design) < 1
+    assert peak_mb(from_json, text) < 1
 
 
 def test_netto_orbit_maps_each_level_in_chunks():

@@ -266,6 +266,19 @@ class TestAutomorphismGroup:
         gens = automorphism_group(construct_netto_extension(127))
         assert group_order(gens).order == 128 * 127 * 126 // 2 == 1024128  # |PSigmaL(2,127)|
 
+    def test_settle_keeps_only_automorphisms(self):
+        # a complete closure is settled by `block_action`: no catalogue
+        # search reaches one that is not an automorphism, so both are set
+        # by hand here
+        design = construct_spherical(3, 2)
+        searcher = permgrp._AutSearch(design)
+        automorphism = projective_group_generators("PGL", 3, 2).gens[0]
+        swap = (1, 0) + tuple(range(2, 10))
+        for images, want in ((automorphism, automorphism), (swap, None)):
+            searcher.cimg = list(images)
+            assert searcher._settle() == want
+        assert searcher.settled == 2
+
     def test_deterministic(self):
         design = construct_spherical(3, 2)
         first = automorphism_group(design)

@@ -6,7 +6,9 @@ directly on image tuples, with blocks looked up by sort and bisect over
 the block list.  The library's array kernel (vectorised block lookup,
 bitmap frontier `orbit`) must give the same `FlagReport`, field for
 field, and `block_action` the same induced permutation or the same
-witness block.  The prefix-key lookup, `Design._prefix_lookup`, is the
+witness block; `reference_image_rows`, the gather of every block's
+image at once, is the reference for the chunked `block_action` on both
+lookup paths.  The prefix-key lookup, `Design._prefix_lookup`, is the
 reference for the ranked 3-subset lookup on every kind of row, and
 `reference_from_json`, the loader that built a tuple per block, for the
 array loader and for the parse of to_json's own layout straight into an
@@ -796,6 +798,113 @@ class TestBlockActionDifferential:
             with pytest.raises(SetNotPreserved) as err:
                 is_flag_transitive(design, GeneratorSet(design.v, good + bad))
             assert err.value.witness == want
+
+
+def reference_image_rows(design: Design, g: tuple[int, ...]) -> np.ndarray:
+    """The image of every block under g, as the transpose of a C-ordered
+    (k, b) int32 array, whose columns the lookup reads without a copy.
+    It is filled CHUNK_ROWS blocks at a time: take copies its indices to
+    intp, so one gather over every block would hold twice the blocks."""
+    perm = np.asarray(g, dtype=np.int32)
+    blocks = design.block_array
+    columns = np.empty((design.k, design.b), dtype=np.int32)
+    for start in range(0, design.b, CHUNK_ROWS):
+        stop = start + CHUNK_ROWS
+        columns[:, start:stop] = perm.take(blocks[start:stop].T)
+    return columns.T
+
+
+def _assert_same_block_action(design: Design, g: tuple, label) -> int | None:
+    """`block_action` against one lookup of every block's image; the
+    index of the witness block when g does not preserve the blocks."""
+    want = design.block_index(reference_image_rows(design, g))
+    missing = np.flatnonzero(want < 0)
+    if missing.size:
+        with pytest.raises(SetNotPreserved) as err:
+            block_action(design, g)
+        assert err.value.witness == tuple(design.block_array[missing[0]].tolist()), label
+        return int(missing[0])
+    induced = block_action(design, g)
+    assert induced.dtype == np.int32 and not induced.flags.writeable, label
+    assert induced.tolist() == want.tolist(), label
+    return None
+
+
+def _transposition(n: int, a: int, b: int) -> tuple:
+    images = list(range(n))
+    images[a], images[b] = b, a
+    return tuple(images)
+
+
+@pytest.fixture(scope="module")
+def prefix_path_designs():
+    """Designs whose blocks `block_index` finds by prefix keys: blocks of
+    2 points, 4-subsets sharing 3-subsets, and 200 points with more than
+    CHUNK_ROWS blocks."""
+    return {
+        "pairs": Design(10, 2, [s for s in combinations(range(10), 2) if sum(s) % 2 == 0]),
+        "even-sum": Design(7, 3, [s for s in combinations(range(7), 4) if sum(s) % 2 == 0]),
+        "200-points": Design(200, 3, list(combinations(range(50), 3)) + [(150, 151, 199)]),
+    }
+
+
+class TestChunkedBlockActionDifferential:
+    """`block_action`, which maps and looks up CHUNK_ROWS blocks at a
+    time, against one lookup of the image rows of every block at once,
+    `reference_image_rows`: the same induced permutation or the same
+    witness, on both lookup paths and across chunk edges."""
+
+    def test_catalogue_groups(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            for g in gens.gens:
+                assert _assert_same_block_action(design, g, label) is None
+
+    def test_random_permutations(self, catalogue):
+        rng = random.Random(22)
+        for key, design in sorted(catalogue.items()):
+            for _ in range(5):
+                _assert_same_block_action(design, _random_permutation(rng, design.v), key)
+
+    def test_netto_127(self, ranked_designs):
+        # 85344 = 5 * 16384 + 3424 blocks: the last chunk is short
+        design = ranked_designs["n127"]
+        assert design.b > CHUNK_ROWS and design.b % CHUNK_ROWS
+        for g in projective_group_generators("PSL", 127, 1).gens:
+            assert _assert_same_block_action(design, g, "PSL(2,127)") is None
+        rng = random.Random(127)
+        for _ in range(3):
+            assert _assert_same_block_action(design, _random_permutation(rng, 128), "n127") == 0
+
+    def test_witness_in_a_later_chunk(self, ranked_designs):
+        # the Netto blocks missing 126 and 127, and the last block
+        # through 127 alone: swapping 126 and 127 moves only that block,
+        # to a 4-set that is no block
+        rows = ranked_designs["n127"].block_array
+        keep = ~np.isin(rows, (126, 127)).any(axis=1)
+        late = np.flatnonzero((rows == 127).any(axis=1) & ~(rows == 126).any(axis=1))[-1]
+        keep[late] = True
+        design = Design(128, 3, rows[keep])
+        assert design._rank_table() is not None and design.b % CHUNK_ROWS
+        witness = _assert_same_block_action(design, _transposition(128, 126, 127), "late")
+        assert design.block_index(rows[late]) == witness >= 4 * CHUNK_ROWS
+        assert _assert_same_block_action(design, _transposition(128, 0, 1), "early") < CHUNK_ROWS
+
+    @pytest.mark.parametrize("name", ["pairs", "even-sum", "200-points"])
+    def test_prefix_lookup(self, name, prefix_path_designs):
+        design = prefix_path_designs[name]
+        assert design._rank_table() is None
+        # swapping two points of the same parity, or two of the first 50,
+        # preserves every block
+        assert _assert_same_block_action(design, _transposition(design.v, 0, 2), name) is None
+        rng = random.Random(design.v)
+        for _ in range(5):
+            _assert_same_block_action(design, _random_permutation(rng, design.v), name)
+
+    def test_prefix_lookup_across_a_chunk_edge(self, prefix_path_designs):
+        design = prefix_path_designs["200-points"]
+        assert design.b == CHUNK_ROWS + 3217
+        g = _transposition(200, 151, 152)
+        assert _assert_same_block_action(design, g, "200-points") == design.b - 1
 
 
 class TestFlagReportDifferential:
