@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CHUNK_ROWS, MAX_POINTS, Design, derived_design, mark_triples, rank3
+from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
 from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet, parse_generators
@@ -122,8 +122,8 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
     """Images of a sorted base block of at least 3 points under the group
     the generators span, as a sorted (b, k) int32 array.
 
-    Breadth-first over a preallocated (cap, k) block array, cap the block
-    count C(v,3)/C(k,3) of a Steiner 3-design: each level maps its
+    Breadth-first over a preallocated (cap, k) block array, cap the
+    `block_limit` of a partial Steiner 3-system: each level maps its
     frontier through every generator, CHUNK_ROWS blocks at a time, and
     sorts the rows.  Every 3-subset of a stored block is marked with the
     block in a table of C(v,3) ranked 3-subsets, ranked as `Design` ranks
@@ -133,15 +133,15 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
     A new block marking an already marked 3-subset, or an image other
     than the stored block its first three points give, means two blocks
     share three points, so the orbit is not a partial Steiner 3-system:
-    that, or more than cap blocks, raises.  Distinct first three points
-    make their order the lexicographic order.  When tracing, one JSON
+    that raises CatalogError, and more than cap blocks DesignError.
+    Distinct first three points make their order the lexicographic order.  When tracing, one JSON
     line of counters goes to stderr.
     """
     if not gens:
         return np.array([base], dtype=np.int32)
     v, k = len(gens[0]), len(base)
     per_block = math.comb(k, 3)
-    cap = math.comb(v, 3) // per_block
+    cap = block_limit(v, k)
     table = np.array(gens, dtype=np.uint8)
     store = np.empty((cap, k), dtype=np.int32)
     store[0] = base
@@ -160,8 +160,7 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
             first = rank3(rows[:, 0], rows[:, 1], rows[:, 2])
             unseen = np.flatnonzero(block_of[first] < 0)
             _, new = np.unique(first[unseen], return_index=True)
-            if end + len(new) > cap:
-                raise CatalogError(f"block orbit exceeds the {cap} blocks of a Steiner 3-design")
+            block_limit(v, k, end + len(new))
             store[end : end + len(new)] = rows[unseen[new]]
             mark_triples(block_of, store[end : end + len(new)], end)
             end += len(new)

@@ -100,8 +100,8 @@ class Design:
         # the tuple form, once `blocks` is read
         self._blocks: tuple[tuple[int, ...], ...] | None = None
         self._keys: np.ndarray | None = None
-        # the ranked 3-subset table once decided; False when there is none
-        self._ranks: np.ndarray | bool | None = None
+        # the ranked 3-subset table once decided, or why there is none
+        self._ranks: np.ndarray | str | None = None
 
     @property
     def b(self) -> int:
@@ -128,9 +128,12 @@ class Design:
         """Index of a point set in the canonical block list, or -1.
 
         Given a 2-D array, looks up every row as a point set and returns
-        an int32 array of indices, -1 where a row is not a block.
+        an int32 array of indices, -1 where a row is not a block.  Points
+        of any type other than an integer, bool included, raise.
         """
         rows = np.asarray(block)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise DesignError(f"points must be integers, got {rows.dtype}")
         if rows.ndim == 1:
             return int(self._lookup(rows[np.newaxis])[0])
         if rows.ndim != 2:
@@ -142,37 +145,29 @@ class Design:
             return np.full(len(rows), -1, dtype=np.int32)
         # the ranked path widens rows to a signed integer dtype, which a
         # uint64 does not have
-        if self._rank_table() is None or rows.dtype.kind not in "iu" or rows.dtype == np.uint64:
+        if self._rank_table() is None or rows.dtype == np.uint64:
             return self._prefix_lookup(rows)
         return self._ranked_lookup(rows)
 
     def _rank_table(self) -> np.ndarray | None:
         """The block through each 3-subset a < b < c, at its rank
         C(c,3) + C(b,2) + a, or -1 where there is none (Knuth, TAOCP 4A,
-        7.2.1.3).  None for k < 3, for more than MAX_POINTS points, and
-        when some 3-subset lies in two blocks.  Built on first use."""
+        7.2.1.3); None when there is no such table.  Decided once, on
+        first use: `_ranks` keeps the table, or the reason there is none."""
         if self._ranks is None:
-            self._ranks = self._fill_ranks()
-        return None if self._ranks is False else self._ranks
+            try:
+                self._ranks = self._fill_ranks()
+            except DesignError as exc:
+                self._ranks = str(exc)
+        return None if isinstance(self._ranks, str) else self._ranks
 
     def rank_table(self) -> np.ndarray:
-        """The block through each 3-subset at its rank, -1 where there is
-        none, as `_rank_table` gives it; for blocks of at least 3 points on
-        at most MAX_POINTS points.  Raises DesignError when some 3-subset
-        lies in two blocks, naming how many distinct 3-subsets the blocks
-        cover, as the table fill counts them."""
+        """The table `_rank_table` gives; raises DesignError, with the
+        reason `_fill_ranks` gave, where there is none."""
         table = self._rank_table()
-        if table is not None:
-            return table
-        if self.k < 3 or self.v > MAX_POINTS:
-            raise DesignError(
-                f"no ranked 3-subset table for blocks of {self.k} points on {self.v} points"
-            )
-        _, covered = self._mark_ranks()
-        raise DesignError(
-            f"{self.b} blocks of size {self.k} cover {covered} 3-subsets, "
-            f"not {self.b * math.comb(self.k, 3)}: some 3-subset lies in two blocks"
-        )
+        if table is None:
+            raise DesignError(self._ranks)
+        return table
 
     def block_through(self, x, y, z) -> np.ndarray:
         """The index of the block through each 3-subset {x, y, z}, or -1
@@ -193,23 +188,23 @@ class Design:
         found[(low < 0) | (high >= self.v) | (low == mid) | (mid == high)] = -1
         return found
 
-    def _fill_ranks(self) -> np.ndarray | bool:
+    def _fill_ranks(self) -> np.ndarray:
+        """The rank table; DesignError for k < 3, above MAX_POINTS points,
+        above `block_limit`, and when some 3-subset lies in two blocks,
+        which leaves fewer than C(k,3) entries per block marked."""
         v, k, b = self.v, self.k, self.b
-        per_block = math.comb(k, 3)
-        # more 3-subsets than there are, counted with repeats, must repeat one
-        if k < 3 or v > MAX_POINTS or b * per_block > math.comb(v, 3):
-            return False
-        table, covered = self._mark_ranks()
-        return table if covered == b * per_block else False
-
-    def _mark_ranks(self) -> tuple[np.ndarray, int]:
-        """The C(v,3) table with every block's index marked at the ranks
-        of its 3-subsets, and how many entries are marked: each block
-        marks C(k,3) of its own, and a 3-subset in two blocks leaves
-        fewer."""
-        table = np.full(math.comb(self.v, 3), -1, dtype=np.int32)
-        mark_triples(table, self.block_array, 0)
-        return table, int(np.count_nonzero(table >= 0))
+        if k < 3 or v > MAX_POINTS:
+            raise DesignError(f"no ranked 3-subset table for blocks of {k} points on {v} points")
+        block_limit(v, k, b)
+        table = np.full(math.comb(v, 3), -1, dtype=np.int32)
+        mark_triples(table, self._array, 0)
+        covered, per_block = int(np.count_nonzero(table >= 0)), math.comb(k, 3)
+        if covered != b * per_block:
+            raise DesignError(
+                f"{b} blocks of size {k} cover {covered} 3-subsets, "
+                f"not {b * per_block}: some 3-subset lies in two blocks"
+            )
+        return table
 
     def _ranked_lookup(self, rows: np.ndarray) -> np.ndarray:
         # In a partial Steiner 3-system the block through m0, m1, m2 is the
@@ -318,10 +313,12 @@ def _is_canonical_array(rows: object, v: int) -> bool:
         return False
     if 0 in rows.shape or not (rows[:, 1:] > rows[:, :-1]).all():
         return False
-    # walk the columns, keeping the pairs of consecutive rows tied so far:
-    # a pair must not fall where it is tied, and no pair may stay tied
+    # walk the columns while some pair of consecutive rows is tied: a pair
+    # must not fall where it is tied, and no pair may stay tied
     tied = np.ones(len(rows) - 1, dtype=bool)
     for j in range(rows.shape[1]):
+        if not tied.any():
+            break
         before, after = rows[:-1, j], rows[1:, j]
         if (tied & (after < before)).any():
             return False
@@ -394,8 +391,10 @@ def params_of(design: Design) -> DesignParams:
     if not t <= k <= v:
         raise DesignError(f"need t <= k <= v, got t={t}, k={k}, v={v}")
 
-    lam_num = b * math.comb(k, t)
-    if lam_num % math.comb(v, t) or lam_num // math.comb(v, t) != 1:
+    # lambda = 1 needs b = C(v,t)/C(k,t), the product of the (v-i)/(k-i),
+    # each >= v // k >= 2^(bits of v // k, less one): once t times that
+    # exponent reaches the bits of b, b falls short, and no C(v,t) is formed
+    if t * ((v // k).bit_length() - 1) >= b.bit_length() or b * math.comb(k, t) != math.comb(v, t):
         raise DesignError(f"block count {b} does not give lambda = 1")
     if (b * k) % v:
         raise DesignError(f"bk = vr fails: {b}*{k} not divisible by {v}")
@@ -430,6 +429,10 @@ def verify_steiner(design: Design, t: int | None = None) -> SteinerReport:
     v = design.v
     if v > MAX_POINTS:
         raise DesignError(f"verification budget is {MAX_POINTS} points, got {v}")
+    # the oracle holds up to C(v,t) subsets, no more than 3-subsets at the cap
+    subsets, budget = math.comb(v, t), math.comb(MAX_POINTS, 3)
+    if subsets > budget:
+        raise DesignError(f"verification budget is {budget} subsets, got C({v},{t}) = {subsets}")
     counts: dict[tuple[int, ...], int] = {}
     for block in design.blocks:
         for sub in combinations(block, t):
@@ -437,7 +440,7 @@ def verify_steiner(design: Design, t: int | None = None) -> SteinerReport:
             if n > 1:
                 return SteinerReport(ok=False, witness=sub, count=n)
             counts[sub] = n
-    if len(counts) != math.comb(v, t):
+    if len(counts) != subsets:
         for sub in combinations(range(v), t):
             if sub not in counts:
                 return SteinerReport(ok=False, witness=sub, count=0)
@@ -487,15 +490,10 @@ def is_affine_line_system(derived: Design, ctx: FieldContext, q: int) -> bool:
     return True
 
 
-def check_block_count(design: Design) -> None:
-    """Raise DesignError if b exceeds C(v,s)/C(k,s), s = min(k, 3).
-
-    Each block covers C(k,s) s-subsets of the points, and no s-subset is
-    covered twice in a partial Steiner 3-system (for k < 3, by distinct
-    blocks), so no such system has more blocks.  Checked before any table
-    sized by the block count is built.
-    """
-    v, k, b = design.v, design.k, design.b
+def block_limit(v: int, k: int, b: int = 0) -> int:
+    """C(v,s)/C(k,s), s = min(k, 3), the most blocks of k points in a
+    partial Steiner 3-system on v points: each covers C(k,s) s-subsets, none
+    covered twice (for k < 3, by distinct blocks).  DesignError if b > it."""
     s = min(k, 3)
     limit = math.comb(v, s) // math.comb(k, s)
     if b > limit:
@@ -503,6 +501,13 @@ def check_block_count(design: Design) -> None:
             f"{b} blocks of size {k} on {v} points: "
             f"a partial Steiner 3-system has at most {limit}"
         )
+    return limit
+
+
+def check_block_count(design: Design) -> None:
+    """Raise DesignError if the design has more blocks than `block_limit`
+    allows; checked before any table sized by the block count is built."""
+    block_limit(design.v, design.k, design.b)
 
 
 def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:

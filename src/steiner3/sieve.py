@@ -24,7 +24,7 @@ from .design import (
 from .errors import Steiner3Error
 from .gf import factorize
 from .permgrp import GeneratorSet, group_order, is_flag_transitive
-from .trace import emit, tracing
+from .trace import emit
 
 
 CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
@@ -189,26 +189,22 @@ def admissible_parameters(
     """
     if not 4 <= v_min <= v_max <= 10**6:
         raise SieveError(f"need 4 <= v_min <= v_max <= 10^6, got {(v_min, v_max)}")
-    screened = [0]
     sweep = _divisor_sweep if admissible_only else _full_sweep
-    reports = sweep(v_min, v_max, screened)
-    if tracing():
-        mode = "divisor" if admissible_only else "full"
-        return _traced(reports, mode, v_min, v_max, screened)
-    return reports
+    return sweep(v_min, v_max)
 
 
-def _full_sweep(v_min: int, v_max: int, screened: list[int]) -> Iterator[SieveReport]:
+def _full_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
     """Every screened pair's report, k up to the block-size bound."""
+    screened = 0
     for v, limits in _stepped_limits(v_min, v_max):
         ks = range(4, limits[0] + 1)
-        screened[0] += len(ks)
+        screened += len(ks)
         yield from _screen(v, ks, limits)
+    counts = dict(mode="full", v_min=v_min, v_max=v_max, screened=screened, yielded=screened)
+    emit("sieve.admissible_parameters", **counts)
 
 
-def _divisor_sweep(
-    v_min: int, v_max: int, screened: list[int]
-) -> Iterator[SieveReport]:
+def _divisor_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
     """The admissible reports, screening only k = d + 2 with d | (v-2).
 
     For t = 3 the lambda2 check is exactly (k-2) | (v-2), and no admissible
@@ -216,6 +212,7 @@ def _divisor_sweep(
     at most SIEVE_CHUNK values of v lists a superset of the admissible k,
     in increasing order for each v.
     """
+    screened = yielded = 0
     stepped = _stepped_limits(v_min, v_max)
     for lo in range(v_min, v_max + 1, SIEVE_CHUNK):
         hi = min(lo + SIEVE_CHUNK - 1, v_max)
@@ -229,26 +226,12 @@ def _divisor_sweep(
         # candidates first: zip stops at the chunk's end without taking
         # the next v's limits
         for ks, (v, limits) in zip(candidates, stepped):
-            screened[0] += len(ks)
-            yield from _screen(v, ks, limits, admissible_only=True)
-
-
-def _traced(
-    reports: Iterator[SieveReport], mode: str, v_min: int, v_max: int, screened: list[int]
-) -> Iterator[SieveReport]:
-    """The reports, counted; the counters go to stderr once they run out."""
-    yielded = 0
-    for report in reports:
-        yielded += 1
-        yield report
-    emit(
-        "sieve.admissible_parameters",
-        mode=mode,
-        v_min=v_min,
-        v_max=v_max,
-        screened=screened[0],
-        yielded=yielded,
-    )
+            screened += len(ks)
+            for report in _screen(v, ks, limits, admissible_only=True):
+                yielded += 1
+                yield report
+    counts = dict(mode="divisor", v_min=v_min, v_max=v_max, screened=screened, yielded=yielded)
+    emit("sieve.admissible_parameters", **counts)
 
 
 def division_property(r: int, order_point_stabilizer: int) -> bool:

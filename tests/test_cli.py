@@ -5,10 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steiner3
@@ -28,6 +30,7 @@ from steiner3 import (
 )
 from steiner3.catalog import lexicode_codewords
 from steiner3.cli import main
+from steiner3.design import Design, to_json
 from steiner3.gf import prime_power
 
 LIBRARY_ERRORS = (
@@ -329,25 +332,63 @@ class TestErrorContract:
         )
 
     @pytest.mark.parametrize(
-        "v,blocks,covered",
+        "v,blocks,limit",
         [
             # all 4-subsets of 6 points: Aut is S6, but each 3-subset lies in 3 blocks
-            (6, [list(s) for s in combinations(range(6), 4)], 20),
-            (7, [list(s) for s in combinations(range(7), 4) if sum(s) % 2 == 0], 34),
+            (6, [list(s) for s in combinations(range(6), 4)], 5),
+            (7, [list(s) for s in combinations(range(7), 4) if sum(s) % 2 == 0], 8),
         ],
         ids=["all-4-subsets-of-6", "even-sum-4-subsets-of-7"],
     )
-    def test_autgroup_with_a_3_subset_in_two_blocks(self, v, blocks, covered, tmp_path, capsys):
+    def test_autgroup_with_a_3_subset_in_two_blocks(self, v, blocks, limit, tmp_path, capsys):
         design = tmp_path / "d.json"
         design.write_text(json.dumps({"v": v, "t": 3, "lambda": 1, "blocks": blocks}))
         gens = tmp_path / "aut.gens"
         result = run(capsys, "autgroup", str(design), "--out", str(gens))
         self.assert_usage_error(result)
+        # more blocks than C(v,3)/C(4,3): refused by the bound, not by the table
         assert result[2] == (
-            f"error: {len(blocks)} blocks of size 4 cover {covered} 3-subsets, "
-            f"not {4 * len(blocks)}: some 3-subset lies in two blocks\n"
+            f"error: {len(blocks)} blocks of size 4 on {v} points: "
+            f"a partial Steiner 3-system has at most {limit}\n"
         )
         assert not gens.exists()
+
+    def test_autgroup_and_flagcheck_refuse_an_over_full_file_alike(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # all 70 4-subsets of 8 points, against at most C(8,3)/C(4,3) = 14
+        # blocks; neither verb marks a 3-subset table for them
+        def unmarked(*args):
+            raise AssertionError("mark_triples called on an over-full block list")
+
+        monkeypatch.setattr(steiner3.design, "mark_triples", unmarked)
+        monkeypatch.chdir(tmp_path)
+        blocks = [list(s) for s in combinations(range(8), 4)]
+        Path("all4.json").write_text(json.dumps({"v": 8, "t": 3, "blocks": blocks}))
+        Path("s8.gens").write_text("degree: 8\n(1 2)\n(1 2 3 4 5 6 7 8)\n")
+        want = "error: 70 blocks of size 4 on 8 points: a partial Steiner 3-system has at most 14\n"
+        for argv in (["autgroup", "all4.json", "--out", "aut.gens"],
+                     ["flagcheck", "all4.json", "--gens", "s8.gens"]):
+            result = run(capsys, *argv)
+            self.assert_usage_error(result)
+            assert result[2] == want, argv[0]
+        assert not Path("aut.gens").exists()
+
+    def test_autgroup_refuses_many_wide_blocks_without_a_table(self, tmp_path, capsys):
+        # 20000 blocks of 32 points on 64 points, against a bound of 8:
+        # the table fill once wrote C(32,3) ranks per block to word this
+        rows = np.random.default_rng(0).random((20000, 64)).argsort(axis=1)[:, :32]
+        rows = np.unique(np.sort(rows, axis=1), axis=0)
+        path = tmp_path / "wide.json"
+        path.write_text(to_json(Design(64, 3, rows)))
+        started = time.perf_counter()
+        result = run(capsys, "autgroup", str(path), "--out", str(tmp_path / "aut.gens"))
+        self.assert_usage_error(result)
+        assert result[2] == (
+            f"error: {len(rows)} blocks of size 32 on 64 points: "
+            "a partial Steiner 3-system has at most 8\n"
+        )
+        assert time.perf_counter() - started < 1.0
 
     @pytest.mark.parametrize(
         "v,k",
@@ -465,6 +506,29 @@ class TestErrorContract:
         path = tmp_path / "aff.json"
         run(capsys, "construct", "--family", "affine", "--d", "3", "--out", str(path))
         self.assert_usage_error(run(capsys, "verify", str(path), "--t", t))
+
+    def test_verify_within_the_subset_budget(self, tmp_path, capsys):
+        # one block of all 40 points: C(40,12) ~ 5.6e9 subsets were once
+        # enumerated into a dict; C(40,3) = 9880 fit the budget of C(128,3)
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"v": 40, "t": 3, "blocks": [list(range(40))]}))
+        result = run(capsys, "verify", str(path), "--t", "12")
+        self.assert_usage_error(result)
+        assert result[2] == (
+            "error: verification budget is 341376 subsets, got C(40,12) = 5586853480\n"
+        )
+        assert run(capsys, "verify", str(path)) == (0, "3-(40,40,1), b=1\nok\n", "")
+
+    def test_params_on_one_wide_block(self, tmp_path, capsys):
+        # one block of 60000 points on 2^31 with t = 60000: two C(v,t) and a
+        # walk down every column took over a second before the refusal
+        path = tmp_path / "wide.json"
+        path.write_text(to_json(Design(2**31, 60000, np.arange(0, 600000, 10)[np.newaxis])))
+        started = time.perf_counter()
+        result = run(capsys, "params", str(path))
+        self.assert_usage_error(result)
+        assert result[2] == "error: block count 1 does not give lambda = 1\n"
+        assert time.perf_counter() - started < 0.5
 
     def test_verify_above_the_point_cap_prints_nothing(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from steiner3 import design as design_module
 from steiner3.design import (
     Design,
     DesignError,
@@ -64,8 +65,8 @@ class TestDesignContainer:
     @pytest.mark.parametrize(
         "design,message",
         [
-            # each of the C(6,3) = 20 3-subsets lies in 3 of the 15 blocks
-            (Design(6, 3, combinations(range(6), 4)), "15 blocks of size 4 cover 20 3-subsets"),
+            # 15 blocks, and the bound C(6,3)/C(4,3) = 5 refuses them before any table
+            (Design(6, 3, combinations(range(6), 4)), "15 blocks of size 4 on 6 points: .* at most 5"),
             (Design(200, 3, [(0, 1, 2, 3)]), "no ranked 3-subset table"),
             (Design(6, 2, [(0, 1), (2, 3)]), "no ranked 3-subset table"),
         ],
@@ -74,6 +75,41 @@ class TestDesignContainer:
     def test_no_rank_table(self, design, message):
         with pytest.raises(DesignError, match=message):
             design.rank_table()
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [xor_quadruples(3), [(0, 1, 2, 3), (0, 1, 2, 4)], list(combinations(range(8), 4))],
+        ids=["steiner", "repeated-3-subset", "over-full"],
+    )
+    def test_rank_table_is_decided_once(self, blocks, monkeypatch):
+        marked = []
+        fill = design_module.mark_triples
+        monkeypatch.setattr(
+            design_module, "mark_triples", lambda *args: marked.append(fill(*args))
+        )
+        design = Design(8, 3, blocks)
+        for _ in range(3):
+            design.block_index(np.array(blocks[:2]))
+            try:
+                design.block_through(0, 1, 2)
+            except DesignError:
+                pass
+        # the fill marks once, and an over-full list is refused by the bound
+        assert len(marked) == (0 if len(blocks) > 14 else 1)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[0.5, 1, 2, 3], [[0, 1, 2, 3.0]], np.ones((1, 4), dtype=bool), ["0", "1", "2", "3"]],
+        ids=["float-point", "float-row", "bool-row", "string-point"],
+    )
+    def test_block_index_rejects_points_that_are_not_integers(self, affine3, rows):
+        # a float row once took the prefix path, whose int64 key read 0.5 as 0
+        with pytest.raises(DesignError, match="points must be integers"):
+            affine3.block_index(rows)
+
+    def test_block_index_of_nothing(self, affine3):
+        assert affine3.block_index([]) == -1
+        assert affine3.block_index(np.empty((0, 4))).tolist() == []
 
     def test_rejects_duplicates(self):
         with pytest.raises(DesignError):

@@ -351,7 +351,8 @@ class TestRankedLookupDifferential:
 
     def test_more_than_128_points_build_no_table(self):
         design = Design(200, 3, [(0, 1, 2, 3), (4, 5, 6, 199)])
-        assert design._rank_table() is None and design._ranks is False
+        assert design._rank_table() is None
+        assert design._ranks == "no ranked 3-subset table for blocks of 4 points on 200 points"
         rows = np.array([[3, 2, 1, 0], [199, 6, 5, 4], [0, 1, 2, 4]])
         assert design.block_index(rows).tolist() == [0, 1, -1]
 
