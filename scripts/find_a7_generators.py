@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate src/steiner3/data/a7_gl42.gens.
+"""Repeat the search that found catalog's A7 <= GL(4,2) generators.
 
 Randomized search with a fixed seed: sample pairs of invertible 4x4
 matrices over GF(2), view them as permutations of GF(2)^4, and accept
@@ -11,7 +11,7 @@ so the transitivity test is a redundant safety invariant, not a class
 selector; both conjugacy classes of A7 serve the affine construction.
 
 Run from the repository root:  python3 scripts/find_a7_generators.py
-`generator_file()` returns the file's text without writing it.
+It prints the accepted pair; `search()` returns it with the attempt count.
 """
 
 import random
@@ -20,11 +20,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from steiner3.permgrp import GeneratorSet, format_generators, group_order, orbit
+from steiner3.permgrp import GeneratorSet, group_order, orbit
 
 SEED = 20240229
 TARGET_ORDER = 2520
-DATA_FILE = Path(__file__).resolve().parent.parent / "src" / "steiner3" / "data" / "a7_gl42.gens"
 
 
 def random_invertible(rng: random.Random) -> list[int]:
@@ -61,9 +60,8 @@ def matrix_permutation(rows: list[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def generator_file() -> str:
-    """The text of a7_gl42.gens: the first accepted pair, with the search
-    that found it in the comment."""
+def search() -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The first accepted pair of image tuples, and the attempts taken."""
     rng = random.Random(SEED)
     attempts = 0
     while True:
@@ -71,25 +69,15 @@ def generator_file() -> str:
         a = matrix_permutation(random_invertible(rng))
         b = matrix_permutation(random_invertible(rng))
         gens = GeneratorSet(16, (a, b))
-        if group_order(gens).order != TARGET_ORDER:
-            continue
-        if len(orbit(gens.gens, [1])) != 15:
-            continue
-        break
-    comment = (
-        "A7 <= GL(4,2) acting on GF(2)^4 (vectors as integers 0..15).\n"
-        f"Search oracle: random matrix pairs, seed {SEED}, accepted on\n"
-        f"group order {TARGET_ORDER} and transitivity on the 15 nonzero vectors\n"
-        f"(pair found after {attempts} attempts).\n"
-        "Regenerate with scripts/find_a7_generators.py."
-    )
-    return format_generators(gens, comment)
+        if group_order(gens).order == TARGET_ORDER and len(orbit(gens.gens, [1])) == 15:
+            return gens.gens, attempts
 
 
 def main() -> int:
-    DATA_FILE.parent.mkdir(parents=True, exist_ok=True)
-    DATA_FILE.write_text(generator_file(), encoding="utf-8")
-    print(f"wrote {DATA_FILE}")
+    pair, attempts = search()
+    print(f"seed {SEED}: pair found after {attempts} attempts")
+    for images in pair:
+        print(images)
     return 0
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Sequence
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
 from .errors import Steiner3Error
 from .gf import FieldContext, prime_power
-from .permgrp import GeneratorSet, parse_generators
+from .permgrp import GeneratorSet
 from .trace import emit
 
 AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
@@ -378,11 +377,6 @@ def _read_off(near: np.ndarray, nonpivots: list[int]) -> tuple[int, int | None]:
     return s, None if near[s] else sum(1 << b for i, b in enumerate(nonpivots) if s >> i & 1)
 
 
-def _least_far_coset(basis: list[int]) -> int | None:
-    """The least word at distance >= 8 from the span of `basis`, or None."""
-    return _read_off(*_coset_table(basis))[1]
-
-
 # -- group generator constructions ---------------------------------------------
 
 
@@ -421,25 +415,19 @@ def projective_group_generators(kind: str, q: int, e: int) -> GeneratorSet:
     return _projective_line(q, e).group(kind)
 
 
-def load_a7_generators() -> GeneratorSet:
-    """The bundled A7 <= GL(4,2) generators as permutations of GF(2)^4.
+# A7 <= GL(4,2) as two permutations of GF(2)^4, vectors as integers 0..15:
+# the first random pair of invertible matrices (seed 20240229, 17 attempts)
+# spanning a group of order 2520 transitive on the 15 nonzero vectors;
+# scripts/find_a7_generators.py repeats the search
+_A7_GENERATORS = (
+    (0, 1, 11, 10, 3, 2, 8, 9, 15, 14, 4, 5, 12, 13, 7, 6),
+    (0, 6, 8, 14, 2, 4, 10, 12, 15, 9, 7, 1, 13, 11, 5, 3),
+)
 
-    The data file records its own search oracle: random pairs of
-    invertible 4x4 matrices over GF(2), accepted when the generated group
-    has order 2520 and is transitive on the 15 nonzero vectors.
-    """
-    path = resources.files("steiner3") / "data" / "a7_gl42.gens"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise CatalogError("bundled data file a7_gl42.gens is missing") from exc
-    gens = parse_generators(text)
-    if gens.degree != 16 or not gens.gens:
-        raise CatalogError("a7_gl42.gens is corrupt: expected degree-16 generators")
-    for g in gens.gens:
-        if g[0] != 0:
-            raise CatalogError("a7_gl42.gens is corrupt: generators must fix 0")
-    return gens
+
+def load_a7_generators() -> GeneratorSet:
+    """The A7 <= GL(4,2) generators as permutations of GF(2)^4."""
+    return GeneratorSet(16, _A7_GENERATORS)
 
 
 # -- the classification table ---------------------------------------------------

@@ -31,7 +31,7 @@ from .catalog import (
 )
 from .design import (
     DesignError,
-    check_block_count,
+    block_limit,
     derived_design,
     from_json,
     params_of,
@@ -140,7 +140,7 @@ def cmd_params(args) -> int:
 
 def cmd_flagcheck(args) -> int:
     design = _load_design(args.design)
-    check_block_count(design)
+    block_limit(design.v, design.k, design.b)
     gens = _load_generators(args.gens)
     try:
         report = is_flag_transitive(design, gens)

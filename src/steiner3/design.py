@@ -10,8 +10,9 @@ construction to disk and back without a Python object per block.
 Blocks are looked up through a table of ranked 3-subsets when each
 3-subset lies in at most one block, and by sorted prefix keys otherwise;
 `Design.block_through` is the one vectorised read of that table.  The
-table is filled, and rows are looked up and written out, CHUNK_ROWS rows
-at a time, each written piece from a template of its own rows.
+table is filled and rows are looked up CHUNK_ROWS rows at a time, and
+written out in pieces of as many points as CHUNK_ROWS rows of 4, each
+from a template of its own rows.
 Verification is exhaustive t-subset enumeration; that brute force is the
 oracle for everything else in the package, so it stays free of shortcuts.
 """
@@ -391,10 +392,21 @@ def params_of(design: Design) -> DesignParams:
     if not t <= k <= v:
         raise DesignError(f"need t <= k <= v, got t={t}, k={k}, v={v}")
 
-    # lambda = 1 needs b = C(v,t)/C(k,t), the product of the (v-i)/(k-i),
-    # each >= v // k >= 2^(bits of v // k, less one): once t times that
-    # exponent reaches the bits of b, b falls short, and no C(v,t) is formed
-    if t * ((v // k).bit_length() - 1) >= b.bit_length() or b * math.comb(k, t) != math.comb(v, t):
+    # lambda = 1 needs b = C(v,t)/C(k,t) = C(v,m)/C(v-t,m), m = v-k: the
+    # product of the t factors (v-i)/(k-i), each >= v // k, and of the m
+    # factors (v-i)/(v-t-i), each >= v // (v-t).  A factor n is at least
+    # 2^(bits of n, less one): once either count times that exponent
+    # reaches the bits of b, b falls short, and no binomial is formed.
+    # Else the form with fewer factors is.
+    m = v - k
+    exponent = max(
+        t * ((v // k).bit_length() - 1), m * ((v // max(v - t, 1)).bit_length() - 1)
+    )
+    if (
+        exponent >= b.bit_length()
+        or t <= m and b * math.comb(k, t) != math.comb(v, t)
+        or t > m and b * math.comb(v - t, m) != math.comb(v, m)
+    ):
         raise DesignError(f"block count {b} does not give lambda = 1")
     if (b * k) % v:
         raise DesignError(f"bk = vr fails: {b}*{k} not divisible by {v}")
@@ -504,12 +516,6 @@ def block_limit(v: int, k: int, b: int = 0) -> int:
     return limit
 
 
-def check_block_count(design: Design) -> None:
-    """Raise DesignError if the design has more blocks than `block_limit`
-    allows; checked before any table sized by the block count is built."""
-    block_limit(design.v, design.k, design.b)
-
-
 def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:
     """For strength t on v points: the largest k with v >= (t+1)(k-t+1);
     for t > 2 the largest k with v-t+1 >= (k-t+2)(k-t+1), else None; and
@@ -562,12 +568,14 @@ def _json_head(v: int, t: int, labels: Sequence[str] | None) -> str:
 
 def _block_text(blocks: np.ndarray) -> Iterator[str]:
     """A non-empty (b, k) integer array as JSON rows "[0,1,2,3],..." in
-    pieces of CHUNK_ROWS rows, with a lone comma between two pieces.
-    Each piece is one %-format of its points; "%d" writes an int as
-    `json` does."""
-    row = "[" + ",".join(["%d"] * len(blocks[0])) + "]"
-    for start in range(0, len(blocks), CHUNK_ROWS):
-        chunk = blocks[start : start + CHUNK_ROWS]
+    pieces of as many points as CHUNK_ROWS rows of 4 (at least one row),
+    with a lone comma between two pieces.  Each piece is one %-format of
+    its points; "%d" writes an int as `json` does."""
+    k = len(blocks[0])
+    row = "[" + ",".join(["%d"] * k) + "]"
+    step = max(1, CHUNK_ROWS * 4 // k)
+    for start in range(0, len(blocks), step):
+        chunk = blocks[start : start + step]
         if start:
             yield ","
         yield ",".join([row] * len(chunk)) % tuple(chunk.ravel().tolist())

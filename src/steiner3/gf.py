@@ -78,24 +78,18 @@ def _poly_coeffs(enc: int, p: int) -> list[int]:
     return out
 
 
-def _poly_divmod(num: int, den: int, p: int) -> tuple[int, int]:
+def _poly_mod(num: int, den: int, p: int) -> int:
     a = _poly_coeffs(num, p)
     b = _poly_coeffs(den, p)
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else 1
-    q = [0] * (max(len(a) - len(b) + 1, 1))
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        shift = len(a) - len(b)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
         factor = a[-1] * inv_lead % p
-        q[shift] = factor
+        shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[i + shift] = (a[i + shift] - factor * c) % p
-    rem = reduce(lambda acc, c: acc * p + c, reversed(a), 0) if a else 0
-    quo = reduce(lambda acc, c: acc * p + c, reversed(q), 0)
-    return quo, rem
+        while a and a[-1] == 0:
+            a.pop()
+    return reduce(lambda acc, c: acc * p + c, reversed(a), 0)
 
 
 def _poly_is_irreducible(enc: int, degree: int, p: int) -> bool:
@@ -103,7 +97,7 @@ def _poly_is_irreducible(enc: int, degree: int, p: int) -> bool:
     for deg in range(1, degree // 2 + 1):
         lead = p ** deg
         for low in range(lead):
-            if _poly_divmod(enc, lead + low, p)[1] == 0:
+            if _poly_mod(enc, lead + low, p) == 0:
                 return False
     return True
 

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -529,6 +530,23 @@ class TestErrorContract:
         self.assert_usage_error(result)
         assert result[2] == "error: block count 1 does not give lambda = 1\n"
         assert time.perf_counter() - started < 0.5
+
+    def test_params_on_one_block_of_most_points(self, tmp_path, capsys, monkeypatch):
+        # one block of 60000 points on 119999 with t = 60000: v // k = 1, so
+        # the bound on the t factors gave nothing, and C(119999, 60000) was
+        # formed; the v - k mirrored factors are each at least 2
+        path = tmp_path / "most.json"
+        path.write_text(to_json(Design(119999, 60000, np.arange(0, 120000, 2)[np.newaxis])))
+        comb = math.comb
+
+        def small_comb(n, t):
+            assert t < 1000, f"C({n}, {t}) formed"
+            return comb(n, t)
+
+        monkeypatch.setattr(math, "comb", small_comb)
+        result = run(capsys, "params", str(path))
+        self.assert_usage_error(result)
+        assert result[2] == "error: block count 1 does not give lambda = 1\n"
 
     def test_verify_above_the_point_cap_prints_nothing(self, tmp_path, capsys):
         path = tmp_path / "big.json"

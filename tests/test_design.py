@@ -12,9 +12,9 @@ from steiner3 import design as design_module
 from steiner3.design import (
     Design,
     DesignError,
+    block_limit,
     blocksize_bound,
     cameron_check,
-    check_block_count,
     cameron_limits,
     derived_design,
     from_json,
@@ -344,20 +344,23 @@ class TestBlockCount:
     def test_steiner_systems_sit_at_the_limit(self, catalogue):
         for key, design in catalogue.items():
             assert design.b * math.comb(design.k, 3) == math.comb(design.v, 3), key
-            check_block_count(design)
+            block_limit(design.v, design.k, design.b)
 
     def test_one_block_too_many(self, affine3):
         extra = next(s for s in combinations(range(8), 4) if s not in affine3.blocks)
         with pytest.raises(DesignError, match="at most 14"):
-            check_block_count(Design(8, 3, affine3.blocks + (extra,)))
+            design = Design(8, 3, affine3.blocks + (extra,))
+            block_limit(design.v, design.k, design.b)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_small_blocks_are_bounded_by_the_subsets(self, k):
-        check_block_count(Design(6, 1, combinations(range(6), k)))
+        design = Design(6, 1, combinations(range(6), k))
+        block_limit(design.v, design.k, design.b)
 
     def test_blocks_sharing_three_points(self):
         with pytest.raises(DesignError, match="15 blocks of size 4 on 6 points"):
-            check_block_count(Design(6, 3, combinations(range(6), 4)))
+            design = Design(6, 3, combinations(range(6), 4))
+            block_limit(design.v, design.k, design.b)
 
 
 class TestParams:

@@ -10,6 +10,7 @@ these peaks are deterministic for a given interpreter and NumPy.
 import tracemalloc
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from steiner3.catalog import (
@@ -203,6 +204,19 @@ def test_block_writer_grows_with_the_file_not_the_block_width():
     text = to_json(design)
     assert peak_mb(to_json, design) < 1
     assert peak_mb(from_json, text) < 1
+
+
+def test_block_writer_pieces_hold_a_bounded_number_of_points():
+    # 20 000 blocks of 32 points on 64 points, a 1.86 MB file: pieces of
+    # CHUNK_ROWS rows whatever the width made 524 288 ints at once, and
+    # from_json of the bytes peaked at 12.0 MB, to_json at 9.5 MB
+    rng = np.random.default_rng(0)
+    rows = np.unique(np.sort(rng.random((20000, 64)).argsort(axis=1)[:, :32], axis=1), axis=0)
+    design = Design(64, 3, rows)
+    data = to_json(design).encode()
+    assert (len(rows), len(data)) == (20000, 1860145)
+    assert peak_mb(from_json, data) < 5
+    assert peak_mb(to_json, design) < 4
 
 
 def test_netto_orbit_maps_each_level_in_chunks():

@@ -1918,11 +1918,12 @@ class TestLexicodeDifferential:
     def test_read_off_matches_the_scan(self, size, greedy_lexicode):
         basis = greedy_lexicode[0][:size]
         scanned = reference_scan_with_syndromes(basis, basis[-1] + 1, 1 << _LEX)
-        assert catalog._least_far_coset(basis) == scanned == greedy_lexicode[0][size]
+        found = catalog._read_off(*catalog._coset_table(basis))[1]
+        assert found == scanned == greedy_lexicode[0][size]
 
     def test_full_code_has_no_far_coset(self, greedy_lexicode):
         # the Golay code has covering radius 4: every coset is near
-        assert catalog._least_far_coset(greedy_lexicode[0]) is None
+        assert catalog._read_off(*catalog._coset_table(greedy_lexicode[0]))[1] is None
 
 
 # The coset-leader table as it was built before the meet-in-the-middle
