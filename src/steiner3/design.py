@@ -582,8 +582,10 @@ def _block_text(blocks: np.ndarray) -> Iterator[str]:
 
 
 # the opening of a file in to_json's layout without labels; v and t of at
-# most 18 digits, which int() reads at once
+# most 18 digits, which int() reads at once, so at most 70 characters
 _CANONICAL_HEAD = re.compile(rb'\{"v":(-?\d{1,18}),"t":(-?\d{1,18}),"lambda":1,"blocks":\[')
+_CANONICAL_HEAD_CHARS = 70
+_NO_BRACKETS = str.maketrans("", "", "[]")
 
 
 def from_json(data: bytes | str) -> Design:
@@ -631,7 +633,7 @@ def from_json(data: bytes | str) -> Design:
 def _canonical_rows(data: bytes | str) -> tuple[int, int, np.ndarray] | None:
     """v, t and the blocks as a (b, k) int32 array, for a document that
     `to_json` writes for a design without labels (the final newline
-    optional); None for any other.  Text is encoded once.
+    optional); None for any other.  Text is read in place, not encoded.
 
     The points are parsed by `np.fromstring` from one copy of the rows,
     their brackets deleted, which makes no Python object per point.  The
@@ -641,21 +643,26 @@ def _canonical_rows(data: bytes | str) -> tuple[int, int, np.ndarray] | None:
     point the parse misread, such as a leading zero, -0, a float or one
     beyond int32.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8", "surrogatepass")
-    head = _CANONICAL_HEAD.match(data)
+    text = isinstance(data, str)
+    # literals and pieces in the type of data, and translate's arguments
+    # that delete the brackets
+    form = str if text else str.encode
+    no_brackets = (_NO_BRACKETS,) if text else (None, b"[]")
+    # the head is ASCII, so its offsets in the encoded prefix are data's
+    prefix = data[:_CANONICAL_HEAD_CHARS].encode("utf-8", "surrogatepass") if text else data
+    head = _CANONICAL_HEAD.match(prefix)
     if head is None:
         return None
     v, t = int(head[1]), int(head[2])
-    start, end = head.end(), len(data) - (3 if data.endswith(b"\n") else 2)
-    first = data.find(b"]", start, end)
-    if head[0] != _json_head(v, t, None).encode() or first < 0 or not data.startswith(b"]}", end):
+    start, end = head.end(), len(data) - (3 if data.endswith(form("\n")) else 2)
+    first = data.find(form("]"), start, end)
+    if head[0] != _json_head(v, t, None).encode() or first < 0 or not data.startswith(form("]}"), end):
         return None
-    k = data.count(b",", start, first) + 1
-    # brackets deleted: the head loses its last byte and the tail its first
+    k = data.count(form(","), start, first) + 1
+    # brackets deleted: the head loses its last character and the tail its first
     try:
         points = np.fromstring(
-            data.translate(None, b"[]")[start - 1 : end + 1 - len(data)], np.int32, sep=","
+            data.translate(*no_brackets)[start - 1 : end + 1 - len(data)], np.int32, sep=","
         )
     except ValueError:
         return None
@@ -664,7 +671,7 @@ def _canonical_rows(data: bytes | str) -> tuple[int, int, np.ndarray] | None:
     rows = points.reshape(-1, k)
     at = start
     for piece in _block_text(rows):
-        if not data.startswith(piece.encode(), at):
+        if not data.startswith(form(piece), at):
             return None
         at += len(piece)
     return (v, t, rows) if at == end else None

@@ -5,14 +5,18 @@ integrality, the Cameron bounds, stabilizer-order identities for
 flag-transitive actions, cyclotomic evaluation with its reduced variant,
 primitive prime divisors, and the x^2 - 17 = 2^n exponential Diophantine
 sweep.  For t = 3 and lambda = 1 the pair-count integrality condition is
-exactly (k-2) | (v-2), so it appears once under that name.
+exactly (k-2) | (v-2), so it appears once under that name.  The full
+(v, k) sweep screens its pairs in int64 arrays, which hold every product
+exactly up to its cap on v.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from .design import (
     CAMERON_EQUALITY_CASES,
@@ -29,6 +33,9 @@ from .trace import emit
 
 CYCLOTOMIC_MAX_BITS = 8192  # q^d <= 2^8192 keeps every value within 2467 digits
 SIEVE_CHUNK = 4096  # values of v whose candidate block sizes are listed at once
+SIEVE_V_EXPONENT = 6  # sweeps reach v = 10^6, so v(v-1)(v-2) fits an int64
+_PAIR_CHUNK = 1024  # pairs of the full sweep screened by one array pass
+_PASSED = 0b111111  # the bit pattern of a pair that passes all six checks
 
 
 class SieveError(Steiner3Error, ValueError):
@@ -69,9 +76,20 @@ def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
 # every outcome of the six checks, built once: a screened pair looks its
 # outcome up here, so all reports with the same outcome share one tuple
 _OUTCOMES = tuple(_outcome(mask) for mask in range(64))
-# keyed by the identity of the shared tuples, which live as long as the
-# table, so a lookup hashes one int, not six nested pairs
-_CHECKS_JSON = {id(checks): text for checks, _, text in _OUTCOMES}
+# the checks column of `_OUTCOMES`, which a whole chunk of bit patterns
+# indexes at once
+_CHECKS_COLUMN = np.fromiter((checks for checks, _, _ in _OUTCOMES), object, 64)
+# a report's JSON after its k, for a shared checks tuple and each admissible
+# flag, without Cameron equality; keyed by the identity of the shared
+# tuples, which live as long as the table, so a lookup hashes one int
+_JSON_TAILS = {
+    id(checks): tuple(
+        f',"checks":{text},"admissible":{_JSON_BOOL[flag]},'
+        '"cameron_equality":false,"equality_listed":false}'
+        for flag in (False, True)
+    )
+    for checks, _, text in _OUTCOMES
+}
 
 
 @dataclass(slots=True)
@@ -97,9 +115,11 @@ class SieveReport:
 
     def as_json(self) -> str:
         """`as_dict` as compact JSON, assembled from preformatted parts."""
-        checks = _CHECKS_JSON.get(id(self.checks)) or _checks_json(self.checks)
+        tails = None if self.cameron_equality else _JSON_TAILS.get(id(self.checks))
+        if tails is not None:
+            return f'{{"v":{self.v},"k":{self.k}{tails[self.admissible]}'
         return (
-            f'{{"v":{self.v},"k":{self.k},"checks":{checks},'
+            f'{{"v":{self.v},"k":{self.k},"checks":{_checks_json(self.checks)},'
             f'"admissible":{_JSON_BOOL[self.admissible]},'
             f'"cameron_equality":{_JSON_BOOL[self.cameron_equality]},'
             f'"equality_listed":{_JSON_BOOL[self.equality_listed]}}}'
@@ -130,49 +150,40 @@ def _stepped_limits(v_min: int, v_max: int) -> Iterator[tuple[int, _Limits]]:
         yield v, ((root + 3) // 2, v // 4 + 2, m + 2, m + 2 if m * (m + 1) == v - 2 else None)
 
 
-def _screen(
-    v: int,
-    ks: Iterable[int],
-    limits: _Limits,
-    admissible_only: bool = False,
-) -> Iterator[SieveReport]:
-    """Reports for (v, k) with k in ks, given `_limits(v)`, the
-    v-dependent products formed once; with `admissible_only`, no report
-    is built for a pair that fails a check."""
+def _check_bits(v, k, limits):
+    """The bit pattern of the six checks for (v, k), bit 5 the first of
+    `_CHECK_NAMES`, and whether k is the Cameron equality block size, given
+    `_limits(v)`.  v, k and the limits are exact ints, or int64 arrays of
+    one shape (an equality k of 0 for none): v <= 10^SIEVE_V_EXPONENT keeps
+    v(v-1)(v-2) below 2^63."""
     bound, largest_a, largest_b, equality_k = limits
-    v2 = v - 2
-    r_num = (v - 1) * v2
-    b_num = v * r_num
-    for k in ks:
-        k2 = k - 2
-        r_den = (k - 1) * k2
-        # one bit per check, in `_CHECK_NAMES` order from bit 5 down
-        checks, admissible, _ = _OUTCOMES[
-            (b_num % (k * r_den) == 0) << 5
-            | (r_num % r_den == 0) << 4
-            | (v2 % k2 == 0) << 3
-            | (k <= bound) << 2
-            | (k <= largest_a) << 1
-            | (k <= largest_b)
-        ]
-        if admissible_only and not admissible:
-            continue
-        equality = k == equality_k
-        yield SieveReport(
-            v,
-            k,
-            checks,
-            admissible,
-            equality,
-            equality and (3, k, v) in CAMERON_EQUALITY_CASES,
-        )
+    v2, k2 = v - 2, k - 2
+    r_num, r_den = (v - 1) * v2, (k - 1) * k2
+    # the bits are disjoint, so + sets them as | would; on arrays it touches
+    # less of NumPy's code, which shows in a command's peak RSS
+    mask = (
+        ((v * r_num % (k * r_den) == 0) << 5)
+        + ((r_num % r_den == 0) << 4)
+        + ((v2 % k2 == 0) << 3)
+        + ((k <= bound) << 2)
+        + ((k <= largest_a) << 1)
+        + (k <= largest_b)
+    )
+    return mask, k == equality_k
+
+
+def _report(v: int, k: int, mask: int, equality: bool) -> SieveReport:
+    """The report for one (v, k) from its `_check_bits`."""
+    checks, admissible, _ = _OUTCOMES[mask]
+    listed = equality and (3, k, v) in CAMERON_EQUALITY_CASES
+    return SieveReport(v, k, checks, admissible, equality, listed)
 
 
 def screen_parameters(v: int, k: int) -> SieveReport:
     """All named integrality and bound checks for a single (v, k)."""
     if v < 4 or k < 4:
         raise SieveError(f"need v >= 4 and k >= 4, got {(v, k)}")
-    return next(_screen(v, range(k, k + 1), _limits(v)))
+    return _report(v, k, *_check_bits(v, k, _limits(v)))
 
 
 def admissible_parameters(
@@ -187,21 +198,59 @@ def admissible_parameters(
     screened: the same reports, found with far less work.  When tracing,
     one JSON line of counters goes to stderr when the iterator is exhausted.
     """
-    if not 4 <= v_min <= v_max <= 10**6:
-        raise SieveError(f"need 4 <= v_min <= v_max <= 10^6, got {(v_min, v_max)}")
+    if not 4 <= v_min <= v_max <= 10**SIEVE_V_EXPONENT:
+        raise SieveError(
+            f"need 4 <= v_min <= v_max <= 10^{SIEVE_V_EXPONENT}, got {(v_min, v_max)}"
+        )
     sweep = _divisor_sweep if admissible_only else _full_sweep
     return sweep(v_min, v_max)
 
 
 def _full_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
-    """Every screened pair's report, k up to the block-size bound."""
+    """Every screened pair's report, k up to the block-size bound, each
+    chunk of pairs screened by one `_check_bits` over int64 arrays."""
     screened = 0
-    for v, limits in _stepped_limits(v_min, v_max):
-        ks = range(4, limits[0] + 1)
-        screened += len(ks)
-        yield from _screen(v, ks, limits)
+    for rows in _pair_chunks(v_min, v_max):
+        # the rows' columns, each entry repeated once per pair of its v
+        table = np.array(rows, np.int64).T
+        v, *limits, first = np.repeat(table, table[1] - 3, axis=1)
+        k = np.arange(4, len(v) + 4) - first
+        mask, equality = _check_bits(v, k, limits)
+        vs, ks, equal = v.tolist(), k.tolist(), equality.tolist()
+        listed = equal.copy()
+        for i in np.flatnonzero(equality).tolist():
+            listed[i] = (3, ks[i], vs[i]) in CAMERON_EQUALITY_CASES
+        screened += len(vs)
+        yield from map(
+            SieveReport,
+            vs,
+            ks,
+            _CHECKS_COLUMN[mask].tolist(),
+            (mask == _PASSED).tolist(),
+            equal,
+            listed,
+        )
     counts = dict(mode="full", v_min=v_min, v_max=v_max, screened=screened, yielded=screened)
     emit("sieve.admissible_parameters", **counts)
+
+
+def _pair_chunks(v_min: int, v_max: int) -> Iterator[list[tuple[int, ...]]]:
+    """(v, *`_limits(v)`, first) for consecutive v, an equality k of 0 for
+    none and first the number of pairs (4 <= k <= the block-size bound)
+    before v's in its list, in lists of whole values of v with at most
+    _PAIR_CHUNK pairs in all, or of one v with more; a v with no pair
+    joins the next list."""
+    rows: list[tuple[int, ...]] = []
+    pairs = 0
+    for v, (bound, largest_a, largest_b, equality_k) in _stepped_limits(v_min, v_max):
+        count = bound - 3
+        if pairs and pairs + count > _PAIR_CHUNK:
+            yield rows
+            rows, pairs = [], 0
+        rows.append((v, bound, largest_a, largest_b, equality_k or 0, pairs))
+        pairs += count
+    if pairs:
+        yield rows
 
 
 def _divisor_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
@@ -227,9 +276,11 @@ def _divisor_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
         # the next v's limits
         for ks, (v, limits) in zip(candidates, stepped):
             screened += len(ks)
-            for report in _screen(v, ks, limits, admissible_only=True):
-                yielded += 1
-                yield report
+            for k in ks:
+                mask, equality = _check_bits(v, k, limits)
+                if mask == _PASSED:
+                    yielded += 1
+                    yield _report(v, k, mask, equality)
     counts = dict(mode="divisor", v_min=v_min, v_max=v_max, screened=screened, yielded=yielded)
     emit("sieve.admissible_parameters", **counts)
 

@@ -206,17 +206,27 @@ def test_block_writer_grows_with_the_file_not_the_block_width():
     assert peak_mb(from_json, text) < 1
 
 
-def test_block_writer_pieces_hold_a_bounded_number_of_points():
-    # 20 000 blocks of 32 points on 64 points, a 1.86 MB file: pieces of
-    # CHUNK_ROWS rows whatever the width made 524 288 ints at once, and
-    # from_json of the bytes peaked at 12.0 MB, to_json at 9.5 MB
+@pytest.fixture(scope="module")
+def wide_design():
+    """20 000 blocks of 32 points on 64 points, a 1.86 MB file."""
     rng = np.random.default_rng(0)
     rows = np.unique(np.sort(rng.random((20000, 64)).argsort(axis=1)[:, :32], axis=1), axis=0)
-    design = Design(64, 3, rows)
-    data = to_json(design).encode()
-    assert (len(rows), len(data)) == (20000, 1860145)
+    return Design(64, 3, rows)
+
+
+def test_block_writer_pieces_hold_a_bounded_number_of_points(wide_design):
+    # pieces of CHUNK_ROWS rows whatever the width made 524 288 ints at
+    # once, and from_json of the bytes peaked at 12.0 MB, to_json at 9.5 MB
+    data = to_json(wide_design).encode()
+    assert (wide_design.b, len(data)) == (20000, 1860145)
     assert peak_mb(from_json, data) < 5
-    assert peak_mb(to_json, design) < 4
+    assert peak_mb(to_json, wide_design) < 4
+
+
+def test_from_json_reads_text_in_place(wide_design):
+    # encoding the text first peaked at 5.96 MB against 4.19 MB for the bytes
+    text = to_json(wide_design)
+    assert peak_mb(from_json, text) < peak_mb(from_json, text.encode()) + 0.3
 
 
 def test_netto_orbit_maps_each_level_in_chunks():

@@ -1629,6 +1629,50 @@ class TestSieveDifferential:
         assert not report.admissible
 
 
+def full_sweep_matches_reference(v_min: int, v_max: int) -> None:
+    """The full sweep against the check-by-check reference, field for
+    field, each report holding one of the shared `_OUTCOMES` tuples (the
+    tuples that `as_json` reads its preformatted tail by)."""
+    shared = {id(checks) for checks, _, _ in _OUTCOMES}
+    pairs = zip_longest(reference_sweep(v_min, v_max), admissible_parameters(v_min, v_max))
+    for want, got in pairs:
+        assert report_fields(got) == report_fields(want)
+        assert id(got.checks) in shared
+
+
+class TestFullSweepChunks:
+    """The full sweep screens whole values of v in int64 arrays of at most
+    `_PAIR_CHUNK` pairs (or one v with more)."""
+
+    def test_cap_fits_int64(self):
+        v = 10**sieve.SIEVE_V_EXPONENT
+        assert v * (v - 1) * (v - 2) <= np.iinfo(np.int64).max
+        with pytest.raises(SieveError, match=f"10\\^{sieve.SIEVE_V_EXPONENT}"):
+            admissible_parameters(4, v + 1)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 100])
+    def test_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(sieve, "_PAIR_CHUNK", chunk)
+        for v_min, v_max in [(4, 300), (999_990, 10**6)]:
+            full_sweep_matches_reference(v_min, v_max)
+
+    @pytest.mark.parametrize("v_min,v_max", [(4, 300), (4000, 4100), (999_990, 10**6)])
+    def test_windows_across_chunk_boundaries(self, v_min, v_max):
+        assert len(list(sieve._pair_chunks(v_min, v_max))) > 1
+        full_sweep_matches_reference(v_min, v_max)
+
+    @pytest.mark.parametrize("v_min,v_max", [(4, 4), (4, 5), (5, 5), (4, 6)])
+    def test_windows_without_a_pair(self, v_min, v_max):
+        assert list(admissible_parameters(v_min, v_max)) == []
+        assert list(sieve._pair_chunks(v_min, v_max)) == []
+
+    def test_every_chunk_holds_whole_values_of_v(self):
+        for rows in sieve._pair_chunks(4, 3000):
+            counts = [row[1] - 3 for row in rows]
+            assert sum(counts) <= sieve._PAIR_CHUNK or len(rows) == 1
+            assert [row[-1] for row in rows] == [sum(counts[:i]) for i in range(len(rows))]
+
+
 def admissible_reports(v_min: int, v_max: int) -> tuple[list, list]:
     """The full screen's admissible reports and the divisor path's, as fields."""
     full = [report_fields(r) for r in admissible_parameters(v_min, v_max) if r.admissible]
@@ -1724,6 +1768,9 @@ SIEVE_DIGESTS = {
     ("--v-min", "4", "--v-max", "10000"): "a0d198d6d660795d5fd9242e5e28aa4096eee2fcd60a61a02649d9666363a84e",
     ("--v-min", "4", "--v-max", "3000", "--json"): "d19dac62ba9de82f92d33afa09feea770cfd1aa3613cf49098594ebac6b29f23",
     ("--v-min", "999800", "--v-max", "1000000"): "716aaa604f8966d390506318a060f5b0ca82e6e14c97203da9ad17144639a4fd",
+    # the two sub-windows of the benchmark's sieve-json workload
+    ("--v-min", "4", "--v-max", "3174", "--json"): "f8b8f35ef0642b240122db0fb26403e41b7e42f905b2fa4efa1f162b0781f5da",
+    ("--v-min", "3175", "--v-max", "5000", "--json"): "b2a11870543cb1dc72f91ffd85d32f47fdd478a397726bcc5f54ab0f77597638",
 }
 
 
