@@ -1,21 +1,16 @@
 """Flag-transitive Steiner 3-designs: constructions, group checks, sieves."""
 
 from .design import (
-    CameronResult,
     Design,
-    DesignError,
     DesignParams,
     SteinerReport,
-    blocksize_bound,
-    cameron_check,
     derived_design,
     from_json,
-    is_affine_line_system,
     params_of,
     to_json,
     verify_steiner,
 )
-from .errors import Steiner3Error
+from .errors import DesignError, Steiner3Error
 from .gf import FieldContext, FieldError
 from .catalog import (
     CatalogError,
@@ -29,6 +24,7 @@ from .catalog import (
     construct_octad_design,
     construct_spherical,
     construct_witt_22,
+    is_affine_line_system,
     lexicode_codewords,
     load_a7_generators,
     projective_group_generators,
@@ -37,9 +33,11 @@ from .permgrp import (
     FlagReport,
     GeneratorSet,
     GroupSummary,
+    NotFlagTransitive,
     PermutationError,
     SearchBudgetExceeded,
     SetNotPreserved,
+    StabilizerReport,
     automorphism_group,
     block_action,
     format_generators,
@@ -47,22 +45,23 @@ from .permgrp import (
     is_flag_transitive,
     orbit,
     parse_generators,
+    stabilizer_identities,
 )
 from .sieve import (
+    CameronResult,
     CyclotomicEval,
-    NotFlagTransitive,
     SieveError,
     SieveReport,
-    StabilizerReport,
     ZsigmondyResult,
     admissible_parameters,
+    blocksize_bound,
+    cameron_check,
     cyclotomic_eval,
     division_property,
     ramanujan_nagell,
     ramanujan_nagell_block_sizes,
     screen_parameters,
     semilinear_divisibility,
-    stabilizer_identities,
     zsigmondy_ppd,
 )
 

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
-from .errors import Steiner3Error
+from .errors import DesignError, Steiner3Error
 from .gf import FieldContext, prime_power
 from .permgrp import GeneratorSet
 from .trace import emit
@@ -242,6 +242,31 @@ def construct_witt_22() -> Design:
     if second.b != 77:
         raise GolayConstructionError(f"expected 77 blocks after two derivations, got {second.b}")
     return second
+
+
+def is_affine_line_system(derived: Design, ctx: FieldContext, q: int) -> bool:
+    """Whether every block is a coset of a 1-dimensional GF(q)-subspace.
+
+    Points of `derived` must be element indices of ctx; the scalar set is
+    {a : a^q = a}, so a False answer distinguishes genuine line systems
+    from triple systems living in a field with no GF(q) subfield.
+    """
+    if derived.v != ctx.order:
+        raise DesignError(
+            f"derived design has {derived.v} points, field has {ctx.order} elements"
+        )
+    if derived.k != q:
+        raise DesignError(f"block size {derived.k} does not match line size {q}")
+    scalars = [i for i in range(ctx.order) if ctx.pow(i, q) == i]
+    for block in derived.blocks:
+        base = block[0]
+        diffs = {ctx.add(p, ctx.neg(base)) for p in block}
+        for u in diffs:
+            if u == 0:
+                continue
+            if {ctx.mul(s, u) for s in scalars} != diffs:
+                return False
+    return True
 
 
 # -- lexicode ------------------------------------------------------------------

@@ -15,6 +15,7 @@ written out in pieces of as many points as CHUNK_ROWS rows of 4, each
 from a template of its own rows.
 Verification is exhaustive t-subset enumeration; that brute force is the
 oracle for everything else in the package, so it stays free of shortcuts.
+It imports only `errors`; the bounds on parameters are in `steiner3.sieve`.
 """
 
 from __future__ import annotations
@@ -28,27 +29,13 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import Steiner3Error
-from .gf import FieldContext
+from .errors import DesignError
 
 MAX_POINTS = 128
 _INT32_POINTS = 2**31  # an int32 block array holds every point below this
 # rows per pass of the row-wise array loops: their temporaries stay a few
 # hundred KB whatever the block count
 CHUNK_ROWS = 16384
-
-CAMERON_EQUALITY_CASES = (
-    (3, 4, 8),
-    (3, 6, 22),
-    (3, 12, 112),
-    (4, 7, 23),
-    (5, 8, 24),
-)
-
-
-class DesignError(Steiner3Error, ValueError):
-    """Malformed incidence structure or inconsistent parameters."""
-
 
 class Design:
     """Point count (an int, at most 2^31) plus a canonical sorted list of
@@ -377,13 +364,6 @@ class SteinerReport:
     count: int | None = None
 
 
-@dataclass(frozen=True)
-class CameronResult:
-    status: str  # "strict" | "equality" | "violated"
-    case: tuple[int, int, int]
-    listed: bool
-
-
 def params_of(design: Design) -> DesignParams:
     """Exact parameters, cross-checked against direct incidence counts."""
     t, v, k, b = design.t, design.v, design.k, design.b
@@ -477,31 +457,6 @@ def derived_design(design: Design, x: int) -> Design:
     return Design(design.v - 1, design.t - 1, blocks, labels)
 
 
-def is_affine_line_system(derived: Design, ctx: FieldContext, q: int) -> bool:
-    """Whether every block is a coset of a 1-dimensional GF(q)-subspace.
-
-    Points of `derived` must be element indices of ctx; the scalar set is
-    {a : a^q = a}, so a False answer distinguishes genuine line systems
-    from triple systems living in a field with no GF(q) subfield.
-    """
-    if derived.v != ctx.order:
-        raise DesignError(
-            f"derived design has {derived.v} points, field has {ctx.order} elements"
-        )
-    if derived.k != q:
-        raise DesignError(f"block size {derived.k} does not match line size {q}")
-    scalars = [i for i in range(ctx.order) if ctx.pow(i, q) == i]
-    for block in derived.blocks:
-        base = block[0]
-        diffs = {ctx.add(p, ctx.neg(base)) for p in block}
-        for u in diffs:
-            if u == 0:
-                continue
-            if {ctx.mul(s, u) for s in scalars} != diffs:
-                return False
-    return True
-
-
 def block_limit(v: int, k: int, b: int = 0) -> int:
     """C(v,s)/C(k,s), s = min(k, 3), the most blocks of k points in a
     partial Steiner 3-system on v points: each covers C(k,s) s-subsets, none
@@ -514,40 +469,6 @@ def block_limit(v: int, k: int, b: int = 0) -> int:
             f"a partial Steiner 3-system has at most {limit}"
         )
     return limit
-
-
-def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:
-    """For strength t on v points: the largest k with v >= (t+1)(k-t+1);
-    for t > 2 the largest k with v-t+1 >= (k-t+2)(k-t+1), else None; and
-    the k with v-t+1 == (k-t+2)(k-t+1), if there is one, else None."""
-    largest_a = v // (t + 1) + t - 1
-    if t <= 2:
-        return largest_a, None, None
-    # m = k-t+1: the largest m with m(m+1) <= v-t+1, from (2m+1)^2 <= 4(v-t+1)+1
-    room = v - t + 1
-    m = (math.isqrt(4 * room + 1) - 1) // 2
-    return largest_a, m + t - 1, m + t - 1 if m * (m + 1) == room else None
-
-
-def cameron_check(t: int, k: int, v: int) -> CameronResult:
-    """Evaluate the lower bounds v >= (t+1)(k-t+1) and, for t > 2,
-    v-t+1 >= (k-t+2)(k-t+1), flagging the known equality cases."""
-    if not t < k < v:
-        raise DesignError(f"need t < k < v for a non-trivial design, got {(t, k, v)}")
-    case = (t, k, v)
-    largest_a, largest_b, equality = cameron_limits(t, v)
-    if k > largest_a or (largest_b is not None and k > largest_b):
-        return CameronResult("violated", case, False)
-    if k == equality:
-        return CameronResult("equality", case, case in CAMERON_EQUALITY_CASES)
-    return CameronResult("strict", case, False)
-
-
-def blocksize_bound(v: int) -> int:
-    """floor(sqrt(v) + 3/2): the largest k with (2k-3)^2 <= 4v, all integer."""
-    if v < 4:
-        raise DesignError(f"need at least 4 points, got {v}")
-    return (math.isqrt(4 * v) + 3) // 2
 
 
 def to_json(design: Design) -> str:

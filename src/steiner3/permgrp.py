@@ -7,7 +7,9 @@ bitmap over an array of generator images.
 
 Group order uses a deterministic Schreier-Sims construction: no
 randomness, so stabilizer chains (and everything derived from them) are
-reproducible run to run.  The automorphism search for a design is a
+reproducible run to run.  The stabilizer-order identities of a
+flag-transitive action read |G| from the chain the flag check builds.
+The automorphism search for a design is a
 backtracking search over point images, pruned by the block structure,
 returning one coset representative per new image of each base point.
 One search state lives for the whole stabilizer-chain walk: the fixed
@@ -24,6 +26,7 @@ a time.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .design import CHUNK_ROWS, MAX_POINTS, Design, DesignError
-from .errors import Steiner3Error
+from .design import CHUNK_ROWS, MAX_POINTS, Design, params_of
+from .errors import DesignError, Steiner3Error
 from .trace import emit
 
 
@@ -51,6 +54,10 @@ class SetNotPreserved(Steiner3Error, ValueError):
 
 class SearchBudgetExceeded(Steiner3Error, RuntimeError):
     """Automorphism search refused: degree above the supported bound."""
+
+
+class NotFlagTransitive(Steiner3Error, ValueError):
+    """The stabilizer identities require a flag-transitive action."""
 
 
 @dataclass(frozen=True)
@@ -120,15 +127,17 @@ def _image_table(perms: Sequence, n: int) -> np.ndarray:
 
 def _orbit_sizes(table: np.ndarray, skip: slice = slice(0)) -> list[int]:
     """Sizes of the orbits splitting the table's states (less `skip`),
-    ordered by their least state."""
+    ordered by their least state.  Each seed is the first state not yet
+    covered: a bool `argmin` from the last seed on stops at it."""
     covered = np.zeros(table.shape[1], dtype=bool)
     covered[skip] = True
     sizes = []
-    for seed in range(len(covered)):
-        if not covered[seed]:
-            part = orbit(table, [seed])
-            covered[part] = True
-            sizes.append(len(part))
+    seed = int(covered.argmin())
+    while not covered[seed]:
+        part = orbit(table, [seed])
+        covered[part] = True
+        sizes.append(len(part))
+        seed += int(covered[seed:].argmin())
     return sizes
 
 
@@ -142,7 +151,7 @@ class _Level:
         self.beta = beta
         self.gens: list[tuple] = []
         self.transversal: dict[int, tuple[tuple, tuple]] = {beta: (ident, ident)}
-        self.done: set[tuple[int, int]] = set()
+        self.done: dict[int, int] = {}  # p: the pairs (p, gi) handled are gi < done[p]
 
 
 def _compose(f: tuple, g: tuple) -> tuple:
@@ -201,7 +210,8 @@ def _schreier_sims(
         """Handle unprocessed (orbit point, generator) pairs at level i.
 
         Returns the deepest level that received a new generator, or None
-        once level i is complete.
+        once level i is complete.  A scan returns right after the pair it
+        counts, and `gens` only grows, so a point's pairs are a prefix.
         """
         nonlocal schreier_formed
         lvl = levels[i]
@@ -210,10 +220,8 @@ def _schreier_sims(
             new_points = []
             for p in frontier:
                 up = lvl.transversal[p][0]
-                for gi in range(len(lvl.gens)):
-                    if (p, gi) in lvl.done:
-                        continue
-                    lvl.done.add((p, gi))
+                for gi in range(lvl.done.get(p, 0), len(lvl.gens)):
+                    lvl.done[p] = gi + 1
                     s = lvl.gens[gi]
                     q = s[p]
                     entry = lvl.transversal.get(q)
@@ -326,6 +334,11 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
     SetNotPreserved if some generator is not an automorphism.  When
     tracing, one JSON line of counters goes to stderr.
     """
+    return _flag_report(design, gens)[0]
+
+
+def _flag_report(design: Design, gens: GeneratorSet) -> tuple[FlagReport, list[_Level]]:
+    """`is_flag_transitive`'s report and the levels of the chain it builds."""
     if gens.degree != design.v:
         raise PermutationError(
             f"generator degree {gens.degree} != point count {design.v}"
@@ -374,6 +387,68 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
         block_transitive=len(block_orbit_sizes) == 1,
         point_transitive=len(point_orbit_sizes) == 1,
         point_2_transitive=len(pair_orbit_sizes) == 1,
+    ), levels
+
+
+@dataclass(frozen=True)
+class StabilizerReport:
+    order: int
+    v: int
+    b: int
+    k: int
+    g_x: int
+    g_xy: int
+    g_b: int
+    g_xb: int
+    block_identity: bool  # b * |G_B| == v(v-1) |G_xy|
+    point_identity: bool  # (v-2) |G_xB| == (k-1)(k-2) |G_xy|
+
+    @property
+    def ok(self) -> bool:
+        return self.block_identity and self.point_identity
+
+
+def stabilizer_identities(design: Design, gens: GeneratorSet) -> StabilizerReport:
+    """Exact stabilizer-order identities for a flag-transitive action.
+
+    With b*k flags in one orbit, |G_x| = |G|/v, |G_xy| = |G|/(v(v-1))
+    (point 2-transitivity follows from flag-transitivity at t = 3),
+    |G_B| = |G|/b and |G_xB| = |G|/(bk); then both
+    b = v(v-1)|G_xy|/|G_B| and v-2 = (k-1)(k-2)|G_xy|/|G_xB| must hold.
+    |G| is the product of the transversal sizes of the flag check's chain.
+    """
+    report, levels = _flag_report(design, gens)
+    if not report.flag_transitive:
+        raise NotFlagTransitive(
+            f"flag orbit has size {report.flag_orbit_size} of {report.flag_count}"
+        )
+    params = params_of(design)
+    v, b, k = params.v, params.b, params.k
+    order = math.prod(len(lvl.transversal) for lvl in levels)
+    quotients = {}
+    for name, denom in (
+        ("g_x", v),
+        ("g_xy", v * (v - 1)),
+        ("g_b", b),
+        ("g_xb", b * k),
+    ):
+        if order % denom:
+            raise NotFlagTransitive(
+                f"|G| = {order} is not divisible by {denom} ({name} not integral)"
+            )
+        quotients[name] = order // denom
+    g_xy, g_b, g_xb = quotients["g_xy"], quotients["g_b"], quotients["g_xb"]
+    return StabilizerReport(
+        order=order,
+        v=v,
+        b=b,
+        k=k,
+        g_x=quotients["g_x"],
+        g_xy=g_xy,
+        g_b=g_b,
+        g_xb=g_xb,
+        block_identity=b * g_b == v * (v - 1) * g_xy,
+        point_identity=(v - 2) * g_xb == (k - 1) * (k - 2) * g_xy,
     )
 
 

@@ -1,13 +1,12 @@
 """Arithmetic admissibility screens for Steiner 3-design parameters.
 
-Everything here is exact integer arithmetic: counting-identity
-integrality, the Cameron bounds, stabilizer-order identities for
-flag-transitive actions, cyclotomic evaluation with its reduced variant,
-primitive prime divisors, and the x^2 - 17 = 2^n exponential Diophantine
-sweep.  For t = 3 and lambda = 1 the pair-count integrality condition is
-exactly (k-2) | (v-2), so it appears once under that name.  The full
-(v, k) sweep screens its pairs in int64 arrays, which hold every product
-exactly up to its cap on v.
+Everything here is exact integer arithmetic, needing no design or
+group: counting-identity integrality, the block-size and Cameron bounds,
+cyclotomic evaluation with its reduced variant, primitive prime
+divisors, and the x^2 - 17 = 2^n exponential Diophantine sweep.  For
+t = 3 and lambda = 1 the pair-count integrality condition is exactly
+(k-2) | (v-2), so it appears once under that name.  The full (v, k)
+sweep screens its pairs in int64 arrays, exact for every v up to its cap.
 """
 
 from __future__ import annotations
@@ -18,16 +17,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .design import (
-    CAMERON_EQUALITY_CASES,
-    Design,
-    blocksize_bound,
-    cameron_limits,
-    params_of,
-)
-from .errors import Steiner3Error
+from .errors import DesignError, Steiner3Error
 from .gf import factorize
-from .permgrp import GeneratorSet, group_order, is_flag_transitive
 from .trace import emit
 
 
@@ -37,13 +28,58 @@ SIEVE_V_EXPONENT = 6  # sweeps reach v = 10^6, so v(v-1)(v-2) fits an int64
 _PAIR_CHUNK = 1024  # pairs of the full sweep screened by one array pass
 _PASSED = 0b111111  # the bit pattern of a pair that passes all six checks
 
+CAMERON_EQUALITY_CASES = (
+    (3, 4, 8),
+    (3, 6, 22),
+    (3, 12, 112),
+    (4, 7, 23),
+    (5, 8, 24),
+)
+
 
 class SieveError(Steiner3Error, ValueError):
     """Inputs outside an operation's supported range."""
 
 
-class NotFlagTransitive(Steiner3Error, ValueError):
-    """The stabilizer identities require a flag-transitive action."""
+@dataclass(frozen=True)
+class CameronResult:
+    status: str  # "strict" | "equality" | "violated"
+    case: tuple[int, int, int]
+    listed: bool
+
+
+def cameron_limits(t: int, v: int) -> tuple[int, int | None, int | None]:
+    """For strength t on v points: the largest k with v >= (t+1)(k-t+1);
+    for t > 2 the largest k with v-t+1 >= (k-t+2)(k-t+1), else None; and
+    the k with v-t+1 == (k-t+2)(k-t+1), if there is one, else None."""
+    largest_a = v // (t + 1) + t - 1
+    if t <= 2:
+        return largest_a, None, None
+    # m = k-t+1: the largest m with m(m+1) <= v-t+1, from (2m+1)^2 <= 4(v-t+1)+1
+    room = v - t + 1
+    m = (math.isqrt(4 * room + 1) - 1) // 2
+    return largest_a, m + t - 1, m + t - 1 if m * (m + 1) == room else None
+
+
+def cameron_check(t: int, k: int, v: int) -> CameronResult:
+    """Evaluate the lower bounds v >= (t+1)(k-t+1) and, for t > 2,
+    v-t+1 >= (k-t+2)(k-t+1), flagging the known equality cases."""
+    if not t < k < v:
+        raise DesignError(f"need t < k < v for a non-trivial design, got {(t, k, v)}")
+    case = (t, k, v)
+    largest_a, largest_b, equality = cameron_limits(t, v)
+    if k > largest_a or (largest_b is not None and k > largest_b):
+        return CameronResult("violated", case, False)
+    if k == equality:
+        return CameronResult("equality", case, case in CAMERON_EQUALITY_CASES)
+    return CameronResult("strict", case, False)
+
+
+def blocksize_bound(v: int) -> int:
+    """floor(sqrt(v) + 3/2): the largest k with (2k-3)^2 <= 4v, all integer."""
+    if v < 4:
+        raise DesignError(f"need at least 4 points, got {v}")
+    return (math.isqrt(4 * v) + 3) // 2
 
 
 _CHECK_NAMES = (
@@ -290,67 +326,6 @@ def division_property(r: int, order_point_stabilizer: int) -> bool:
     if r < 1 or order_point_stabilizer < 1:
         raise SieveError("arguments must be positive")
     return order_point_stabilizer % r == 0
-
-
-@dataclass(frozen=True)
-class StabilizerReport:
-    order: int
-    v: int
-    b: int
-    k: int
-    g_x: int
-    g_xy: int
-    g_b: int
-    g_xb: int
-    block_identity: bool  # b * |G_B| == v(v-1) |G_xy|
-    point_identity: bool  # (v-2) |G_xB| == (k-1)(k-2) |G_xy|
-
-    @property
-    def ok(self) -> bool:
-        return self.block_identity and self.point_identity
-
-
-def stabilizer_identities(design: Design, gens: GeneratorSet) -> StabilizerReport:
-    """Exact stabilizer-order identities for a flag-transitive action.
-
-    With b*k flags in one orbit, |G_x| = |G|/v, |G_xy| = |G|/(v(v-1))
-    (point 2-transitivity follows from flag-transitivity at t = 3),
-    |G_B| = |G|/b and |G_xB| = |G|/(bk); then both
-    b = v(v-1)|G_xy|/|G_B| and v-2 = (k-1)(k-2)|G_xy|/|G_xB| must hold.
-    """
-    report = is_flag_transitive(design, gens)
-    if not report.flag_transitive:
-        raise NotFlagTransitive(
-            f"flag orbit has size {report.flag_orbit_size} of {report.flag_count}"
-        )
-    params = params_of(design)
-    v, b, k = params.v, params.b, params.k
-    order = group_order(gens).order
-    quotients = {}
-    for name, denom in (
-        ("g_x", v),
-        ("g_xy", v * (v - 1)),
-        ("g_b", b),
-        ("g_xb", b * k),
-    ):
-        if order % denom:
-            raise NotFlagTransitive(
-                f"|G| = {order} is not divisible by {denom} ({name} not integral)"
-            )
-        quotients[name] = order // denom
-    g_xy, g_b, g_xb = quotients["g_xy"], quotients["g_b"], quotients["g_xb"]
-    return StabilizerReport(
-        order=order,
-        v=v,
-        b=b,
-        k=k,
-        g_x=quotients["g_x"],
-        g_xy=g_xy,
-        g_b=g_b,
-        g_xb=g_xb,
-        block_identity=b * g_b == v * (v - 1) * g_xy,
-        point_identity=(v - 2) * g_xb == (k - 1) * (k - 2) * g_xy,
-    )
 
 
 # -- cyclotomic machinery -----------------------------------------------------

@@ -17,18 +17,23 @@ from steiner3.catalog import (
     construct_octad_design,
     construct_spherical,
     construct_witt_22,
+    is_affine_line_system,
     lexicode_codewords,
     load_a7_generators,
     projective_group_generators,
 )
 from steiner3.design import (
     derived_design,
-    is_affine_line_system,
     params_of,
     verify_steiner,
 )
 from steiner3.gf import FieldContext, prime_power
-from steiner3.permgrp import automorphism_group, group_order, is_flag_transitive
+from steiner3.permgrp import (
+    automorphism_group,
+    group_order,
+    is_flag_transitive,
+    stabilizer_identities,
+)
 from steiner3.sieve import (
     admissible_parameters,
     cyclotomic_eval,
@@ -36,7 +41,6 @@ from steiner3.sieve import (
     ramanujan_nagell,
     ramanujan_nagell_block_sizes,
     semilinear_divisibility,
-    stabilizer_identities,
     zsigmondy_ppd,
 )
 

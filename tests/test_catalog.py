@@ -383,7 +383,7 @@ class TestFullRangeConstruction:
 
 class TestCatalogueWideInvariants:
     def test_cameron_equality_exactly_at_8_4_and_22_6(self, catalogue):
-        from steiner3.design import cameron_check
+        from steiner3.sieve import cameron_check
 
         for design in catalogue.values():
             result = cameron_check(3, design.k, design.v)
@@ -394,7 +394,7 @@ class TestCatalogueWideInvariants:
                 assert result.status == "strict"
 
     def test_block_sizes_within_bound(self, catalogue):
-        from steiner3.design import blocksize_bound
+        from steiner3.sieve import blocksize_bound
 
         for design in catalogue.values():
             assert design.k <= blocksize_bound(design.v)

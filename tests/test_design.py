@@ -9,21 +9,19 @@ import numpy as np
 import pytest
 
 from steiner3 import design as design_module
+from steiner3.catalog import is_affine_line_system
 from steiner3.design import (
     Design,
     DesignError,
     block_limit,
-    blocksize_bound,
-    cameron_check,
-    cameron_limits,
     derived_design,
     from_json,
-    is_affine_line_system,
     params_of,
     to_json,
     verify_steiner,
 )
 from steiner3.gf import FieldContext
+from steiner3.sieve import blocksize_bound, cameron_check, cameron_limits
 
 
 def xor_quadruples(d: int):

@@ -81,33 +81,37 @@ from steiner3.catalog import (
 )
 from steiner3.cli import main
 from steiner3.design import (
-    CAMERON_EQUALITY_CASES,
     CHUNK_ROWS,
     Design,
     DesignError,
     _canonical_rows,
-    blocksize_bound,
     derived_design,
     from_json,
+    params_of,
     to_json,
 )
 from steiner3.gf import prime_power
 from steiner3.permgrp import (
     FlagReport,
     GeneratorSet,
+    NotFlagTransitive,
     SetNotPreserved,
+    StabilizerReport,
     _image_table,
     automorphism_group,
     block_action,
     group_order,
     is_flag_transitive,
     orbit,
+    stabilizer_identities,
 )
 from steiner3.sieve import (
     _OUTCOMES,
+    CAMERON_EQUALITY_CASES,
     SieveError,
     SieveReport,
     admissible_parameters,
+    blocksize_bound,
     screen_parameters,
 )
 
@@ -986,6 +990,160 @@ class TestFlagReportDifferential:
         check()
 
 
+# -- orbit partitions ------------------------------------------------------------
+#
+# The orbit partition as it was before each seed was found by `argmin`:
+# a Python test of every state.  Kept verbatim but for its name.
+
+
+def reference_orbit_sizes(table: np.ndarray, skip: slice = slice(0)) -> list[int]:
+    covered = np.zeros(table.shape[1], dtype=bool)
+    covered[skip] = True
+    sizes = []
+    for seed in range(len(covered)):
+        if not covered[seed]:
+            part = orbit(table, [seed])
+            covered[part] = True
+            sizes.append(len(part))
+    return sizes
+
+
+def _flag_tables(design: Design, gens: GeneratorSet) -> dict[str, tuple[np.ndarray, slice]]:
+    """The block, point and pair tables `is_flag_transitive` partitions,
+    each with the states it skips."""
+    v = design.v
+    points = _image_table(gens.gens, v)
+    blocks = np.array([block_action(design, g) for g in gens.gens])
+    pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
+    return {
+        "blocks": (blocks, slice(0)),
+        "points": (points, slice(0)),
+        "pairs": (pairs, slice(None, None, v + 1)),
+    }
+
+
+# the four flag checks of the benchmark's groups workload
+GROUPS_FLAG_CHECKS = {
+    "AGL(6,2) on affine d=6": (lambda: construct_boolean_affine(6), ("AGL_d_2", 6)),
+    "AGammaL(1,128) on affine d=7": (lambda: construct_boolean_affine(7), ("AGammaL_1", 7)),
+    "PSL(2,127) on netto q=127": (lambda: construct_netto_extension(127), ("PSL", 127, 1)),
+    "PGammaL(2,125) on spherical (5,3)": (lambda: construct_spherical(5, 3), ("PGammaL", 5, 3)),
+}
+
+
+class TestOrbitSizesDifferential:
+    @pytest.mark.parametrize("label", sorted(GROUPS_FLAG_CHECKS))
+    def test_groups_flag_checks(self, label):
+        construct, recipe = GROUPS_FLAG_CHECKS[label]
+        design = construct()
+        if len(recipe) == 2:
+            gens = affine_group_generators(*recipe)
+        else:
+            gens = projective_group_generators(*recipe)
+        for name, (table, skip) in _flag_tables(design, gens).items():
+            got = permgrp._orbit_sizes(table, skip)
+            assert got == reference_orbit_sizes(table, skip), (label, name)
+
+    @pytest.mark.parametrize(
+        "skip", [slice(0), slice(None, None, 7), slice(1, None), slice(None)]
+    )
+    def test_identity_generator(self, skip):
+        # one orbit per state: the search for each seed resumes at the last
+        table = np.arange(3000, dtype=np.int32)[np.newaxis]
+        got = permgrp._orbit_sizes(table, skip)
+        assert got == reference_orbit_sizes(table, skip)
+        assert got == [1] * (3000 - len(range(3000)[skip]))
+
+    def test_subgroups_of_catalogue_groups(self, flag_transitive_pairs):
+        # single generators split the states into many orbits of mixed sizes
+        for label, design, gens in flag_transitive_pairs:
+            for g in gens.gens[:2]:
+                for name, (table, skip) in _flag_tables(design, GeneratorSet(design.v, (g,))).items():
+                    got = permgrp._orbit_sizes(table, skip)
+                    assert got == reference_orbit_sizes(table, skip), (label, name)
+
+
+# -- stabilizer identities ---------------------------------------------------------
+#
+# `stabilizer_identities` as it was before it read |G| from the flag
+# check's stabilizer chain: `group_order` ran a second Schreier-Sims.
+# Kept verbatim but for its name.
+
+
+def reference_stabilizer_identities(design: Design, gens: GeneratorSet) -> StabilizerReport:
+    report = is_flag_transitive(design, gens)
+    if not report.flag_transitive:
+        raise NotFlagTransitive(
+            f"flag orbit has size {report.flag_orbit_size} of {report.flag_count}"
+        )
+    params = params_of(design)
+    v, b, k = params.v, params.b, params.k
+    order = group_order(gens).order
+    quotients = {}
+    for name, denom in (
+        ("g_x", v),
+        ("g_xy", v * (v - 1)),
+        ("g_b", b),
+        ("g_xb", b * k),
+    ):
+        if order % denom:
+            raise NotFlagTransitive(
+                f"|G| = {order} is not divisible by {denom} ({name} not integral)"
+            )
+        quotients[name] = order // denom
+    g_xy, g_b, g_xb = quotients["g_xy"], quotients["g_b"], quotients["g_xb"]
+    return StabilizerReport(
+        order=order,
+        v=v,
+        b=b,
+        k=k,
+        g_x=quotients["g_x"],
+        g_xy=g_xy,
+        g_b=g_b,
+        g_xb=g_xb,
+        block_identity=b * g_b == v * (v - 1) * g_xy,
+        point_identity=(v - 2) * g_xb == (k - 1) * (k - 2) * g_xy,
+    )
+
+
+def _counting_chains(monkeypatch) -> list:
+    """Replace `permgrp._schreier_sims` by a wrapper that records each call."""
+    calls = []
+    chains = permgrp._schreier_sims
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return chains(*args, **kwargs)
+
+    monkeypatch.setattr(permgrp, "_schreier_sims", counted)
+    return calls
+
+
+class TestStabilizerIdentitiesDifferential:
+    def test_flag_transitive_pairs(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            report = stabilizer_identities(design, gens)
+            assert report == reference_stabilizer_identities(design, gens), label
+
+    def test_one_chain_per_call(self, flag_transitive_pairs, monkeypatch):
+        calls = _counting_chains(monkeypatch)
+        for label, design, gens in flag_transitive_pairs:
+            calls.clear()
+            stabilizer_identities(design, gens)
+            assert len(calls) == 1, label
+
+    def test_same_refusal(self, catalogue, monkeypatch):
+        design = catalogue[("spherical", 3, 2)]
+        gens = projective_group_generators("PSL", 3, 2)
+        with pytest.raises(NotFlagTransitive) as want:
+            reference_stabilizer_identities(design, gens)
+        calls = _counting_chains(monkeypatch)
+        with pytest.raises(NotFlagTransitive) as got:
+            stabilizer_identities(design, gens)
+        assert str(got.value) == str(want.value)
+        assert len(calls) == 1
+
+
 # -- block orbits ----------------------------------------------------------------
 #
 # The base-block orbit as it was before the array breadth-first search:
@@ -1136,6 +1294,127 @@ class TestComposeDifferential:
         for f in permutations(range(degree)):
             for g in permutations(range(degree)):
                 assert permgrp._compose(f, g) == _product(f, g)
+
+
+# -- Schreier-Sims bookkeeping -------------------------------------------------------
+#
+# `_schreier_sims` as it was when each level kept a set of the (orbit
+# point, generator) pairs it had handled.  Kept verbatim but for its
+# names, with `_product` for `_compose`.
+
+
+class _ReferenceLevel:
+    __slots__ = ("beta", "gens", "transversal", "done")
+
+    def __init__(self, beta: int, ident: tuple):
+        self.beta = beta
+        self.gens: list[tuple] = []
+        self.transversal: dict[int, tuple[tuple, tuple]] = {beta: (ident, ident)}
+        self.done: set[tuple[int, int]] = set()
+
+
+def _inverse(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def reference_schreier_sims(gens: GeneratorSet, base_prefix=()) -> tuple[list, int, int]:
+    degree = gens.degree
+    ident = tuple(range(degree))
+    levels = [_ReferenceLevel(b, ident) for b in base_prefix]
+    sifts = schreier_formed = 0
+
+    def sift(g: tuple, start: int) -> tuple[tuple, int]:
+        nonlocal sifts
+        sifts += 1
+        for i in range(start, len(levels)):
+            lvl = levels[i]
+            d = g[lvl.beta]
+            if d == lvl.beta:
+                continue
+            entry = lvl.transversal.get(d)
+            if entry is None:
+                return g, i
+            g = _product(g, entry[1])
+        return g, len(levels)
+
+    def place(residue: tuple, top: int, j: int) -> None:
+        if j == len(levels):
+            beta = min(x for x in range(degree) if residue[x] != x)
+            levels.append(_ReferenceLevel(beta, ident))
+        for m in range(top, j + 1):
+            levels[m].gens.append(residue)
+
+    def process(i: int) -> int | None:
+        nonlocal schreier_formed
+        lvl = levels[i]
+        frontier = list(lvl.transversal)
+        while frontier:
+            new_points = []
+            for p in frontier:
+                up = lvl.transversal[p][0]
+                for gi in range(len(lvl.gens)):
+                    if (p, gi) in lvl.done:
+                        continue
+                    lvl.done.add((p, gi))
+                    s = lvl.gens[gi]
+                    q = s[p]
+                    entry = lvl.transversal.get(q)
+                    if entry is None:
+                        u = _product(up, s)
+                        lvl.transversal[q] = (u, _inverse(u))
+                        new_points.append(q)
+                        continue
+                    schreier = _product(_product(up, s), entry[1])
+                    schreier_formed += 1
+                    if schreier == ident:
+                        continue
+                    residue, j = sift(schreier, i + 1)
+                    if residue == ident:
+                        continue
+                    place(residue, i + 1, j)
+                    return j
+            frontier = new_points
+        return None
+
+    for g in gens.gens:
+        residue, j = sift(g, 0)
+        if residue == ident:
+            continue
+        place(residue, 0, j)
+        i = j
+        while i >= 0:
+            deeper = process(i)
+            i = deeper if deeper is not None else i - 1
+    return levels, sifts, schreier_formed
+
+
+def _assert_same_schreier_sims(gens: GeneratorSet, base_prefix=()) -> None:
+    got, sifts, formed = permgrp._schreier_sims(gens, base_prefix)
+    want, want_sifts, want_formed = reference_schreier_sims(gens, base_prefix)
+    assert (sifts, formed) == (want_sifts, want_formed)
+    assert [(lvl.beta, lvl.gens, lvl.transversal) for lvl in got] == [
+        (lvl.beta, lvl.gens, lvl.transversal) for lvl in want
+    ]
+
+
+class TestSchreierSimsDifferential:
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_GROUPS))
+    def test_catalogue_groups(self, name):
+        _assert_same_schreier_sims(CATALOGUE_GROUPS[name])
+
+    def test_flag_check_chains(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            _assert_same_schreier_sims(gens, (int(design.block_array[0, 0]),))
+
+    @pytest.mark.parametrize("degree", [16, 24, 32])
+    def test_random_generators(self, degree):
+        rng = random.Random(degree)
+        for count in (1, 2, 3):
+            perms = [_random_permutation(rng, degree) for _ in range(count)]
+            _assert_same_schreier_sims(GeneratorSet(degree, perms))
 
 
 GROUPGENS_DIGESTS = {

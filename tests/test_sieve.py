@@ -11,9 +11,9 @@ from steiner3.catalog import (
     affine_group_generators,
 )
 from steiner3.design import params_of
+from steiner3.permgrp import NotFlagTransitive, stabilizer_identities
 from steiner3.sieve import (
     CYCLOTOMIC_MAX_BITS,
-    NotFlagTransitive,
     SieveError,
     admissible_parameters,
     cyclotomic_eval,
@@ -22,7 +22,6 @@ from steiner3.sieve import (
     ramanujan_nagell_block_sizes,
     screen_parameters,
     semilinear_divisibility,
-    stabilizer_identities,
     zsigmondy_ppd,
     _limits,
     _stepped_limits,
