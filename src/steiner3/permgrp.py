@@ -7,8 +7,10 @@ bitmap over an array of generator images.
 
 Group order uses a deterministic Schreier-Sims construction: no
 randomness, so stabilizer chains (and everything derived from them) are
-reproducible run to run.  The stabilizer-order identities of a
-flag-transitive action read |G| from the chain the flag check builds.
+reproducible run to run.  The chain holds its permutations as 256-byte
+translation tables.  The flag check reads its orbits through the
+generators its chain admits, and the stabilizer-order identities of a
+flag-transitive action read |G| from that chain.
 The automorphism search for a design is a
 backtracking search over point images, pruned by the block structure,
 returning one coset representative per new image of each base point.
@@ -30,8 +32,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,12 +65,15 @@ class NotFlagTransitive(Steiner3Error, ValueError):
 class GeneratorSet:
     """Permutations of {0..degree-1}, each stored as its image tuple:
     g sends x to g[x].  Every generator is checked here to be a
-    bijection of the right degree."""
+    bijection of the right degree, at most MAX_POINTS: Schreier-Sims
+    holds each as a 256-byte translation table."""
 
     degree: int
     gens: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.degree > MAX_POINTS:
+            raise PermutationError(f"degree {self.degree} exceeds the {MAX_POINTS}-point cap")
         gens = tuple(tuple(g) for g in self.gens)
         for i, g in enumerate(gens):
             if len(g) != self.degree:
@@ -90,7 +94,9 @@ class GroupSummary:
     stabilizer_orders: tuple[int, ...]  # |G|, |G_b1|, |G_b1b2|, ..., 1
 
 
-def orbit(images: Sequence[Sequence[int]], seeds: Sequence[int]) -> np.ndarray:
+def orbit(
+    images: Sequence[Sequence[int]], seeds: Sequence[int], seen: np.ndarray | None = None
+) -> np.ndarray:
     """Sorted closure of the seed states under a table of generator images.
 
     `images` is an (m, n) integer array over the states range(n):
@@ -99,17 +105,25 @@ def orbit(images: Sequence[Sequence[int]], seeds: Sequence[int]) -> np.ndarray:
     generator in turn and keeps the states not yet set in a visited
     bitmap.  Each generator is a bijection, so what it reaches has no
     repeats and the next frontier needs no deduplication.  With no
-    generators the orbit is the distinct seeds, in order.
+    generators the orbit is the distinct seeds, in order.  The orbit is
+    gathered from the frontiers, so no pass reads the whole bitmap.
+
+    `seen`, if given, is the visited bitmap, marked in place: a caller
+    that splits the states into orbits passes one bitmap for every seed,
+    so no search allocates or scans one as wide as the table.  States
+    already set in it count as other orbits' and are left out.
     """
     table = np.asarray(images)
     seeds = np.asarray(seeds, dtype=np.intp)
-    width = table.shape[-1] if table.size else int(seeds.max(initial=-1)) + 1
-    seen = np.zeros(width, dtype=bool)
-    seen[seeds] = True
-    frontier = np.flatnonzero(seen)
-    if table.size == 0:
-        return frontier
-    while frontier.size:
+    if seen is None:
+        width = table.shape[-1] if table.size else int(seeds.max(initial=-1)) + 1
+        seen = np.zeros(width, dtype=bool)
+    # the distinct new seeds, in order (np.unique would import numpy.ma)
+    frontier = np.sort(seeds[~seen[seeds]])
+    frontier = frontier[np.diff(frontier, prepend=-1) != 0]
+    seen[frontier] = True
+    parts = [frontier]
+    while frontier.size and table.size:
         fresh = []
         for row in table:
             reached = row[frontier]
@@ -117,7 +131,8 @@ def orbit(images: Sequence[Sequence[int]], seeds: Sequence[int]) -> np.ndarray:
             seen[reached] = True
             fresh.append(reached)
         frontier = np.concatenate(fresh)
-    return np.flatnonzero(seen)
+        parts.append(frontier)
+    return np.sort(np.concatenate(parts))
 
 
 def _image_table(perms: Sequence, n: int) -> np.ndarray:
@@ -128,63 +143,73 @@ def _image_table(perms: Sequence, n: int) -> np.ndarray:
 def _orbit_sizes(table: np.ndarray, skip: slice = slice(0)) -> list[int]:
     """Sizes of the orbits splitting the table's states (less `skip`),
     ordered by their least state.  Each seed is the first state not yet
-    covered: a bool `argmin` from the last seed on stops at it."""
+    covered: a bool `argmin` from the last seed on stops at it, and one
+    covered bitmap serves every seed's `orbit`.  With no generators
+    every state is an orbit of its own."""
     covered = np.zeros(table.shape[1], dtype=bool)
     covered[skip] = True
+    if not len(table):
+        return [1] * (len(covered) - int(np.count_nonzero(covered)))
     sizes = []
     seed = int(covered.argmin())
     while not covered[seed]:
-        part = orbit(table, [seed])
-        covered[part] = True
-        sizes.append(len(part))
+        sizes.append(len(orbit(table, [seed], covered)))
         seed += int(covered[seed:].argmin())
     return sizes
 
 
 # -- Schreier-Sims --------------------------------------------------------
+#
+# The chain holds each permutation as a 256-byte translation table (see
+# `_table`): "f, then g" is the one C pass f.translate(g), an inverse
+# bytes.maketrans(f, _IDENTITY), and the identity test one comparison.
+
+_IDENTITY = bytes(range(256))
+
+
+def _table(g: Sequence[int]) -> bytes:
+    """g as a 256-byte translation table: its images, then fixed points."""
+    return bytes(g) + _IDENTITY[len(g) :]
+
+
+def _table_rows(tables: Sequence[bytes], n: int) -> np.ndarray:
+    """The (len(tables), n) int32 array of the first n images of each table."""
+    rows = np.frombuffer(b"".join(tables), dtype=np.uint8).reshape(len(tables), 256)
+    return rows[:, :n].astype(np.int32)
 
 
 class _Level:
     __slots__ = ("beta", "gens", "transversal", "done")
 
-    def __init__(self, beta: int, ident: tuple):
+    def __init__(self, beta: int):
         self.beta = beta
-        self.gens: list[tuple] = []
-        self.transversal: dict[int, tuple[tuple, tuple]] = {beta: (ident, ident)}
+        self.gens: list[bytes] = []
+        self.transversal: dict[int, tuple[bytes, bytes]] = {beta: (_IDENTITY, _IDENTITY)}
         self.done: dict[int, int] = {}  # p: the pairs (p, gi) handled are gi < done[p]
 
 
-def _compose(f: tuple, g: tuple) -> tuple:
-    """f, then g: x -> g[f[x]], gathered by one C-level itemgetter call."""
-    if len(f) < 2:
-        # itemgetter of one index returns that item, not a 1-tuple
-        return tuple(g[x] for x in f)
-    return itemgetter(*f)(g)
-
-
-def _invert(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def _schreier_sims(
-    gens: GeneratorSet, base_prefix: Sequence[int] = ()
+    gens: GeneratorSet,
+    base_prefix: Sequence[int] = (),
+    admit: Callable[[tuple[int, ...]], None] | None = None,
 ) -> tuple[list[_Level], int, int]:
     """The levels of a stabilizer chain, base `base_prefix` extended
     greedily, with its sift and Schreier generator counts.
 
     Level i's transversal is the orbit of its base point under the
     stabilizer of the earlier ones, which its strong generators `gens`
-    generate.
+    generate; each transversal entry is a pair of translation tables,
+    u and its inverse.  An input generator that sifts to the identity
+    lies in the group of the earlier ones and is skipped; `admit`, if
+    given, is called with each other one, in input order, before the
+    chain takes it in.
     """
     degree = gens.degree
-    ident = tuple(range(degree))
-    levels = [_Level(b, ident) for b in base_prefix]
+    ident = _IDENTITY
+    levels = [_Level(b) for b in base_prefix]
     sifts = schreier_formed = 0
 
-    def sift(g: tuple, start: int) -> tuple[tuple, int]:
+    def sift(g: bytes, start: int) -> tuple[bytes, int]:
         nonlocal sifts
         sifts += 1
         for i in range(start, len(levels)):
@@ -195,14 +220,14 @@ def _schreier_sims(
             entry = lvl.transversal.get(d)
             if entry is None:
                 return g, i
-            g = _compose(g, entry[1])
+            g = g.translate(entry[1])
         return g, len(levels)
 
-    def place(residue: tuple, top: int, j: int) -> None:
+    def place(residue: bytes, top: int, j: int) -> None:
         # append residue to every level it belongs to: top..j
         if j == len(levels):
             beta = min(x for x in range(degree) if residue[x] != x)
-            levels.append(_Level(beta, ident))
+            levels.append(_Level(beta))
         for m in range(top, j + 1):
             levels[m].gens.append(residue)
 
@@ -224,13 +249,13 @@ def _schreier_sims(
                     lvl.done[p] = gi + 1
                     s = lvl.gens[gi]
                     q = s[p]
+                    u = up.translate(s)
                     entry = lvl.transversal.get(q)
                     if entry is None:
-                        u = _compose(up, s)
-                        lvl.transversal[q] = (u, _invert(u))
+                        lvl.transversal[q] = (u, bytes.maketrans(u, ident))
                         new_points.append(q)
                         continue
-                    schreier = _compose(_compose(up, s), entry[1])
+                    schreier = u.translate(entry[1])
                     schreier_formed += 1
                     if schreier == ident:
                         continue
@@ -243,9 +268,11 @@ def _schreier_sims(
         return None
 
     for g in gens.gens:
-        residue, j = sift(g, 0)
+        residue, j = sift(_table(g), 0)
         if residue == ident:
             continue
+        if admit is not None:
+            admit(g)
         place(residue, 0, j)
         i = j
         while i >= 0:
@@ -338,25 +365,39 @@ def is_flag_transitive(design: Design, gens: GeneratorSet) -> FlagReport:
 
 
 def _flag_report(design: Design, gens: GeneratorSet) -> tuple[FlagReport, list[_Level]]:
-    """`is_flag_transitive`'s report and the levels of the chain it builds."""
+    """`is_flag_transitive`'s report and the levels of the chain it builds.
+
+    The block, point and pair orbits are those of any generating set, so
+    they are read through the generators the chain admits only.  Each is
+    checked with `block_action` as it is admitted: the first
+    non-automorphism in input order is not a product of the earlier,
+    block-preserving generators, so the chain admits it, and the check
+    fails on it before the chain goes on.
+    """
     if gens.degree != design.v:
         raise PermutationError(
             f"generator degree {gens.degree} != point count {design.v}"
         )
     v, b, k = design.v, design.b, design.k
-    points = _image_table(gens.gens, v)
-    blocks = np.empty((len(points), b), dtype=np.int32)
-    for i, g in enumerate(gens.gens):
-        blocks[i] = block_action(design, g)
-    pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
+    # one row per admitted generator; rows never written are never touched
+    blocks = np.empty((len(gens.gens), b), dtype=np.int32)
+    admitted: list[tuple[int, ...]] = []
+
+    def admit(g: tuple[int, ...]) -> None:
+        blocks[len(admitted)] = block_action(design, g)
+        admitted.append(g)
 
     x0 = int(design.block_array[0, 0])
-    levels, _, _ = _schreier_sims(gens, (x0,))
+    levels, _, _ = _schreier_sims(gens, (x0,), admit)
+    blocks = blocks[: len(admitted)]
+    points = _image_table(admitted, v)
+    pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
+
     stabilizer = levels[1].gens if len(levels) > 1 else []
     # the blocks through x0, in canonical order, so B0 is the first; G_x0
     # maps them among themselves, read off as positions in that list
     through = np.flatnonzero((design.block_array == x0).any(axis=1))
-    rows = _image_table(stabilizer, v)[:, design.block_array[through]]
+    rows = _table_rows(stabilizer, v)[:, design.block_array[through]]
     images = design.block_index(rows.reshape(-1, k))
     local = np.searchsorted(through, images).reshape(len(stabilizer), len(through))
     flag_orbit_size = len(levels[0].transversal) * len(orbit(local, [0]))
@@ -366,7 +407,8 @@ def _flag_report(design: Design, gens: GeneratorSet) -> tuple[FlagReport, list[_
     pair_orbit_sizes = _orbit_sizes(pairs, skip=slice(None, None, v + 1))
     emit(
         "permgrp.is_flag_transitive",
-        generators=len(points),
+        generators=len(gens.gens),
+        admitted=len(admitted),
         stabilizer_generators=len(stabilizer),
         through_blocks=len(through),
         flag_orbit=flag_orbit_size,
@@ -797,7 +839,7 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 # is_flag_transitive holds an (m, b) int32 block table and an (m, v*v)
-# pair table for m generators
+# pair table for the m generators its chain admits, at most the file's
 MAX_GENERATORS = MAX_POINTS
 
 

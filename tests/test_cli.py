@@ -695,6 +695,7 @@ class TestDeterminism:
             {
                 "stage": "permgrp.is_flag_transitive",
                 "generators": 3,
+                "admitted": 3,
                 "stabilizer_generators": 2,
                 "through_blocks": 57,
                 "flag_orbit": 1140,
@@ -812,8 +813,8 @@ class TestBenchTraceSpans:
 
     def test_agl62_flagcheck_calls_block_action_per_generator(self, tmp_path, capsys, monkeypatch):
         # the groups workload's other flag check that reaches block_action:
-        # 36 of its 90 calls, one per generator; 44 others settle
-        # automorphism searches
+        # 16 of its 60 calls, one per generator the stabilizer chain admits
+        # of the file's 36; 44 others settle automorphism searches
         design, gens = tmp_path / "aff6.json", tmp_path / "agl62.gens"
         run(capsys, "construct", "--family", "affine", "--d", "6", "--out", str(design))
         run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_d_2", "--d", "6",
@@ -821,7 +822,7 @@ class TestBenchTraceSpans:
         calls = _count_calls(monkeypatch, ("design", "from_json"), ("permgrp", "block_action"))
         code, out, _ = run(capsys, "flagcheck", str(design), "--gens", str(gens))
         assert code == 0 and "flag-transitive: yes" in out
-        assert calls == {"design.from_json": 1, "permgrp.block_action": 36}
+        assert calls == {"design.from_json": 1, "permgrp.block_action": 16}
 
 
 def _count_calls(monkeypatch, *names) -> dict[str, int]:

@@ -62,6 +62,13 @@ class TestPermutation:
         gens = GeneratorSet(3, [[1, 2, 0], range(3)])
         assert gens.gens == ((1, 2, 0), (0, 1, 2))
 
+    def test_degree_above_the_point_cap(self):
+        # Schreier-Sims holds each generator as a 256-byte table
+        assert len(GeneratorSet(128, [range(128)]).gens) == 1
+        for degree in (129, 256, 10**6):
+            with pytest.raises(PermutationError, match=f"degree {degree} exceeds the 128-point cap"):
+                GeneratorSet(degree, ())
+
 
 class TestOrbit:
     def test_identity_only(self):
@@ -85,6 +92,17 @@ class TestOrbit:
         assert orbit(zero_fixing, [0]).tolist() == [0]
         assert orbit(zero_fixing, [0, 1]).tolist() == list(range(8))
         assert orbit([], [3, 1]).tolist() == [1, 3]
+
+    def test_one_bitmap_for_several_orbits(self):
+        # the caller's bitmap is marked in place, and its set states are
+        # other orbits': they are left out of the result
+        table = np.array([[1, 0, 3, 2, 5, 4]])
+        seen = np.zeros(6, dtype=bool)
+        assert orbit(table, [2], seen).tolist() == [2, 3]
+        assert seen.tolist() == [False, False, True, True, False, False]
+        assert orbit(table, [3, 0, 0], seen).tolist() == [0, 1]
+        assert orbit(table, [3], seen).tolist() == []
+        assert seen.tolist() == [True] * 4 + [False] * 2
 
     def test_no_generators_as_an_empty_table(self):
         empty = np.zeros((0, 8), dtype=np.int32)

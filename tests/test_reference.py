@@ -42,8 +42,13 @@ octads.
 `reference_block_orbit` is the base-block orbit built one tuple and one
 set probe at a time; the array breadth-first search must give the same
 sorted blocks for every spherical and Netto design up to 128 points.
-`_product`, the generator-expression composition, must give
-Schreier-Sims the same chain as `itemgetter` on every catalogue group.
+`_product`, the generator-expression composition, is the reference for
+composing 256-byte translation tables, and `reference_schreier_sims`,
+the chain on image tuples, for the chain on those tables: the same
+base, strong generators, transversals and counters.
+`reference_every_generator_flag_report`, the flag check through every
+generator in the file, must give the same report, or the same witness,
+as the check through the generators the chain admits.
 `reference_cmd_sieve` is the `sieve` writer that made one or two writes
 per report; the chunked writer must give the same bytes on windows of
 none, one and about one and two chunks of reports.
@@ -51,11 +56,13 @@ The SHA-256 digests pin the bytes of generator files, design files and
 sieve output written by the CLI.
 """
 
+import functools
 import hashlib
 import json
 import math
 import random
 import sys
+import time
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, fields
@@ -1062,6 +1069,187 @@ class TestOrbitSizesDifferential:
                     got = permgrp._orbit_sizes(table, skip)
                     assert got == reference_orbit_sizes(table, skip), (label, name)
 
+    def test_no_generators(self):
+        # a table of no rows: every state its own orbit, found at once
+        table = np.zeros((0, 3000), dtype=np.int32)
+        for skip in (slice(0), slice(None, None, 7), slice(None)):
+            got = permgrp._orbit_sizes(table, skip)
+            assert got == reference_orbit_sizes(table, skip)
+            assert got == [1] * (3000 - len(range(3000)[skip]))
+
+    def test_identity_only_flag_check(self, netto127):
+        # no generator is admitted, so every block, point and pair is an
+        # orbit of its own; each used to take a bitmap as wide as the
+        # table, 4.7 s end to end
+        design, identity = netto127, tuple(range(128))
+        design.block_array
+        started = time.perf_counter()
+        report = is_flag_transitive(design, GeneratorSet(128, (identity,)))
+        elapsed = time.perf_counter() - started
+        assert report.flag_orbit_size == 1
+        assert report.block_orbit_sizes == (1,) * design.b
+        assert (report.point_orbit_count, report.point_pair_orbit_count) == (128, 128 * 127)
+        assert elapsed < 0.5
+
+
+@pytest.fixture(scope="module")
+def netto127():
+    return construct_netto_extension(127)
+
+
+# -- the flag check through admitted generators --------------------------------------
+#
+# `_flag_report` as it was before it read the orbits through the
+# generators the stabilizer chain admits: `block_action` on every
+# generator first, and block, point and pair tables of every generator.
+# Kept verbatim but for its name, with `reference_schreier_sims` and
+# `reference_orbit_sizes` for the library's chain and partition.
+
+
+def reference_every_generator_flag_report(design: Design, gens: GeneratorSet) -> FlagReport:
+    if gens.degree != design.v:
+        raise permgrp.PermutationError(
+            f"generator degree {gens.degree} != point count {design.v}"
+        )
+    v, b, k = design.v, design.b, design.k
+    points = _image_table(gens.gens, v)
+    blocks = np.empty((len(points), b), dtype=np.int32)
+    for i, g in enumerate(gens.gens):
+        blocks[i] = block_action(design, g)
+    pairs = (points[:, :, np.newaxis] * v + points[:, np.newaxis, :]).reshape(-1, v * v)
+
+    x0 = int(design.block_array[0, 0])
+    levels, _, _ = reference_schreier_sims(gens, (x0,))
+    stabilizer = levels[1].gens if len(levels) > 1 else []
+    through = np.flatnonzero((design.block_array == x0).any(axis=1))
+    rows = _image_table(stabilizer, v)[:, design.block_array[through]]
+    images = design.block_index(rows.reshape(-1, k))
+    local = np.searchsorted(through, images).reshape(len(stabilizer), len(through))
+    flag_orbit_size = len(levels[0].transversal) * len(orbit(local, [0]))
+    flag_count = b * k
+    block_orbit_sizes = reference_orbit_sizes(blocks)
+    point_orbit_sizes = reference_orbit_sizes(points)
+    pair_orbit_sizes = reference_orbit_sizes(pairs, skip=slice(None, None, v + 1))
+    return FlagReport(
+        v=v,
+        b=b,
+        k=k,
+        preserves_blocks=True,
+        flag_count=flag_count,
+        flag_orbit_size=flag_orbit_size,
+        block_orbit_count=len(block_orbit_sizes),
+        block_orbit_sizes=tuple(block_orbit_sizes),
+        point_orbit_count=len(point_orbit_sizes),
+        point_pair_orbit_count=len(pair_orbit_sizes),
+        flag_transitive=flag_orbit_size == flag_count,
+        block_transitive=len(block_orbit_sizes) == 1,
+        point_transitive=len(point_orbit_sizes) == 1,
+        point_2_transitive=len(pair_orbit_sizes) == 1,
+    )
+
+
+def catalogue_flag_checks() -> dict[str, tuple]:
+    """Each catalogue group on at most 128 points, but the Witt design's,
+    with the constructor and arguments of the design it acts on."""
+    constructors = {
+        "affine": construct_boolean_affine,
+        "spherical": construct_spherical,
+        "netto": construct_netto_extension,
+    }
+    checks = {}
+    for v in range(5, 129):
+        for k in range(4, v):
+            for row in catalog.classify(v, k):
+                if row.family in constructors:
+                    params = tuple(value for _, value in row.params)
+                    for name, _ in row.groups:
+                        checks[name] = (constructors[row.family], params)
+    return checks
+
+
+CATALOGUE_FLAG_CHECKS = catalogue_flag_checks()
+
+
+@functools.cache
+def _catalogue_design(construct, params: tuple) -> Design:
+    return construct(*params)
+
+
+def _flag_outcome(check, design: Design, gens: GeneratorSet):
+    """The report, or the type and witness of the error raised."""
+    try:
+        return check(design, gens)
+    except SetNotPreserved as exc:
+        return SetNotPreserved, exc.witness
+
+
+class TestAdmittedFlagReportDifferential:
+    def test_every_catalogue_group_is_covered(self):
+        assert sorted(CATALOGUE_FLAG_CHECKS) == sorted(CATALOGUE_GROUPS)
+
+    @pytest.mark.parametrize("name", sorted(CATALOGUE_FLAG_CHECKS))
+    def test_catalogue_groups(self, name):
+        design = _catalogue_design(*CATALOGUE_FLAG_CHECKS[name])
+        gens = CATALOGUE_GROUPS[name]
+        report = is_flag_transitive(design, gens)
+        assert report == reference_every_generator_flag_report(design, gens)
+
+    def test_flag_transitive_pairs(self, flag_transitive_pairs):
+        for label, design, gens in flag_transitive_pairs:
+            want = reference_every_generator_flag_report(design, gens)
+            assert is_flag_transitive(design, gens) == want, label
+
+    def test_padded_with_redundant_products(self, flag_transitive_pairs):
+        # products of the generators, repeats and the identity, spread
+        # through the list: the chain skips them, and the report holds
+        rng = random.Random(3)
+        for label, design, gens in flag_transitive_pairs:
+            padded = list(gens.gens)
+            for _ in range(6):
+                f, g = rng.choice(padded), rng.choice(padded)
+                padded.insert(rng.randrange(len(padded) + 1), _product(f, g))
+            padded.insert(rng.randrange(len(padded) + 1), rng.choice(gens.gens))
+            padded.insert(rng.randrange(len(padded) + 1), tuple(range(design.v)))
+            padded = GeneratorSet(design.v, padded)
+            want = reference_every_generator_flag_report(design, padded)
+            assert is_flag_transitive(design, padded) == want, label
+
+    def test_non_automorphism_at_each_position(self):
+        # the first non-automorphism in file order is always admitted, so
+        # it fails with the same witness wherever it stands
+        design = _catalogue_design(construct_boolean_affine, (6,))
+        gens = CATALOGUE_GROUPS["AGL(6,2)"].gens
+        rng = random.Random(6)
+        stranger = _random_permutation(rng, 64)
+        witness = _reference_witness(design, stranger)
+        assert witness is not None
+        for i in range(len(gens) + 1):
+            padded = GeneratorSet(64, gens[:i] + (stranger,) + gens[i:])
+            want = _flag_outcome(reference_every_generator_flag_report, design, padded)
+            assert want == (SetNotPreserved, witness)
+            assert _flag_outcome(is_flag_transitive, design, padded) == want, i
+
+    def test_non_automorphism_fails_before_the_chain_grows(self):
+        # at 128 points, two random permutations generate A_128 or S_128,
+        # a chain of seconds; the check must fail on the first before it
+        design = _catalogue_design(construct_boolean_affine, (7,))
+        gens = CATALOGUE_GROUPS["AGL(7,2)"].gens
+        rng = random.Random(7)
+        strangers = tuple(_random_permutation(rng, 128) for _ in range(2))
+        witness = _reference_witness(design, strangers[0])
+        for padded in (strangers + gens, gens[:1] + strangers + gens[1:]):
+            started = time.perf_counter()
+            got = _flag_outcome(is_flag_transitive, design, GeneratorSet(128, padded))
+            assert got == (SetNotPreserved, witness)
+            assert time.perf_counter() - started < 1.0
+
+    def test_trace_counts_admitted_generators(self, monkeypatch):
+        lines = []
+        monkeypatch.setattr(permgrp, "emit", lambda stage, **counters: lines.append(counters))
+        design = _catalogue_design(construct_boolean_affine, (6,))
+        is_flag_transitive(design, CATALOGUE_GROUPS["AGL(6,2)"])
+        assert (lines[0]["generators"], lines[0]["admitted"]) == (36, 16)
+
 
 # -- stabilizer identities ---------------------------------------------------------
 #
@@ -1240,10 +1428,12 @@ class TestBlockOrbitDifferential:
             catalog._block_orbit(gens, base)
 
 
-# -- Schreier-Sims composition -----------------------------------------------------
+# -- Schreier-Sims on translation tables ---------------------------------------------
 #
-# `_product` above is the generator-expression composition Schreier-Sims
-# used before `itemgetter`; the chain must come out the same.
+# The chain holds each permutation as a 256-byte translation table.
+# `_product` above, the generator-expression composition on image
+# tuples, is the reference for "f, then g" as f.translate(g), and
+# `_inverse` below for bytes.maketrans(f, identity).
 
 
 def catalogue_groups() -> dict[str, GeneratorSet]:
@@ -1265,10 +1455,33 @@ def catalogue_groups() -> dict[str, GeneratorSet]:
 CATALOGUE_GROUPS = catalogue_groups()
 
 
-def _chain(gens: GeneratorSet) -> tuple:
-    levels, sifts, schreier = permgrp._schreier_sims(gens)
-    summary = permgrp.group_order(gens)
-    return [(lvl.beta, lvl.gens, lvl.transversal) for lvl in levels], sifts, schreier, summary
+def _tables_as_tuples(tables, degree: int) -> list[tuple]:
+    """The image tuples of translation tables, each checked to fix every
+    point from `degree` on."""
+    for table in tables:
+        assert table[degree:] == permgrp._IDENTITY[degree:]
+    return [tuple(table[:degree]) for table in tables]
+
+
+def _chain_as_tuples(levels, degree: int) -> list:
+    """Each level's base point, strong generators and transversal, in
+    insertion order, as image tuples."""
+    return [
+        (
+            lvl.beta,
+            _tables_as_tuples(lvl.gens, degree),
+            [(p, *_tables_as_tuples(entry, degree)) for p, entry in lvl.transversal.items()],
+        )
+        for lvl in levels
+    ]
+
+
+def _summary_of(levels) -> tuple:
+    """`group_order`'s order, base and stabilizer orders, read off levels."""
+    orders = [1]
+    for lvl in reversed(levels):
+        orders.append(orders[-1] * len(lvl.transversal))
+    return orders[-1], tuple(lvl.beta for lvl in levels), tuple(reversed(orders))
 
 
 class TestComposeDifferential:
@@ -1277,30 +1490,54 @@ class TestComposeDifferential:
         assert "AGL(7,2)" in CATALOGUE_GROUPS and "PSigmaL(2,127)" in CATALOGUE_GROUPS
 
     @pytest.mark.parametrize("name", sorted(CATALOGUE_GROUPS))
-    def test_same_chain(self, name, monkeypatch):
+    def test_same_chain(self, name):
+        # the order, base and stabilizer orders `order` prints
         gens = CATALOGUE_GROUPS[name]
-        got = _chain(gens)
-        monkeypatch.setattr(permgrp, "_compose", _product)
-        assert got == _chain(gens)
+        summary = group_order(gens)
+        want, _, _ = reference_schreier_sims(gens)
+        got = (summary.order, summary.base, summary.stabilizer_orders)
+        assert got == _summary_of(want)
 
-    def test_witt_automorphism_group(self, witt_aut, monkeypatch):
-        got = _chain(witt_aut)
-        monkeypatch.setattr(permgrp, "_compose", _product)
-        assert got == _chain(witt_aut)
-        assert got[3].order == 887040
+    def test_witt_automorphism_group(self, witt_aut):
+        _assert_same_schreier_sims(witt_aut)
+        assert group_order(witt_aut).order == 887040
 
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_small_degrees(self, degree):
         for f in permutations(range(degree)):
+            table = permgrp._table(f)
+            inverse = bytes.maketrans(table, permgrp._IDENTITY)
+            assert _tables_as_tuples([inverse], degree) == [_inverse(f)]
             for g in permutations(range(degree)):
-                assert permgrp._compose(f, g) == _product(f, g)
+                composed = table.translate(permgrp._table(g))
+                assert _tables_as_tuples([composed], degree) == [_product(f, g)]
+
+    def test_random_degree_128_pairs(self):
+        rng = random.Random(128)
+        for _ in range(200):
+            f, g = (_random_permutation(rng, 128) for _ in range(2))
+            table = permgrp._table(f)
+            composed = table.translate(permgrp._table(g))
+            assert _tables_as_tuples([composed], 128) == [_product(f, g)]
+            inverse = bytes.maketrans(table, permgrp._IDENTITY)
+            assert _tables_as_tuples([inverse], 128) == [_inverse(f)]
+
+    def test_table_rows(self):
+        rng = random.Random(7)
+        for degree in (0, 1, 5, 128):
+            perms = [_random_permutation(rng, degree) for _ in range(3)]
+            rows = permgrp._table_rows([permgrp._table(g) for g in perms], degree)
+            assert rows.dtype == np.int32
+            assert rows.tolist() == _image_table(perms, degree).tolist()
+        assert permgrp._table_rows([], 9).shape == (0, 9)
 
 
 # -- Schreier-Sims bookkeeping -------------------------------------------------------
 #
 # `_schreier_sims` as it was when each level kept a set of the (orbit
-# point, generator) pairs it had handled.  Kept verbatim but for its
-# names, with `_product` for `_compose`.
+# point, generator) pairs it had handled, and each permutation was an
+# image tuple.  Kept verbatim but for its names, with `_product` for
+# `_compose`.
 
 
 class _ReferenceLevel:
@@ -1395,8 +1632,9 @@ def _assert_same_schreier_sims(gens: GeneratorSet, base_prefix=()) -> None:
     got, sifts, formed = permgrp._schreier_sims(gens, base_prefix)
     want, want_sifts, want_formed = reference_schreier_sims(gens, base_prefix)
     assert (sifts, formed) == (want_sifts, want_formed)
-    assert [(lvl.beta, lvl.gens, lvl.transversal) for lvl in got] == [
-        (lvl.beta, lvl.gens, lvl.transversal) for lvl in want
+    assert _chain_as_tuples(got, gens.degree) == [
+        (lvl.beta, lvl.gens, [(p, *entry) for p, entry in lvl.transversal.items()])
+        for lvl in want
     ]
 
 
@@ -1409,12 +1647,37 @@ class TestSchreierSimsDifferential:
         for label, design, gens in flag_transitive_pairs:
             _assert_same_schreier_sims(gens, (int(design.block_array[0, 0]),))
 
-    @pytest.mark.parametrize("degree", [16, 24, 32])
+    @pytest.mark.parametrize("degree", [16, 24, 32, 48, 64])
     def test_random_generators(self, degree):
         rng = random.Random(degree)
         for count in (1, 2, 3):
             perms = [_random_permutation(rng, degree) for _ in range(count)]
             _assert_same_schreier_sims(GeneratorSet(degree, perms))
+
+    def test_two_random_permutations_of_degree_128(self):
+        # they generate A_128 or S_128, as their parities say: 126 levels
+        # and about 157 000 Schreier generators, 15-20 s in process when
+        # the chain composed image tuples
+        rng = random.Random(2)
+        perms = [_random_permutation(rng, 128) for _ in range(2)]
+        odd = any(_parity(g) for g in perms)
+        started = time.perf_counter()
+        summary = group_order(GeneratorSet(128, perms))
+        elapsed = time.perf_counter() - started
+        assert summary.order == math.factorial(128) // (1 if odd else 2)
+        assert elapsed < 10.0
+
+
+def _parity(g: tuple) -> int:
+    """1 for an odd permutation, 0 for an even one: n less its cycle count."""
+    seen, cycles = set(), 0
+    for x in range(len(g)):
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = g[x]
+    return (len(g) - cycles) % 2
 
 
 GROUPGENS_DIGESTS = {
