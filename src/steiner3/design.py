@@ -395,17 +395,15 @@ def params_of(design: Design) -> DesignParams:
     lam2_den = math.comb(k - 2, t - 2)
     if lam2_num % lam2_den:
         raise DesignError("pair count is not integral")
+    # r(k-1) = lambda2(v-1), and (k-2) lambda2 = v-2 for t = 3, follow
+    # from these exact quotients of binomials
     lambda2 = lam2_num // lam2_den
-    if r * (k - 1) != lambda2 * (v - 1):
-        raise DesignError("r(k-1) = lambda2(v-1) fails")
-    if t == 3 and (k - 2) * lambda2 != v - 2:
-        raise DesignError("(k-2) lambda2 = v-2 fails")
 
     r_direct = sum(1 for block in design.blocks if 0 in block)
     if r_direct != r:
         raise DesignError(f"point 0 lies in {r_direct} blocks, expected r = {r}")
     lam2_direct = sum(1 for block in design.blocks if 0 in block and 1 in block)
-    if v > 1 and lam2_direct != lambda2:
+    if lam2_direct != lambda2:
         raise DesignError(
             f"pair (0,1) lies in {lam2_direct} blocks, expected lambda2 = {lambda2}"
         )

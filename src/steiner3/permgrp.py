@@ -581,18 +581,19 @@ class _AutSearch:
     def generators(self) -> list[tuple[int, ...]]:
         """One automorphism per new image of each base point 0, 1, 2, ...
 
-        A per-level bitmap marks the images already reachable by the
-        generators found so far that fix the prefix, or already refuted.
-        With no such generator an image's orbit is itself.
+        Each generator found at level j fixes 0..j-1 and moves j, so none
+        fixes a later level's prefix: every level starts with no generators
+        and only its base point marked.  A per-level bitmap marks the images
+        reachable by the generators this level has found, or already
+        refuted; with no generator yet an image's orbit is itself.
         """
         v = self.v
         gens: list[tuple[int, ...]] = []
         for base in range(v):
             self.levels += 1
-            fixing = [g for g in gens if all(g[p] == p for p in range(base))]
-            table = _image_table(fixing, v)
+            fixing: list[tuple[int, ...]] = []
             seen = np.zeros(v, dtype=bool)
-            seen[orbit(table, [base]) if fixing else base] = True
+            seen[base] = True
             # an automorphism fixing 0..base-1 pointwise cannot send base below itself
             for y in range(base + 1, v):
                 if seen[y]:
@@ -716,12 +717,10 @@ class _AutSearch:
     def _assign(self, x: int, y: int) -> list[int] | None:
         """Set x -> y and the block images it determines; the list of
         those blocks, or None (and no change) if x -> y contradicts the
-        block structure."""
-        img = self.img
+        block structure.  x is unassigned and y unused: `_dfs` offers only
+        such pairs, and the walk fixes each base point once."""
         bit = 1 << y
-        if img[x] != -1 or self.used & bit:
-            return None
-        img[x] = y
+        self.img[x] = y
         self.used |= bit
         score = self.score
         score[x] -= self.taken

@@ -11,6 +11,7 @@ sweep screens its pairs in int64 arrays, exact for every v up to its cap.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -93,12 +94,6 @@ _CHECK_NAMES = (
 _JSON_BOOL = {False: "false", True: "true"}
 
 
-def _checks_json(checks: tuple[tuple[str, bool], ...]) -> str:
-    """A checks tuple as a compact JSON object."""
-    text = ",".join(f'"{name}":{_JSON_BOOL[ok]}' for name, ok in checks)
-    return f"{{{text}}}"
-
-
 def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
     """The checks tuple, admissible flag and compact checks JSON for one
     bit pattern; bit 5 is the first check in `_CHECK_NAMES`, bit 0 the last.
@@ -106,7 +101,8 @@ def _outcome(mask: int) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
     checks = tuple(
         (name, bool(mask >> (5 - i) & 1)) for i, name in enumerate(_CHECK_NAMES)
     )
-    return checks, all(ok for _, ok in checks), _checks_json(checks)
+    text = ",".join(f'"{name}":{_JSON_BOOL[ok]}' for name, ok in checks)
+    return checks, all(ok for _, ok in checks), f"{{{text}}}"
 
 
 # every outcome of the six checks, built once: a screened pair looks its
@@ -150,16 +146,12 @@ class SieveReport:
         }
 
     def as_json(self) -> str:
-        """`as_dict` as compact JSON, assembled from preformatted parts."""
+        """`as_dict` as compact JSON: a shared checks tuple without Cameron
+        equality has its tail preformatted, and any other report is dumped."""
         tails = None if self.cameron_equality else _JSON_TAILS.get(id(self.checks))
         if tails is not None:
             return f'{{"v":{self.v},"k":{self.k}{tails[self.admissible]}'
-        return (
-            f'{{"v":{self.v},"k":{self.k},"checks":{_checks_json(self.checks)},'
-            f'"admissible":{_JSON_BOOL[self.admissible]},'
-            f'"cameron_equality":{_JSON_BOOL[self.cameron_equality]},'
-            f'"equality_listed":{_JSON_BOOL[self.equality_listed]}}}'
-        )
+        return json.dumps(self.as_dict(), separators=(",", ":"))
 
 
 # blocksize_bound(v) followed by the three values of cameron_limits(3, v)
@@ -370,8 +362,6 @@ def cyclotomic_eval(d: int, q: int) -> CyclotomicEval:
     f = math.gcd(d, phi)
     if f == 1:
         return CyclotomicEval(d=d, q=q, phi=phi, f=1, n=1, phi_star=phi)
-    if phi % f:
-        raise SieveError(f"gcd {f} does not divide Phi_{d}({q}) = {phi}")  # defensive
     n = 0
     rest = phi
     while rest % f == 0:

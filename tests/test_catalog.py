@@ -12,6 +12,7 @@ from steiner3.catalog import (
     CLASSIFY_MAX_BITS,
     CatalogError,
     GolayConstructionError,
+    ProjectiveLine,
     affine_group_generators,
     classify,
     construct_boolean_affine,
@@ -297,6 +298,17 @@ class TestProjectiveLineGate:
                 else:
                     with pytest.raises(CatalogError):
                         projective_group_generators("PGL", q, e)
+
+    def test_line_built_on_a_field_too_large(self):
+        # GF(128) plus infinity is 129 points
+        with pytest.raises(CatalogError, match="projective line on 129 points exceeds"):
+            ProjectiveLine(FieldContext(2, 7))
+
+    def test_scaling_by_zero(self):
+        line = ProjectiveLine(FieldContext(3, 2))
+        assert line.scaling(1) == tuple(range(10))
+        with pytest.raises(CatalogError, match="scaling factor must be nonzero"):
+            line.scaling(0)
 
     @pytest.mark.parametrize(
         "build",

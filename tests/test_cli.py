@@ -570,6 +570,22 @@ class TestErrorContract:
     def test_cyclotomic_above_the_cap(self, d, capsys):
         self.assert_usage_error(run(capsys, "cyclotomic", "--d", d, "--q", "2"))
 
+    def test_flagcheck_with_generators_of_another_degree(self, tmp_path, spherical32_file, capsys):
+        gens = tmp_path / "agl18.gens"
+        run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_1", "--d", "3",
+            "--out", str(gens))
+        result = run(capsys, "flagcheck", str(spherical32_file), "--gens", str(gens))
+        self.assert_usage_error(result)
+        assert result[2] == "error: generator degree 8 != point count 10\n"
+
+    def test_affine_groupgens_without_d(self, tmp_path, capsys):
+        out = tmp_path / "agl.gens"
+        result = run(capsys, "groupgens", "--family", "affine", "--kind", "AGL_1",
+                     "--out", str(out))
+        self.assert_usage_error(result)
+        assert result[2] == "error: affine generators need --d\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("n", ["64", "100000", "1000000000"])
     def test_zsigmondy_above_the_factoring_bound(self, n, capsys):
         result = run(capsys, "zsigmondy", "--q", "2", "--n", n)

@@ -105,6 +105,23 @@ class TestDesignContainer:
         with pytest.raises(DesignError, match="points must be integers"):
             affine3.block_index(rows)
 
+    def test_equality(self, affine3):
+        assert affine3 == Design(8, 3, affine3.blocks)
+        assert affine3 != Design(8, 2, affine3.blocks)
+        assert affine3 != affine3.blocks and affine3 != "affine3"
+        assert repr(affine3) == "Design(3-(8,4,1), b=14)"
+
+    def test_block_index_keyed_by_two_points(self):
+        # past 2^21 points v^3 overflows int64, so blocks are keyed by their
+        # first two points and told apart by the rest
+        v = 2**21 + 1
+        blocks = [(0, 1, 2, 3), (0, 1, 5, v - 1), (0, 2, 3, v - 2), (4, 5, 6, v - 1)]
+        design = Design(v, 3, blocks)
+        for i, block in enumerate(design.blocks):
+            assert design.block_index(block) == i
+        assert design.block_index((0, 1, 2, v - 1)) == -1
+        assert design.block_index(np.array([[0, 1, 3, 2], [1, 0, 4, 5]])).tolist() == [0, -1]
+
     def test_block_index_of_nothing(self, affine3):
         assert affine3.block_index([]) == -1
         assert affine3.block_index(np.empty((0, 4))).tolist() == []
@@ -386,6 +403,41 @@ class TestParams:
         p = params_of(fano)
         assert (p.v, p.k, p.b, p.r, p.lambda2) == (7, 3, 7, 3, 1)
 
+    @pytest.mark.parametrize(
+        "design,message",
+        [
+            (
+                Design(4, 1, [(0,), (1,), (2,), (3,)]),
+                "parameters need strength at least 2, got t=1",
+            ),
+            (Design(6, 3, [(0, 1), (2, 3), (4, 5)]), "need t <= k <= v, got t=3, k=2, v=6"),
+            # b = C(4,2)/C(3,2) = 2, but r = bk/v = 3/2
+            (Design(4, 2, [(0, 1, 2), (0, 1, 3)]), "bk = vr fails: 2*3 not divisible by 4"),
+            # b = C(10,3)/C(5,3) = 12 and r = 6, but lambda2 = 8/3
+            (Design(10, 3, list(combinations(range(10), 5))[:12]), "pair count is not integral"),
+        ],
+        ids=["t1", "t-above-k", "r", "lambda2"],
+    )
+    def test_refused_before_the_direct_counts(self, design, message):
+        with pytest.raises(DesignError) as info:
+            params_of(design)
+        assert str(info.value) == message
+
+    def test_direct_counts(self, affine3):
+        # 14 blocks of 4 points on 8, as a Steiner 3-(8,4,1) design has, with
+        # one block through 0 (and 1) moved: off 0, then off 1 only
+        planes = [block for block in affine3.blocks if block != (0, 1, 2, 3)]
+        off_one = next(
+            s for s in combinations(range(8), 4) if 0 in s and 1 not in s and s not in planes
+        )
+        for moved, message in [
+            ((1, 2, 3, 4), "point 0 lies in 6 blocks, expected r = 7"),
+            (off_one, "pair (0,1) lies in 2 blocks, expected lambda2 = 3"),
+        ]:
+            with pytest.raises(DesignError) as info:
+                params_of(Design(8, 3, planes + [moved]))
+            assert str(info.value) == message
+
 
 class TestVerify:
     def test_affine3_ok(self, affine3):
@@ -458,6 +510,11 @@ class TestAffineLineSystem:
     def test_size_mismatch_rejected(self):
         with pytest.raises(DesignError):
             is_affine_line_system(Design(3, 2, [(0, 1)]), FieldContext(3, 2), 3)
+
+    def test_block_size_other_than_the_line_size_rejected(self):
+        design = Design(9, 2, [(0, 1, 2, 3)])
+        with pytest.raises(DesignError, match="block size 4 does not match line size 3"):
+            is_affine_line_system(design, FieldContext(3, 2), 3)
 
 
 class TestCameron:

@@ -1,5 +1,6 @@
 """Field arithmetic against independent brute-force oracles."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -161,6 +162,36 @@ class TestArithmetic:
         assert ctx.pow(3, -2) == ctx.inv(ctx.mul(3, 3))
 
 
+class TestTableFreeArithmetic:
+    """Fields of more than 2^16 elements keep no log tables: `mul` is the
+    schoolbook product and powers are square-and-multiply."""
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        return [FieldContext(2, 17), FieldContext(3, 11)]
+
+    def test_no_tables(self, fields):
+        for ctx in fields:
+            assert ctx.order > 1 << 16 and ctx._exp is None
+
+    def test_products_against_carryless_oracle(self, fields):
+        ctx = fields[0]
+        modulus = sum(c << i for i, c in enumerate(ctx.modulus))
+        rng = random.Random(17)
+        for _ in range(300):
+            a, b = rng.randrange(ctx.order), rng.randrange(ctx.order)
+            assert ctx.mul(a, b) == gf2_poly_mulmod(a, b, modulus, 17)
+
+    def test_inverses_and_fermat(self, fields):
+        rng = random.Random(11)
+        for ctx in fields:
+            for _ in range(20):
+                a = rng.randrange(1, ctx.order)
+                assert ctx.mul(a, ctx.inv(a)) == 1
+                assert ctx.pow(a, ctx.order - 1) == 1
+                assert ctx.pow(a, ctx.order) == a
+
+
 class TestFrobenius:
     def test_order_divides_degree(self):
         ctx = FieldContext(2, 3)
@@ -279,6 +310,24 @@ class TestSubfields:
     def test_non_subfield_rejected(self):
         with pytest.raises(FieldError):
             FieldContext(2, 4).subfield_indices(8)  # GF(8) not inside GF(16)
+
+
+@pytest.mark.parametrize(
+    "p,d,text",
+    [(3, 2, "x^2+1"), (2, 3, "x^3+x+1"), (3, 3, "x^3+2x+1")],
+)
+def test_repr_names_the_modulus(p, d, text):
+    assert repr(FieldContext(p, d)) == f"FieldContext(GF({p}^{d}), modulus={text})"
+
+
+def test_is_prime_below_two():
+    assert [n for n in range(-3, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
+
+
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorize_below_one(n):
+    with pytest.raises(FieldError, match=f"cannot factor {n}"):
+        factorize(n)
 
 
 def test_factorize_and_prime_power():

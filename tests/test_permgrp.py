@@ -186,6 +186,11 @@ class TestBlockAction:
         assert sorted(induced.tolist()) == list(range(design.b))
         assert induced.dtype == np.int32 and not induced.flags.writeable
 
+    def test_degree_other_than_the_point_count(self):
+        design = construct_boolean_affine(3)
+        with pytest.raises(PermutationError, match="permutation degree 9 != point count 8"):
+            block_action(design, tuple(range(9)))
+
     def test_transposition_is_rejected_with_witness(self):
         design = construct_boolean_affine(3)
         swap = (1, 0, 2, 3, 4, 5, 6, 7)
@@ -253,6 +258,12 @@ class TestFlagTransitivity:
         assert report.flag_orbit_size == 1
         assert report.block_orbit_count == design.b
         assert report.point_pair_orbit_count == 8 * 7
+
+    def test_degree_other_than_the_point_count(self):
+        design = construct_boolean_affine(3)
+        gens = projective_group_generators("PGL", 3, 2)
+        with pytest.raises(PermutationError, match="generator degree 10 != point count 8"):
+            is_flag_transitive(design, gens)
 
     def test_non_automorphism_propagates(self):
         design = construct_boolean_affine(3)

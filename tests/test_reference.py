@@ -1979,6 +1979,14 @@ SEARCH_WORK = {
     ("witt",): (398, 0),
 }
 
+# |Aut| of a catalogue design less its first block
+PARTIAL_ORDERS = {
+    ("affine", 3): 96,
+    ("affine", 4): 2304,
+    ("netto", 19): 12,
+    ("spherical", 3, 3): 72,
+}
+
 
 def _key_id(key: tuple) -> str:
     return "-".join(map(str, key))
@@ -2081,6 +2089,19 @@ class TestAutomorphismSearchDifferential:
         searcher = Checked(design)
         searcher.generators()
         assert _search_state(searcher) == states[design.v]
+
+    @pytest.mark.parametrize("key", PARTIAL_ORDERS, ids=_key_id)
+    def test_partial_systems(self, key, catalogue):
+        # a catalogue design less its first block: the closure meets blocks
+        # through three points on one side only, and Aut is the stabilizer
+        # of the missing block, of index b in Aut of the whole design
+        design, order = catalogue[key], PARTIAL_ORDERS[key]
+        partial = Design(design.v, design.t, design.blocks[1:])
+        assert order * design.b == _closed_form_order(key)
+        want, _ = _counted_reference(partial)
+        gens = automorphism_group(partial)
+        assert gens.gens == want
+        assert group_order(gens).order == order
 
     @settings(max_examples=24, deadline=None)
     @given(data=st.data())

@@ -93,6 +93,11 @@ class TestParameterScreen:
         with pytest.raises(SieveError):
             admissible_parameters(10, 4)
 
+    @pytest.mark.parametrize("v,k", [(3, 4), (22, 3), (0, 0)])
+    def test_screen_below_four(self, v, k):
+        with pytest.raises(SieveError, match=f"need v >= 4 and k >= 4, got \\({v}, {k}\\)"):
+            screen_parameters(v, k)
+
     def test_report_serialization(self):
         report = screen_parameters(22, 6)
         payload = report.as_dict()
