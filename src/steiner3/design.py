@@ -43,9 +43,9 @@ class Design:
 
     The blocks are given as an iterable of point sequences, or as a 2-D
     integer array.  An array already canonical and in range is kept as
-    it is; anything else is filled into an int32 array and kept if that
-    is canonical, or else sorted and checked as a tuple list, which names
-    the first fault.  `blocks`, the tuple form, is derived on first use.
+    it is; anything else, a list included, is sorted and checked as a
+    tuple list, which names the first fault, and only then cast to one
+    int32 array.  `blocks`, the tuple form, is derived on first use.
     """
 
     __slots__ = ("v", "t", "labels", "_blocks", "_array", "_keys", "_ranks")
@@ -70,11 +70,10 @@ class Design:
         if not _is_canonical_array(blocks, v):
             listed = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
             _check_points_are_ints(listed)
-            blocks = _block_rows(listed)
-            if not _is_canonical_array(blocks, v):
-                canon = sorted(tuple(sorted(block)) for block in listed)
-                _check_blocks(canon, v)
-                blocks = _block_rows(canon)
+            canon = sorted(tuple(sorted(block)) for block in listed)
+            _check_blocks(canon, v)
+            # every point is now in 0..v-1, and v <= 2^31, so int32 holds it
+            blocks = np.array(canon, dtype=np.int32)
         array = blocks.astype(np.int32, copy=False)
         array.flags.writeable = False
         if labels is not None:
@@ -594,17 +593,3 @@ def _canonical_rows(data: bytes | str) -> tuple[int, int, np.ndarray] | None:
             return None
         at += len(piece)
     return (v, t, rows) if at == end else None
-
-
-def _block_rows(blocks: list[Sequence[int]]) -> np.ndarray | list[Sequence[int]]:
-    """The blocks as one (b, k) int32 array, filled straight from the
-    sequences, or the list itself where it fits no such array: when it
-    is empty, of mixed sizes or holds a point beyond int32."""
-    sizes = set(map(len, blocks))
-    if len(sizes) != 1 or 0 in sizes:
-        return blocks
-    try:
-        rows = np.fromiter(chain.from_iterable(blocks), np.int32, len(blocks) * len(blocks[0]))
-    except OverflowError:
-        return blocks
-    return rows.reshape(len(blocks), -1)

@@ -6,7 +6,9 @@ index of ``c0 + c1*x + ... + c_{d-1}*x^{d-1}`` is ``sum(c_i * p**i)``.
 The modulus is the monic irreducible polynomial of degree d whose own
 integer encoding is smallest, so every context is reproducible from
 (p, d) alone.  The multiplicative generator ``omega`` is the element of
-full order with the smallest index.
+full order with the smallest index.  Arithmetic keeps no tables at any
+order: products are schoolbook, reduced by the modulus, and powers are
+square-and-multiply.
 """
 
 from __future__ import annotations
@@ -115,7 +117,8 @@ class FieldContext:
     Elements are their indices 0..order-1: every public operation takes
     and returns indices, and rejects an index outside that range with
     FieldError.  ``omega`` is the index of the multiplicative generator.
-    Immutable after construction; all operations are pure.
+    It keeps no exp/log tables at any order.  Immutable after
+    construction; all operations are pure.
     """
 
     def __init__(self, p: int, d: int):
@@ -133,11 +136,7 @@ class FieldContext:
         mod_enc = _smallest_irreducible(p, d)
         self.modulus: tuple[int, ...] = tuple(_poly_coeffs(mod_enc, p))
         self._mod_enc = mod_enc
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self.omega = self._find_primitive()
-        if self.order <= 1 << 16:
-            self._build_tables()
 
     # -- construction internals --
 
@@ -145,21 +144,11 @@ class FieldContext:
         n = self.order - 1
         primes = list(factorize(n)) if n > 1 else []
         for idx in range(1, self.order):
-            if all(self._pow_raw(idx, n // ell) != 1 for ell in primes):
-                if self._pow_raw(idx, n) != 1:
+            if all(self._pow(idx, n // ell) != 1 for ell in primes):
+                if self._pow(idx, n) != 1:
                     raise FieldError("primitive candidate violates Lagrange")  # defensive
                 return idx
         raise FieldError("no primitive element found")  # unreachable
-
-    def _build_tables(self) -> None:
-        n = self.order - 1
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], self.omega)
-        log = [0] * self.order
-        for i, value in enumerate(exp):
-            log[value] = i
-        self._exp, self._log = exp, log
 
     # -- unchecked index arithmetic --
 
@@ -181,7 +170,7 @@ class FieldContext:
                     prod[top - self.d + i] = (prod[top - self.d + i] - c * mod[i]) % self.p
         return reduce(lambda acc, c: acc * self.p + c, reversed(prod), 0)
 
-    def _pow_raw(self, a: int, e: int) -> int:
+    def _pow(self, a: int, e: int) -> int:
         out = 1
         while e:
             if e & 1:
@@ -189,14 +178,6 @@ class FieldContext:
             a = self._mul_raw(a, a)
             e >>= 1
         return out
-
-    def _pow(self, a: int, e: int) -> int:
-        """a ** e for e >= 0, through the log tables when they exist."""
-        if self._exp is None:
-            return self._pow_raw(a, e)
-        if a == 0:
-            return 1 if e == 0 else 0
-        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def _check(self, *indices: int) -> None:
         for a in indices:
@@ -247,11 +228,7 @@ class FieldContext:
 
     def mul(self, a: int, b: int) -> int:
         self._check(a, b)
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is None:
-            return self._mul_raw(a, b)
-        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
+        return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         self._check(a)

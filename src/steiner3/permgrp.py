@@ -877,6 +877,7 @@ def parse_generators(text: str) -> GeneratorSet:
             if consumed:
                 raise PermutationError(f"line {lineno}: trailing junk {consumed!r}")
             images = list(range(degree))
+            seen: set[int] = set()
             for body in _CYCLE_RE.findall(line):
                 pts = [p - 1 for p in _integers(body, lineno)]
                 if any(p < 0 or p >= degree for p in pts):
@@ -884,6 +885,11 @@ def parse_generators(text: str) -> GeneratorSet:
                         f"line {lineno}: cycle entry out of range 1..{degree}"
                     )
                 for a, b in zip(pts, pts[1:] + pts[:1]):
+                    if a in seen:
+                        raise PermutationError(
+                            f"line {lineno}: point {a + 1} appears twice in the cycles"
+                        )
+                    seen.add(a)
                     images[a] = b
             perms.append(images)
             continue

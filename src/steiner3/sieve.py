@@ -154,28 +154,9 @@ class SieveReport:
         return json.dumps(self.as_dict(), separators=(",", ":"))
 
 
-# blocksize_bound(v) followed by the three values of cameron_limits(3, v)
-_Limits = tuple[int, int, int | None, int | None]
-
-
-def _limits(v: int) -> _Limits:
+def _limits(v: int) -> tuple[int, int, int | None, int | None]:
     """`blocksize_bound(v)` followed by `cameron_limits(3, v)`."""
     return (blocksize_bound(v), *cameron_limits(3, v))
-
-
-def _stepped_limits(v_min: int, v_max: int) -> Iterator[tuple[int, _Limits]]:
-    """(v, `_limits(v)`) for v = v_min, ..., v_max.  Both limits rest on an
-    integer square root that only grows with v, isqrt(4v) for the block-size
-    bound and the largest m with m(m+1) <= v-2 for the Cameron (b) limit,
-    so each is stepped from one v to the next instead of recomputed."""
-    root = math.isqrt(4 * v_min)
-    m = cameron_limits(3, v_min)[1] - 2
-    for v in range(v_min, v_max + 1):
-        while (root + 1) ** 2 <= 4 * v:
-            root += 1
-        while (m + 1) * (m + 2) <= v - 2:
-            m += 1
-        yield v, ((root + 3) // 2, v // 4 + 2, m + 2, m + 2 if m * (m + 1) == v - 2 else None)
 
 
 def _check_bits(v, k, limits):
@@ -270,7 +251,8 @@ def _pair_chunks(v_min: int, v_max: int) -> Iterator[list[tuple[int, ...]]]:
     joins the next list."""
     rows: list[tuple[int, ...]] = []
     pairs = 0
-    for v, (bound, largest_a, largest_b, equality_k) in _stepped_limits(v_min, v_max):
+    for v in range(v_min, v_max + 1):
+        bound, largest_a, largest_b, equality_k = _limits(v)
         count = bound - 3
         if pairs and pairs + count > _PAIR_CHUNK:
             yield rows
@@ -290,7 +272,6 @@ def _divisor_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
     in increasing order for each v.
     """
     screened = yielded = 0
-    stepped = _stepped_limits(v_min, v_max)
     for lo in range(v_min, v_max + 1, SIEVE_CHUNK):
         hi = min(lo + SIEVE_CHUNK - 1, v_max)
         width = hi - lo + 1
@@ -300,10 +281,9 @@ def _divisor_sweep(v_min: int, v_max: int) -> Iterator[SieveReport]:
             # the first v >= lo with d | (v-2), as an offset into the chunk
             for i in range(-(lo - 2) % d, width, d):
                 candidates[i].append(k)
-        # candidates first: zip stops at the chunk's end without taking
-        # the next v's limits
-        for ks, (v, limits) in zip(candidates, stepped):
+        for v, ks in enumerate(candidates, lo):
             screened += len(ks)
+            limits = _limits(v)
             for k in ks:
                 mask, equality = _check_bits(v, k, limits)
                 if mask == _PASSED:

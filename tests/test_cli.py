@@ -310,6 +310,22 @@ class TestErrorContract:
         self.assert_usage_error(run(capsys, *argv))
         assert not out.exists()
 
+    @pytest.mark.parametrize("point", [2**31, 2**40], ids=["2^31", "2^40"])
+    def test_design_point_beyond_int32(self, point, tmp_path, capsys):
+        design = tmp_path / "big.json"
+        design.write_text(json.dumps({"v": 2**31, "t": 3, "blocks": [[0, 1, 2, point]]}))
+        result = run(capsys, "params", str(design))
+        self.assert_usage_error(result)
+        assert result[2] == f"error: block (0, 1, 2, {point}) out of range for {2**31} points\n"
+
+    def test_gens_point_twice_in_the_cycles(self, tmp_path, capsys):
+        # this printed order: 2 and exited 0, though the product is the identity
+        path = tmp_path / "twice.gens"
+        path.write_text("degree: 3\n(1 2)(1 2)\n")
+        result = run(capsys, "order", str(path))
+        self.assert_usage_error(result)
+        assert result[2] == "error: line 2: point 1 appears twice in the cycles\n"
+
     def test_autgroup_above_search_bound(self, tmp_path, capsys):
         path = tmp_path / "n67.json"
         run(capsys, "construct", "--family", "netto", "--q", "67", "--out", str(path))

@@ -284,11 +284,27 @@ class TestCanonicalInput:
     Both must give the same design and the same error."""
 
     def test_catalogue_designs(self, catalogue):
+        rng = random.Random(1)
         for design in catalogue.values():
             canonical = Design(design.v, design.t, [list(b) for b in design.blocks])
             unsorted = Design(design.v, design.t, scrambled(design.blocks, design.v))
-            assert canonical == unsorted == design
+            # the rows reversed, each row's points shuffled
+            reversed_rows = [rng.sample(block, len(block)) for block in design.blocks[::-1]]
+            backwards = Design(design.v, design.t, reversed_rows)
+            assert canonical == unsorted == backwards == design
             assert canonical.blocks == design.blocks
+            for built in (canonical, unsorted, backwards):
+                assert built.block_array.dtype == np.int32
+                assert not built.block_array.flags.writeable
+                assert np.array_equal(built.block_array, design.block_array)
+
+    @pytest.mark.parametrize("point", [2**31, 2**40], ids=["2^31", "2^40"])
+    def test_list_point_beyond_int32(self, point):
+        # the list is checked before any cast to int32, so a point that
+        # int32 cannot hold is out of range, never an OverflowError
+        with pytest.raises(DesignError) as info:
+            Design(2**31, 3, [[0, 1, 2, point]])
+        assert str(info.value) == f"block (0, 1, 2, {point}) out of range for {2**31} points"
 
     def test_random_blocks(self):
         rng = random.Random(0)

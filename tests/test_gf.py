@@ -162,17 +162,53 @@ class TestArithmetic:
         assert ctx.pow(3, -2) == ctx.inv(ctx.mul(3, 3))
 
 
+def reference_log_tables(ctx: FieldContext) -> tuple[list[int], dict[int, int]]:
+    """exp[i] = omega^i for i < order - 1, built by repeated multiplication
+    by omega, and its inverse map log; both are checked to be bijections
+    onto the nonzero elements, so omega generates the group."""
+    n = ctx.order - 1
+    exp = [1]
+    for _ in range(n - 1):
+        exp.append(ctx.mul(exp[-1], ctx.omega))
+    log = {value: i for i, value in enumerate(exp)}
+    assert sorted(log) == list(range(1, ctx.order))
+    return exp, log
+
+
+def catalogue_fields():
+    """GF(q) for every prime power q <= 128: the fields the projective and
+    affine constructions and group tables build."""
+    return [pp for q in range(2, 129) if (pp := prime_power(q))]
+
+
+class TestAgainstLogTables:
+    """`mul`, `inv` and `pow` against exp/log tables of omega, the
+    arithmetic small fields once used, kept here as the reference."""
+
+    @pytest.mark.parametrize("p,d", catalogue_fields())
+    def test_catalogue_fields(self, p, d):
+        ctx = FieldContext(p, d)
+        exp, log = reference_log_tables(ctx)
+        n = ctx.order - 1
+        for a in range(ctx.order):
+            want = [0] * ctx.order if a == 0 else [0] + [exp[(log[a] + log[b]) % n] for b in log]
+            assert [ctx.mul(a, b) for b in [0, *log]] == want
+        exponents = sorted({0, 1, 2, 3, n - 1, n, n + 1, 2 * n + 5, 7 * ctx.order})
+        for a in log:
+            assert ctx.inv(a) == exp[-log[a] % n]
+            for e in exponents:
+                assert ctx.pow(a, e) == exp[log[a] * e % n]
+                assert ctx.pow(a, -e) == exp[-log[a] * e % n]
+        assert [ctx.pow(0, e) for e in exponents] == [1] + [0] * (len(exponents) - 1)
+
+
 class TestTableFreeArithmetic:
-    """Fields of more than 2^16 elements keep no log tables: `mul` is the
-    schoolbook product and powers are square-and-multiply."""
+    """Fields of more than 2^16 elements, checked against oracles that
+    use no field tables: carry-less products, inverses and Fermat."""
 
     @pytest.fixture(scope="class")
     def fields(self):
         return [FieldContext(2, 17), FieldContext(3, 11)]
-
-    def test_no_tables(self, fields):
-        for ctx in fields:
-            assert ctx.order > 1 << 16 and ctx._exp is None
 
     def test_products_against_carryless_oracle(self, fields):
         ctx = fields[0]

@@ -365,6 +365,16 @@ class TestGeneratorFiles:
         with pytest.raises(PermutationError):
             parse_generators("degree: 3\nimg: 0,1\n")
 
+    @pytest.mark.parametrize(
+        "line,point", [("(1 2)(1 2)", 1), ("(1 1)", 1), ("(2 3)(1 3)", 3), ("(3)(3)", 3)]
+    )
+    def test_point_twice_in_the_cycles_rejected(self, line, point):
+        # the cycles of a line are disjoint; (1 2)(1 2) read as (1 2)
+        # and (1 1) as the identity
+        with pytest.raises(PermutationError) as info:
+            parse_generators(f"# a comment\ndegree: 3\n{line}\n")
+        assert str(info.value) == f"line 3: point {point} appears twice in the cycles"
+
     def test_cycle_out_of_range_rejected(self):
         with pytest.raises(PermutationError):
             parse_generators("degree: 3\n(1 4)\n")

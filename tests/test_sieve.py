@@ -1,7 +1,5 @@
 """Arithmetic screens, stabilizer identities, cyclotomic and Diophantine ops."""
 
-import random
-
 import pytest
 
 from steiner3.catalog import (
@@ -23,34 +21,11 @@ from steiner3.sieve import (
     screen_parameters,
     semilinear_divisibility,
     zsigmondy_ppd,
-    _limits,
-    _stepped_limits,
 )
 
 
 def admissible_ks(v: int) -> list[int]:
     return [r.k for r in admissible_parameters(v, v) if r.admissible]
-
-
-class TestSteppedLimits:
-    """The sweeps step the block-size bound and the Cameron limits from
-    one v to the next; each step must give what `_limits(v)` computes."""
-
-    @pytest.mark.parametrize(
-        "v_min, v_max",
-        [(4, 20000), (10**6 - 3000, 10**6), (99, 101), (7, 7), (120, 122), (8836, 8840)],
-    )
-    def test_windows(self, v_min, v_max):
-        assert list(_stepped_limits(v_min, v_max)) == [
-            (v, _limits(v)) for v in range(v_min, v_max + 1)
-        ]
-
-    def test_random_starts(self):
-        rng = random.Random(17)
-        for _ in range(50):
-            v_min = rng.randint(4, 10**6 - 100)
-            want = [(v, _limits(v)) for v in range(v_min, v_min + 100)]
-            assert list(_stepped_limits(v_min, v_min + 99)) == want
 
 
 class TestParameterScreen:
