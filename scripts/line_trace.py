@@ -12,7 +12,9 @@ Only the standard library is used.  The tracer slows the suite about
 3.5 times, so tests with a wall-clock bound may fail under it: the script
 reports lines, not test outcomes, and its exit status is 0 either way.
 Code run only in a subprocess (the `steiner3` entry point as a process)
-is not seen.
+is not seen.  A test that leaves the tracer unset (CPython unsets it when
+a RecursionError is raised inside the trace function) is named on stderr,
+and the tracer is set again before the next test.
 
 Run from the repository root:  python3 scripts/line_trace.py [pytest args]
 With no arguments it runs the whole tests/ directory, quietly.
@@ -60,10 +62,21 @@ def main(argv: list[str]) -> int:
         # only frames of the package get a line tracer
         return local if frame.f_code.co_filename.startswith(prefix) else None
 
+    class Retrace:
+        """Sets the tracer again after each test that left it unset."""
+
+        @staticmethod
+        def pytest_runtest_logfinish(nodeid, location):
+            if sys.gettrace() is not tracer:
+                print(f"tracer lost in {nodeid}; set again", file=sys.stderr)
+                sys.settrace(tracer)
+
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
-        pytest.main(argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+        pytest.main(
+            argv or ["-q", "-p", "no:cacheprovider", str(ROOT / "tests")], plugins=[Retrace()]
+        )
     finally:
         sys.settrace(None)
         threading.settrace(None)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
 from .errors import DesignError, Steiner3Error
-from .gf import FieldContext, prime_power
+from .gf import FieldContext, exceeds, prime_power
 from .permgrp import GeneratorSet
 from .trace import emit
 
@@ -101,14 +101,13 @@ class ProjectiveLine:
 
 
 def _projective_line(q: int, e: int) -> ProjectiveLine:
-    """The projective line over GF(q^e).  As q^e >= 2^(e * (bits of q - 1)),
-    that product rejects a large q^e before the power is formed, and q is
-    factored only once q^e + 1 is within MAX_POINTS."""
+    """The projective line over GF(q^e); q is factored only once q^e + 1
+    is within MAX_POINTS."""
     if e < 1:
         raise CatalogError(f"e must be >= 1, got {e}")
     if q < 2:
         raise CatalogError(f"q must be a prime power, got {q}")
-    if e * (q.bit_length() - 1) >= MAX_POINTS.bit_length() or q**e + 1 > MAX_POINTS:
+    if exceeds(q, e, MAX_POINTS - 1):
         raise CatalogError(f"q^e + 1 for q = {q}, e = {e} exceeds the {MAX_POINTS} bound")
     pp = prime_power(q)
     if pp is None:
@@ -180,7 +179,7 @@ def _block_orbit(gens: Sequence[tuple[int, ...]], base: tuple[int, ...]) -> np.n
 
 def construct_boolean_affine(d: int) -> Design:
     """Points and planes of AG(d,2): all 4-sets with zero XOR sum."""
-    if d < 3 or d > MAX_POINTS.bit_length() - 1:
+    if d < 3 or exceeds(2, d, MAX_POINTS):
         raise CatalogError(f"need 3 <= d <= 7, got {d}")
     n = 1 << d
     # the pairs x < y in lexicographic order and, for each, every z above
@@ -409,7 +408,7 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
     """Generators of the affine-type groups on GF(2)^d (as 0..2^d-1)."""
     if kind not in AFFINE_KINDS:
         raise CatalogError(f"unknown affine kind {kind!r}, expected one of {AFFINE_KINDS}")
-    if d < 1 or d > MAX_POINTS.bit_length() - 1:
+    if d < 1 or exceeds(2, d, MAX_POINTS):
         raise CatalogError(f"need 1 <= d <= 7, got {d}")
     n = 1 << d
     if kind == "AGL_d_2":

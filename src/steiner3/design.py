@@ -68,7 +68,10 @@ class Design:
         if v > _INT32_POINTS:
             raise DesignError(f"point count must be at most 2^31, got {v}")
         if not _is_canonical_array(blocks, v):
-            listed = blocks.tolist() if isinstance(blocks, np.ndarray) else list(blocks)
+            listed = blocks.tolist() if isinstance(blocks, np.ndarray) else blocks
+            if not isinstance(listed, Iterable):
+                raise DesignError(f"blocks must be an iterable of point sequences, got {blocks!r}")
+            listed = list(listed)
             _check_points_are_ints(listed)
             canon = sorted(tuple(sorted(block)) for block in listed)
             _check_blocks(canon, v)
@@ -316,12 +319,12 @@ def _is_canonical_array(rows: object, v: int) -> bool:
 
 
 def _check_points_are_ints(blocks: list[Sequence]) -> None:
-    """Raise DesignError naming the first block with a point whose type
-    is not exactly int: a float, a bool or a NumPy integer would be
-    written to JSON as something other than an integer, or not at all."""
-    if set(map(type, chain.from_iterable(blocks))) <= {int}:
-        return
+    """Raise DesignError naming the first block that is not a sequence or
+    has a point not exactly an int: a float, a bool or a NumPy integer
+    would be written to JSON as something other than an integer, or not at all."""
     for block in blocks:
+        if not isinstance(block, Iterable):
+            raise DesignError(f"block {block!r} is not a sequence of points")
         if not set(map(type, block)) <= {int}:
             raise DesignError(f"block {tuple(block)} has a point that is not an int")
 

@@ -24,6 +24,12 @@ class FieldError(Steiner3Error, ValueError):
     """Invalid field parameters or an undefined field operation."""
 
 
+def exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base ** exponent > bound.  The power is at least
+    2^(exponent * (bits of base - 1)), so a large one is rejected unformed."""
+    return exponent * (base.bit_length() - 1) >= bound.bit_length() or base**exponent > bound
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -124,9 +130,7 @@ class FieldContext:
     def __init__(self, p: int, d: int):
         if d < 1:
             raise FieldError(f"extension degree must be >= 1, got {d}")
-        # p^d >= 2^(d * (bits of p - 1)): no power and no trial division
-        # of p unless the order can be within the bound
-        if d * (p.bit_length() - 1) >= MAX_ORDER.bit_length() or p ** d > MAX_ORDER:
+        if exceeds(p, d, MAX_ORDER):
             raise FieldError(f"field order {p}^{d} exceeds the {MAX_ORDER} bound")
         if not is_prime(p):
             raise FieldError(f"characteristic {p} is not prime")
@@ -205,8 +209,6 @@ class FieldContext:
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
-        if self.p == 2:
-            return a ^ b
         out, shift = 0, 1
         while a or b:
             a, ca = divmod(a, self.p)
@@ -217,8 +219,6 @@ class FieldContext:
 
     def neg(self, a: int) -> int:
         self._check(a)
-        if self.p == 2:
-            return a
         out, shift = 0, 1
         while a:
             a, c = divmod(a, self.p)

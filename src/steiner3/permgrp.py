@@ -140,16 +140,15 @@ def _image_table(perms: Sequence, n: int) -> np.ndarray:
     return np.array(perms, dtype=np.int32).reshape(len(perms), n)
 
 
-def _orbit_sizes(table: np.ndarray, skip: slice = slice(0)) -> list[int]:
-    """Sizes of the orbits splitting the table's states (less `skip`),
-    ordered by their least state.  Each seed is the first state not yet
-    covered: a bool `argmin` from the last seed on stops at it, and one
-    covered bitmap serves every seed's `orbit`.  With no generators
-    every state is an orbit of its own."""
+def _orbit_sizes(table: np.ndarray) -> list[int]:
+    """Sizes of the orbits splitting the table's states, ordered by their
+    least state.  Each seed is the first state not yet covered: a bool
+    `argmin` from the last seed on stops at it, and one covered bitmap
+    serves every seed's `orbit`.  With no generators every state is an
+    orbit of its own."""
     covered = np.zeros(table.shape[1], dtype=bool)
-    covered[skip] = True
     if not len(table):
-        return [1] * (len(covered) - int(np.count_nonzero(covered)))
+        return [1] * len(covered)
     sizes = []
     seed = int(covered.argmin())
     while not covered[seed]:
@@ -404,7 +403,8 @@ def _flag_report(design: Design, gens: GeneratorSet) -> tuple[FlagReport, list[_
     flag_count = b * k
     block_orbit_sizes = _orbit_sizes(blocks)
     point_orbit_sizes = _orbit_sizes(points)
-    pair_orbit_sizes = _orbit_sizes(pairs, skip=slice(None, None, v + 1))
+    # the pairs (x, x) make one orbit per point orbit
+    pair_orbit_count = len(_orbit_sizes(pairs)) - len(point_orbit_sizes)
     emit(
         "permgrp.is_flag_transitive",
         generators=len(gens.gens),
@@ -424,11 +424,11 @@ def _flag_report(design: Design, gens: GeneratorSet) -> tuple[FlagReport, list[_
         block_orbit_count=len(block_orbit_sizes),
         block_orbit_sizes=tuple(block_orbit_sizes),
         point_orbit_count=len(point_orbit_sizes),
-        point_pair_orbit_count=len(pair_orbit_sizes),
+        point_pair_orbit_count=pair_orbit_count,
         flag_transitive=flag_orbit_size == flag_count,
         block_transitive=len(block_orbit_sizes) == 1,
         point_transitive=len(point_orbit_sizes) == 1,
-        point_2_transitive=len(pair_orbit_sizes) == 1,
+        point_2_transitive=pair_orbit_count == 1,
     ), levels
 
 
@@ -511,8 +511,8 @@ class _AutSearch:
     `taken`, so the first maximum of `score` is the branch point.  Each
     block keeps the bitmask of its assigned points' images; once three are
     assigned, its image block is the one the design's ranked 3-subset
-    table (`Design.rank_table`) holds at the rank of those images.  `used`
-    is the bitmask of all assigned images.
+    table (`Design.rank_table`) holds at the rank of those images, if it
+    holds no other used image.  `used` is the bitmask of all assigned images.
 
     Beside the assignment runs its closure under forced images
     (`closure`, `cimg`, `cpre`): for k = 4, three closed points fix the
@@ -566,7 +566,6 @@ class _AutSearch:
         self.points = [sum(1 << x for x in block) for block in self.blocks]
         self.img = [-1] * v
         self.blk_img = [-1] * self.nblocks
-        self.blk_pre = [-1] * self.nblocks
         self.mask = [0] * self.nblocks
         self.used = 0
         self.score = [0] * v
@@ -591,7 +590,7 @@ class _AutSearch:
         gens: list[tuple[int, ...]] = []
         for base in range(v):
             self.levels += 1
-            fixing: list[tuple[int, ...]] = []
+            start = len(gens)
             seen = np.zeros(v, dtype=bool)
             seen[base] = True
             # an automorphism fixing 0..base-1 pointwise cannot send base below itself
@@ -601,11 +600,10 @@ class _AutSearch:
                 found = self._trial(base, y)
                 if found is None:
                     # no automorphism sends base into the orbit of y either
-                    seen[orbit(table, [y]) if fixing else y] = True
+                    seen[orbit(table, [y]) if len(gens) > start else y] = True
                     continue
                 gens.append(found)
-                fixing.append(found)
-                table = _image_table(fixing, v)
+                table = _image_table(gens[start:], v)
                 seen[orbit(table, np.flatnonzero(seen))] = True
             self._fix(base)
         return gens
@@ -724,7 +722,7 @@ class _AutSearch:
         self.used |= bit
         score = self.score
         score[x] -= self.taken
-        mask, blk_img, blk_pre = self.mask, self.blk_img, self.blk_pre
+        mask, blk_img = self.mask, self.blk_img
         points, used, ranks = self.points, self.used, self.ranks
         cubes, pairs = self.cubes, self.pairs
         through = self.through[x]
@@ -739,14 +737,14 @@ class _AutSearch:
                 continue
             if images.bit_count() != 3:
                 continue
-            # the image block, at the rank of the three images a < b < c,
-            # unclaimed, and no point outside bi maps into it
+            # the image block, at the rank of the three images a < b < c, with
+            # no other used point: none outside bi maps into it, so no other
+            # block, which shares at most two points with bi, has claimed it
             c = images.bit_length() - 1
             ti = ranks[cubes[c] + pairs[images ^ (1 << c)]]
-            if ti == -1 or blk_pre[ti] != -1 or used & points[ti] != images:
+            if ti == -1 or used & points[ti] != images:
                 break
             blk_img[bi] = ti
-            blk_pre[ti] = bi
             for w in self.blocks[bi]:
                 score[w] += 1
             determined.append(bi)
@@ -764,7 +762,6 @@ class _AutSearch:
             mask[bi] ^= bit
         blk_img, score = self.blk_img, self.score
         for bi in determined:
-            self.blk_pre[blk_img[bi]] = -1
             blk_img[bi] = -1
             for w in self.blocks[bi]:
                 score[w] -= 1
@@ -785,10 +782,7 @@ class _AutSearch:
             # every point assigned; with a closure, `_extend` settles the
             # map before this
             return tuple(self.img)
-        if self.cimg[x] != -1:
-            # the closure leaves x one image
-            images = [self.cimg[x]]
-        elif score > 0:
+        if score > 0:
             for bi in self.through[x]:
                 ti = self.blk_img[bi]
                 if ti != -1:

@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DesignError, Steiner3Error
-from .gf import factorize
+from .gf import exceeds, factorize
 from .trace import emit
 
 
@@ -332,9 +332,7 @@ def cyclotomic_eval(d: int, q: int) -> CyclotomicEval:
     """
     if d < 1 or q < 2:
         raise SieveError(f"need d >= 1 and q >= 2, got {(d, q)}")
-    # q^d >= 2^(d(bits-1)), so only a power below 2^(2 * CYCLOTOMIC_MAX_BITS)
-    # is ever formed to decide the cap
-    if d * (q.bit_length() - 1) > CYCLOTOMIC_MAX_BITS or q**d > 1 << CYCLOTOMIC_MAX_BITS:
+    if exceeds(q, d, 1 << CYCLOTOMIC_MAX_BITS):
         raise SieveError(
             f"need q^d <= 2^{CYCLOTOMIC_MAX_BITS}, got d = {d} and a {q.bit_length()}-bit q"
         )
@@ -361,8 +359,7 @@ def zsigmondy_ppd(q: int, n: int) -> ZsigmondyResult:
     """Primes dividing q^n - 1 but no q^m - 1 with 1 <= m < n."""
     if q < 2 or n < 2:
         raise SieveError(f"need q >= 2 and n >= 2, got {(q, n)}")
-    # q^n >= 2^(n(bits-1)), so only a power below 2^126 is ever formed
-    if n * (q.bit_length() - 1) > 63 or q**n > 2**63:
+    if exceeds(q, n, 2**63):
         raise SieveError(f"need q^n <= 2^63 for factoring, got q = {q} and n = {n}")
     primes = sorted(factorize(q**n - 1))
     primitive = [

@@ -370,6 +370,23 @@ class TestCanonicalInput:
             Design(8, 3, blocks)
         assert str(info.value) == f"block {named} has a point that is not an int"
 
+    @pytest.mark.parametrize(
+        "blocks,message",
+        [
+            ([0, 1, 2, 3], "block 0 is not a sequence of points"),
+            (np.arange(4), "block 0 is not a sequence of points"),
+            ([[0, 1, 2, 3], 5], "block 5 is not a sequence of points"),
+            (5, "blocks must be an iterable of point sequences, got 5"),
+            (np.array(5), "blocks must be an iterable of point sequences, got array(5)"),
+        ],
+        ids=["flat-list", "flat-array", "int-block", "int", "0-d-array"],
+    )
+    def test_blocks_that_are_not_sequences(self, blocks, message):
+        # each raised a bare TypeError from iterating an int
+        with pytest.raises(DesignError) as info:
+            Design(8, 3, blocks)
+        assert str(info.value) == message
+
 
 class TestBlockCount:
     def test_steiner_systems_sit_at_the_limit(self, catalogue):

@@ -1,6 +1,7 @@
 """Field arithmetic against independent brute-force oracles."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -30,6 +31,33 @@ def gf2_poly_mulmod(a: int, b: int, modulus: int, degree: int) -> int:
         if (prod >> top) & 1:
             prod ^= modulus << (top - degree)
     return prod
+
+
+class TestExceeds:
+    BOUNDS = [1, 127, 128, 2**20, 2**63, 2**8192]
+
+    def test_against_the_power(self):
+        for base in range(1, 41):
+            for exponent in range(41):
+                power = base**exponent
+                for bound in self.BOUNDS + [power - 1, power, power + 1]:
+                    if bound >= 1:
+                        assert gf.exceeds(base, exponent, bound) == (power > bound), (
+                            base, exponent, bound,
+                        )
+
+    @pytest.mark.parametrize("base,exponent,bound", [(3, 10**12, 2**63), (2, 10**9, 128)])
+    def test_no_large_power_is_formed(self, base, exponent, bound):
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            assert gf.exceeds(base, exponent, bound)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024
+        assert elapsed < 0.01
 
 
 class TestContextConstruction:
@@ -160,6 +188,14 @@ class TestArithmetic:
         ctx = FieldContext(7, 1)
         assert ctx.pow(3, -1) == ctx.inv(3)
         assert ctx.pow(3, -2) == ctx.inv(ctx.mul(3, 3))
+
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_characteristic_two_adds_by_xor(self, d):
+        ctx = FieldContext(2, d)
+        for a in range(ctx.order):
+            assert ctx.neg(a) == a
+            for b in range(ctx.order):
+                assert ctx.add(a, b) == a ^ b
 
 
 def reference_log_tables(ctx: FieldContext) -> tuple[list[int], dict[int, int]]:
