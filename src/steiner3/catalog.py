@@ -411,17 +411,15 @@ def affine_group_generators(kind: str, d: int) -> GeneratorSet:
     if d < 1 or exceeds(2, d, MAX_POINTS):
         raise CatalogError(f"need 1 <= d <= 7, got {d}")
     n = 1 << d
+    translations = [tuple(x ^ (1 << i) for x in range(n)) for i in range(d)]
     if kind == "AGL_d_2":
-        gens = [tuple(x ^ (1 << i) for x in range(n)) for i in range(d)]
         pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-        gens += [tuple(x ^ (((x >> j) & 1) << i) for x in range(n)) for i, j in pairs]
-        return GeneratorSet(n, gens)
+        shears = [tuple(x ^ (((x >> j) & 1) << i) for x in range(n)) for i, j in pairs]
+        return GeneratorSet(n, translations + shears)
     if kind == "T_A7":
         if d != 4:
             raise CatalogError("the A7 point stabilizer lives in GL(4,2); need d = 4")
-        translations = [tuple(x ^ (1 << i) for x in range(n)) for i in range(4)]
-        a7 = load_a7_generators()
-        return GeneratorSet(n, tuple(translations) + a7.gens)
+        return GeneratorSet(n, tuple(translations) + load_a7_generators().gens)
     ctx = FieldContext(2, d)
     gens = [
         tuple(ctx.add(x, 1) for x in range(n)),
@@ -520,20 +518,18 @@ def classify(v: int, k: int) -> list[CatalogueEntry]:
             f"got v - 1 of {(v - 1).bit_length()} bits"
         )
     rows: list[CatalogueEntry] = []
-    if k == 4 and v >= 8:
-        d = v.bit_length() - 1
-        if 1 << d == v and d >= 3:
-            rows.append(_affine_entry(d))
-    if k >= 4:
-        q = k - 1
-        if prime_power(q) is not None and q >= 3:
-            base = v - 1
-            e, power = 0, 1
-            while power < base:
-                power *= q
-                e += 1
-            if power == base and e >= 2:
-                rows.append(_spherical_entry(q, e))
+    # 3 < k < v: a power of two v is at least 8, and q = k - 1 at least 3
+    if k == 4 and v & (v - 1) == 0:
+        rows.append(_affine_entry(v.bit_length() - 1))
+    q = k - 1
+    if prime_power(q) is not None:
+        base = v - 1
+        e, power = 0, 1
+        while power < base:
+            power *= q
+            e += 1
+        if power == base and e >= 2:
+            rows.append(_spherical_entry(q, e))
     if k == 4:
         q = v - 1
         if q % 12 == 7 and prime_power(q) is not None:

@@ -31,18 +31,7 @@ def exceeds(base: int, exponent: int, bound: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -76,6 +65,15 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return next(iter(fac.items()))
 
 
+def _p_exponent(r: int, p: int) -> int | None:
+    """The e >= 0 with r == p**e, or None if r is no power of p."""
+    e = 0
+    while r > 1 and r % p == 0:
+        r //= p
+        e += 1
+    return e if r == 1 else None
+
+
 # -- polynomial helpers over GF(p); a polynomial is its own base-p encoding --
 
 def _poly_coeffs(enc: int, p: int) -> list[int]:
@@ -84,6 +82,10 @@ def _poly_coeffs(enc: int, p: int) -> list[int]:
         enc, c = divmod(enc, p)
         out.append(c)
     return out
+
+
+def _poly_enc(coeffs: list[int], p: int) -> int:
+    return reduce(lambda acc, c: acc * p + c, reversed(coeffs), 0)
 
 
 def _poly_mod(num: int, den: int, p: int) -> int:
@@ -97,7 +99,7 @@ def _poly_mod(num: int, den: int, p: int) -> int:
             a[i + shift] = (a[i + shift] - factor * c) % p
         while a and a[-1] == 0:
             a.pop()
-    return reduce(lambda acc, c: acc * p + c, reversed(a), 0)
+    return _poly_enc(a, p)
 
 
 def _poly_is_irreducible(enc: int, degree: int, p: int) -> bool:
@@ -172,7 +174,7 @@ class FieldContext:
                 prod[top] = 0
                 for i in range(self.d):
                     prod[top - self.d + i] = (prod[top - self.d + i] - c * mod[i]) % self.p
-        return reduce(lambda acc, c: acc * self.p + c, reversed(prod), 0)
+        return _poly_enc(prod, self.p)
 
     def _pow(self, a: int, e: int) -> int:
         out = 1
@@ -246,10 +248,7 @@ class FieldContext:
     def frobenius(self, a: int, r: int) -> int:
         """a ** r where r must be a power of the characteristic."""
         self._check(a)
-        rr = r
-        while rr > 1 and rr % self.p == 0:
-            rr //= self.p
-        if rr != 1 or r < 1:
+        if _p_exponent(r, self.p) is None:
             raise FieldError(f"{r} is not a power of the characteristic {self.p}")
         return self._pow(a, r)
 
@@ -281,10 +280,8 @@ class FieldContext:
         raise FieldError("no element of order 6 found")  # unreachable given the pre
 
     def subfield_indices(self, q: int) -> list[int]:
-        """Indices of the subfield {a : a^q == a}; q must be a power of p."""
-        qq = q
-        while qq > 1 and qq % self.p == 0:
-            qq //= self.p
-        if qq != 1 or q < self.p or (self.order - 1) % (q - 1) != 0:
+        """Indices of the subfield {a : a^q == a}; q must be p^e with e | d."""
+        e = _p_exponent(q, self.p)
+        if not e or self.d % e:
             raise FieldError(f"GF({q}) is not a subfield of GF({self.p}^{self.d})")
         return [i for i in range(self.order) if self._pow(i, q) == i]

@@ -31,12 +31,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .design import CHUNK_ROWS, MAX_POINTS, Design, params_of
+from .design import CHUNK_ROWS, MAX_POINTS, Design, params_of, rank3
 from .errors import DesignError, Steiner3Error
 from .trace import emit
 
@@ -54,7 +53,8 @@ class SetNotPreserved(Steiner3Error, ValueError):
 
 
 class SearchBudgetExceeded(Steiner3Error, RuntimeError):
-    """Automorphism search refused: degree above the supported bound."""
+    """Automorphism search refused: degree above the supported bound, or
+    more search nodes than the node budget."""
 
 
 class NotFlagTransitive(Steiner3Error, ValueError):
@@ -497,6 +497,9 @@ def stabilizer_identities(design: Design, gens: GeneratorSet) -> StabilizerRepor
 # -- automorphism search ----------------------------------------------------
 
 AUT_SEARCH_MAX_POINTS = 64
+# the catalogue's largest search under the point cap, s72, takes 46 498
+# nodes; a sparse partial system can take millions
+AUT_SEARCH_MAX_NODES = 100_000
 
 
 class _AutSearch:
@@ -550,10 +553,10 @@ class _AutSearch:
         self.ranks = memoryview(design.rank_table())
         self.v = v = design.v
         # the rank of a < b < c is cubes[c] + pairs[(1 << a) | (1 << b)]
-        self.cubes = [c * (c - 1) * (c - 2) // 6 for c in range(v)]
-        self.pairs = {
-            (1 << a) | (1 << b): b * (b - 1) // 2 + a for a, b in combinations(range(v), 2)
-        }
+        self.cubes = rank3(0, 0, np.arange(v)).tolist()
+        a, b = np.triu_indices(v, 1)
+        keys = [(1 << i) | (1 << j) for i, j in zip(a.tolist(), b.tolist())]
+        self.pairs = dict(zip(keys, rank3(a, b, 0).tolist()))
         rows = design.block_array
         self.blocks = rows.tolist()
         self.nblocks = len(self.blocks)
@@ -777,6 +780,11 @@ class _AutSearch:
 
     def _dfs(self) -> tuple[int, ...] | None:
         self.nodes += 1
+        if self.nodes > AUT_SEARCH_MAX_NODES:
+            raise SearchBudgetExceeded(
+                f"automorphism search of {self.v} points passed its budget "
+                f"of {AUT_SEARCH_MAX_NODES} nodes"
+            )
         x, score = self._next_point()
         if x == -1:
             # every point assigned; with a closure, `_extend` settles the
@@ -806,7 +814,8 @@ def automorphism_group(design: Design) -> GeneratorSet:
     images already reachable by automorphisms found so far), so the union
     of the discovered coset representatives generates the whole group.
     Output order is deterministic.  When tracing, one JSON line of search
-    counters goes to stderr.
+    counters goes to stderr.  SearchBudgetExceeded refuses a design above
+    AUT_SEARCH_MAX_POINTS points, or a search past AUT_SEARCH_MAX_NODES nodes.
     """
     v = design.v
     if v > AUT_SEARCH_MAX_POINTS:

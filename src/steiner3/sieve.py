@@ -19,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DesignError, Steiner3Error
-from .gf import exceeds, factorize
+from .gf import exceeds
 from .trace import emit
 
 
@@ -356,16 +356,29 @@ class ZsigmondyResult:
 
 
 def zsigmondy_ppd(q: int, n: int) -> ZsigmondyResult:
-    """Primes dividing q^n - 1 but no q^m - 1 with 1 <= m < n."""
+    """Primes dividing q^n - 1 but no q^m - 1 with 1 <= m < n: those of
+    Phi*_n(q).  A prime of Phi_n(q) either has order n mod p or divides n,
+    and `cyclotomic_eval` strips every power of gcd(n, Phi_n(q)).
+
+    A prime of order n mod p is odd and 1 mod n, so trial division runs
+    over 1 + j*s alone, s = n for even n and 2n for odd n.  A candidate
+    that divides what is left is prime: its prime factors would be
+    smaller candidates."""
     if q < 2 or n < 2:
         raise SieveError(f"need q >= 2 and n >= 2, got {(q, n)}")
     if exceeds(q, n, 2**63):
         raise SieveError(f"need q^n <= 2^63 for factoring, got q = {q} and n = {n}")
-    primes = sorted(factorize(q**n - 1))
-    primitive = [
-        p for p in primes if all(pow(q, m, p) != 1 for m in range(1, n))
-    ]
-    return ZsigmondyResult(q=q, n=n, primitive_primes=tuple(primitive))
+    rest = cyclotomic_eval(n, q).phi_star
+    step = n if n % 2 == 0 else 2 * n
+    primes: list[int] = []
+    p = 1
+    while rest > 1:
+        # the least candidate above p dividing rest, else rest, a prime
+        p = next((c for c in range(p + step, math.isqrt(rest) + 1, step) if rest % c == 0), rest)
+        primes.append(p)
+        while rest % p == 0:
+            rest //= p
+    return ZsigmondyResult(q=q, n=n, primitive_primes=tuple(primes))
 
 
 def semilinear_divisibility(d: int, k: int) -> bool:
@@ -395,10 +408,10 @@ def ramanujan_nagell(n_max: int) -> list[tuple[int, int]]:
 def ramanujan_nagell_block_sizes(n_max: int = 63) -> list[tuple[int, int]]:
     """(e, k) pairs with 2^(2e+3) = k^2 - 3k - 2 and e >= 1.
 
-    Obtained from the x^2 - 17 = 2^n solutions via x = 2k - 3, n = 2e + 5.
+    Obtained from the x^2 - 17 = 2^n solutions, x odd, via x = 2k - 3, n = 2e + 5.
     """
     out = []
     for x, n in ramanujan_nagell(n_max):
-        if n >= 7 and (n - 5) % 2 == 0 and (x + 3) % 2 == 0:
+        if n >= 7 and (n - 5) % 2 == 0:
             out.append(((n - 5) // 2, (x + 3) // 2))
     return out

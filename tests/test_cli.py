@@ -333,6 +333,17 @@ class TestErrorContract:
             run(capsys, "autgroup", str(path), "--out", str(tmp_path / "aut.gens"))
         )
 
+    def test_autgroup_past_the_node_budget(self, tmp_path, capsys):
+        design = tmp_path / "sparse.json"
+        design.write_text('{"v":12,"t":3,"lambda":1,"blocks":[[0,7,9,11],[3,4,9,10]]}')
+        gens = tmp_path / "aut.gens"
+        result = run(capsys, "autgroup", str(design), "--out", str(gens))
+        self.assert_usage_error(result)
+        assert result[2] == (
+            "error: automorphism search of 12 points passed its budget of 100000 nodes\n"
+        )
+        assert not gens.exists()
+
     def test_flagcheck_above_the_partial_steiner_block_count(self, tmp_path, capsys):
         # all 27405 4-subsets of 30 points: S30 preserves them, but no
         # partial Steiner 3-system has more than C(30,3)/C(4,3) = 1015 blocks

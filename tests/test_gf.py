@@ -1,5 +1,6 @@
 """Field arithmetic against independent brute-force oracles."""
 
+import math
 import random
 import time
 import tracemalloc
@@ -394,6 +395,50 @@ def test_repr_names_the_modulus(p, d, text):
 
 def test_is_prime_below_two():
     assert [n for n in range(-3, 12) if is_prime(n)] == [2, 3, 5, 7, 11]
+
+
+def test_is_prime_matches_a_sieve_of_eratosthenes():
+    limit = 20_000
+    composite = bytearray(limit)
+    for n in range(2, math.isqrt(limit) + 1):
+        if not composite[n]:
+            composite[n * n :: n] = b"\x01" * len(range(n * n, limit, n))
+    primes = [n for n in range(2, limit) if not composite[n]]
+    assert [n for n in range(-5, limit) if is_prime(n)] == primes
+
+
+FIELDS_BY_ORDER = [(2, 3), (2, 4), (3, 2), (5, 3), (7, 2)]  # GF(8), 16, 9, 125, 49
+
+
+@pytest.mark.parametrize("p,d", FIELDS_BY_ORDER)
+def test_frobenius_accepts_exactly_the_powers_of_p(p, d):
+    # definition: x -> x^r is the Frobenius map iff r = p^e, e >= 0
+    ctx = FieldContext(p, d)
+    powers = {p**e for e in range(6)}
+    for r in range(-2, 60):
+        if r in powers:
+            assert ctx.frobenius(ctx.omega, r) == ctx.pow(ctx.omega, r)
+        else:
+            want = f"^{r} is not a power of the characteristic {p}$"
+            with pytest.raises(FieldError, match=want):
+                ctx.frobenius(ctx.omega, r)
+
+
+@pytest.mark.parametrize("p,d", FIELDS_BY_ORDER)
+def test_subfield_indices_accept_exactly_the_subfield_orders(p, d):
+    # definition: GF(r) lies in GF(p^d) iff r = p^e with e >= 1 and the
+    # fixed points of x -> x^r number r
+    ctx = FieldContext(p, d)
+    for r in range(-2, 60):
+        fixed = None
+        if r in {p**e for e in range(1, d + 1)}:
+            fixed = [a for a in range(ctx.order) if ctx.pow(a, r) == a]
+        if fixed is not None and len(fixed) == r:
+            assert ctx.subfield_indices(r) == fixed
+        else:
+            want = rf"^GF\({r}\) is not a subfield of GF\({p}\^{d}\)$"
+            with pytest.raises(FieldError, match=want):
+                ctx.subfield_indices(r)
 
 
 @pytest.mark.parametrize("n", [0, -1, -12])

@@ -288,6 +288,15 @@ class TestAutomorphismGroup:
         with pytest.raises(SearchBudgetExceeded):
             automorphism_group(construct_boolean_affine(7))
 
+    def test_node_budget_on_a_sparse_partial_system(self):
+        # two blocks on 12 points: the first trial maps a block point to a
+        # point in no block, refuted only once three points of one block are
+        # assigned, and the unconstrained points branch first
+        design = Design(12, 4, np.array([[0, 7, 9, 11], [3, 4, 9, 10]]))
+        want = "^automorphism search of 12 points passed its budget of 100000 nodes$"
+        with pytest.raises(SearchBudgetExceeded, match=want):
+            automorphism_group(design)
+
     def test_128_points_with_the_cap_lifted(self, monkeypatch):
         # the search runs on the ranked 3-subset table, built up to 128
         # points; only the cap keeps it to 64

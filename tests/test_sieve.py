@@ -9,6 +9,7 @@ from steiner3.catalog import (
     affine_group_generators,
 )
 from steiner3.design import params_of
+from steiner3.gf import factorize
 from steiner3.permgrp import NotFlagTransitive, stabilizer_identities
 from steiner3.sieve import (
     CYCLOTOMIC_MAX_BITS,
@@ -162,7 +163,27 @@ class TestCyclotomic:
             cyclotomic_eval(3, 1)
 
 
+def reference_zsigmondy(q: int, n: int) -> tuple[int, ...]:
+    """Factor q^n - 1, then keep each prime p with q^m != 1 mod p for m < n."""
+    primes = sorted(factorize(q**n - 1))
+    return tuple(p for p in primes if all(pow(q, m, p) != 1 for m in range(1, n)))
+
+
 class TestZsigmondy:
+    def test_matches_the_factor_and_filter_reference(self):
+        pairs = [(q, n) for q in range(2, 80) for n in range(2, 41) if q**n <= 2**40]
+        assert len(pairs) == 587
+        for q, n in pairs:
+            assert zsigmondy_ppd(q, n).primitive_primes == reference_zsigmondy(q, n), (q, n)
+
+    @pytest.mark.parametrize(
+        "q,n,want",
+        [(2, 61, (2**61 - 1,)), (4, 31, (715827883, 2147483647))],
+        ids=["mersenne-61", "4-to-31"],
+    )
+    def test_large_primitive_primes_near_the_cap(self, q, n, want):
+        assert zsigmondy_ppd(q, n).primitive_primes == want
+
     def test_the_exception(self):
         assert zsigmondy_ppd(2, 6).primitive_primes == ()
 
