@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
 from .errors import DesignError, Steiner3Error
-from .gf import FieldContext, exceeds, prime_power
+from .gf import FieldContext, exceeds, power_exponent, prime_power
 from .permgrp import GeneratorSet
 from .trace import emit
 
@@ -522,14 +522,9 @@ def classify(v: int, k: int) -> list[CatalogueEntry]:
     if k == 4 and v & (v - 1) == 0:
         rows.append(_affine_entry(v.bit_length() - 1))
     q = k - 1
-    if prime_power(q) is not None:
-        base = v - 1
-        e, power = 0, 1
-        while power < base:
-            power *= q
-            e += 1
-        if power == base and e >= 2:
-            rows.append(_spherical_entry(q, e))
+    e = power_exponent(v - 1, q)
+    if e is not None and e >= 2 and prime_power(q) is not None:
+        rows.append(_spherical_entry(q, e))
     if k == 4:
         q = v - 1
         if q % 12 == 7 and prime_power(q) is not None:

@@ -65,8 +65,8 @@ def prime_power(n: int) -> tuple[int, int] | None:
     return next(iter(fac.items()))
 
 
-def _p_exponent(r: int, p: int) -> int | None:
-    """The e >= 0 with r == p**e, or None if r is no power of p."""
+def power_exponent(r: int, p: int) -> int | None:
+    """The e >= 0 with r == p**e, for a base p >= 2, or None if there is none."""
     e = 0
     while r > 1 and r % p == 0:
         r //= p
@@ -248,7 +248,7 @@ class FieldContext:
     def frobenius(self, a: int, r: int) -> int:
         """a ** r where r must be a power of the characteristic."""
         self._check(a)
-        if _p_exponent(r, self.p) is None:
+        if power_exponent(r, self.p) is None:
             raise FieldError(f"{r} is not a power of the characteristic {self.p}")
         return self._pow(a, r)
 
@@ -281,7 +281,7 @@ class FieldContext:
 
     def subfield_indices(self, q: int) -> list[int]:
         """Indices of the subfield {a : a^q == a}; q must be p^e with e | d."""
-        e = _p_exponent(q, self.p)
+        e = power_exponent(q, self.p)
         if not e or self.d % e:
             raise FieldError(f"GF({q}) is not a subfield of GF({self.p}^{self.d})")
         return [i for i in range(self.order) if self._pow(i, q) == i]

@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 
 from steiner3 import gf
-from steiner3.gf import FieldContext, FieldError, factorize, is_prime, prime_power
+from steiner3.gf import FieldContext, FieldError, factorize, is_prime, power_exponent, prime_power
 
 
 def brute_order_mod_p(g: int, p: int) -> int:
@@ -405,6 +405,14 @@ def test_is_prime_matches_a_sieve_of_eratosthenes():
             composite[n * n :: n] = b"\x01" * len(range(n * n, limit, n))
     primes = [n for n in range(2, limit) if not composite[n]]
     assert [n for n in range(-5, limit) if is_prime(n)] == primes
+
+
+def test_power_exponent_against_the_powers():
+    # composite bases too: the catalogue asks whether v - 1 is a power of q
+    for base in range(2, 13):
+        powers = {base**e: e for e in range(12)}
+        for r in range(-2, 3000):
+            assert power_exponent(r, base) == powers.get(r), (r, base)
 
 
 FIELDS_BY_ORDER = [(2, 3), (2, 4), (3, 2), (5, 3), (7, 2)]  # GF(8), 16, 9, 125, 49
