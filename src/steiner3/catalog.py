@@ -23,11 +23,9 @@ import numpy as np
 from .design import CHUNK_ROWS, MAX_POINTS, Design, block_limit, derived_design, mark_triples, rank3
 from .errors import DesignError, Steiner3Error
 from .gf import FieldContext, exceeds, power_exponent, prime_power
+from .kinds import AFFINE_KINDS, PROJECTIVE_KINDS
 from .permgrp import GeneratorSet
 from .trace import emit
-
-AFFINE_KINDS = ("AGL_d_2", "AGL_1", "AGammaL_1", "T_A7")
-PROJECTIVE_KINDS = ("PSL", "PGL", "PSigmaL", "PGammaL")
 
 
 class CatalogError(Steiner3Error, ValueError):

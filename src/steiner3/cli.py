@@ -4,50 +4,25 @@ Exit codes: 0 on success, 1 when a property check fails (verification
 witness, missing transitivity), 2 for usage or input-format errors: every
 library error derives from Steiner3Error and maps to 2.
 Output is deterministic byte-for-byte for identical inputs.
-As the process entry (`python -m steiner3.cli`, the `steiner3` script),
-`main` freezes the import-time heap out of garbage collection.
+The arithmetic layer (`errors`, `trace`, `gf`, `sieve`) is imported at
+once; `design`, `permgrp` and `catalog` run only when a verb first reads
+one of their attributes.  As the process entry (`python -m steiner3.cli`,
+the `steiner3` script), `main` freezes the import-time heap out of
+garbage collection; a layer a verb loads later is not frozen.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import sys
 from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
-from .catalog import (
-    AFFINE_KINDS,
-    PROJECTIVE_KINDS,
-    CatalogError,
-    affine_group_generators,
-    classify,
-    construct_boolean_affine,
-    construct_netto_extension,
-    construct_spherical,
-    construct_witt_22,
-    projective_group_generators,
-)
-from .design import (
-    DesignError,
-    block_limit,
-    derived_design,
-    from_json,
-    params_of,
-    to_json,
-    verify_steiner,
-)
-from .errors import Steiner3Error
-from .permgrp import (
-    PermutationError,
-    SetNotPreserved,
-    automorphism_group,
-    format_generators,
-    group_order,
-    is_flag_transitive,
-    parse_generators,
-)
+from .errors import DesignError, Steiner3Error
+from .kinds import AFFINE_KINDS, PROJECTIVE_KINDS
 from .sieve import (
     SieveReport,
     admissible_parameters,
@@ -56,6 +31,27 @@ from .sieve import (
     zsigmondy_ppd,
 )
 from .trace import emit
+
+
+def _lazy(name: str):
+    """steiner3.<name>, registered in sys.modules and bound on the package
+    as an import would, but executed only when an attribute of it is
+    first read: the arithmetic verbs never load the design, group and
+    catalogue layers."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+design = _lazy("design")
+permgrp = _lazy("permgrp")
+catalog = _lazy("catalog")
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -73,41 +69,43 @@ def _read(path: str, load, error: type[ValueError]):
 
 
 def _load_design(path: str):
-    return _read(path, from_json, DesignError)
+    return _read(path, design.from_json, DesignError)
 
 
 def _load_generators(path: str):
-    return _read(path, lambda data: parse_generators(data.decode("utf-8")), PermutationError)
+    return _read(
+        path, lambda data: permgrp.parse_generators(data.decode("utf-8")), permgrp.PermutationError
+    )
 
 
-def _summary_line(design) -> str:
-    return f"{design.t}-({design.v},{design.k},1), b={design.b}"
+def _summary_line(d) -> str:
+    return f"{d.t}-({d.v},{d.k},1), b={d.b}"
 
 
 def cmd_construct(args) -> int:
     if args.family == "affine":
         if args.d is None:
-            raise CatalogError("affine construction needs --d")
-        design = construct_boolean_affine(args.d)
+            raise catalog.CatalogError("affine construction needs --d")
+        built = catalog.construct_boolean_affine(args.d)
     elif args.family == "spherical":
         if args.q is None or args.e is None:
-            raise CatalogError("spherical construction needs --q and --e")
-        design = construct_spherical(args.q, args.e)
+            raise catalog.CatalogError("spherical construction needs --q and --e")
+        built = catalog.construct_spherical(args.q, args.e)
     elif args.family == "netto":
         if args.q is None:
-            raise CatalogError("netto construction needs --q")
-        design = construct_netto_extension(args.q)
+            raise catalog.CatalogError("netto construction needs --q")
+        built = catalog.construct_netto_extension(args.q)
     else:
-        design = construct_witt_22()
-    Path(args.out).write_text(to_json(design), encoding="utf-8")
-    print(_summary_line(design))
+        built = catalog.construct_witt_22()
+    Path(args.out).write_text(design.to_json(built), encoding="utf-8")
+    print(_summary_line(built))
     return 0
 
 
 def cmd_verify(args) -> int:
-    design = _load_design(args.design)
-    report = verify_steiner(design, args.t)
-    print(_summary_line(design))
+    loaded = _load_design(args.design)
+    report = design.verify_steiner(loaded, args.t)
+    print(_summary_line(loaded))
     if report.ok:
         print("ok")
         return 0
@@ -116,15 +114,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    design = _load_design(args.design)
-    derived = derived_design(design, args.point)
-    Path(args.out).write_text(to_json(derived), encoding="utf-8")
+    derived = design.derived_design(_load_design(args.design), args.point)
+    Path(args.out).write_text(design.to_json(derived), encoding="utf-8")
     print(_summary_line(derived))
     return 0
 
 
 def cmd_params(args) -> int:
-    params = params_of(_load_design(args.design))
+    params = design.params_of(_load_design(args.design))
     for name, value in (
         ("t", params.t),
         ("v", params.v),
@@ -139,12 +136,12 @@ def cmd_params(args) -> int:
 
 
 def cmd_flagcheck(args) -> int:
-    design = _load_design(args.design)
-    block_limit(design.v, design.k, design.b)
+    loaded = _load_design(args.design)
+    design.block_limit(loaded.v, loaded.k, loaded.b)
     gens = _load_generators(args.gens)
     try:
-        report = is_flag_transitive(design, gens)
-    except SetNotPreserved as exc:
+        report = permgrp.is_flag_transitive(loaded, gens)
+    except permgrp.SetNotPreserved as exc:
         print("preserves blocks: no")
         print(f"witness block: {','.join(map(str, exc.witness))}")
         return CHECK_FAILED
@@ -163,11 +160,10 @@ def cmd_flagcheck(args) -> int:
 
 
 def cmd_autgroup(args) -> int:
-    design = _load_design(args.design)
-    gens = automorphism_group(design)
-    summary = group_order(gens)
+    gens = permgrp.automorphism_group(_load_design(args.design))
+    summary = permgrp.group_order(gens)
     Path(args.out).write_text(
-        format_generators(gens, comment=f"automorphism group, order {summary.order}"),
+        permgrp.format_generators(gens, comment=f"automorphism group, order {summary.order}"),
         encoding="utf-8",
     )
     print(f"order: {summary.order}")
@@ -175,7 +171,7 @@ def cmd_autgroup(args) -> int:
 
 
 def cmd_order(args) -> int:
-    summary = group_order(_load_generators(args.gens))
+    summary = permgrp.group_order(_load_generators(args.gens))
     print(f"order: {summary.order}")
     print(f"base: {','.join(map(str, summary.base))}")
     print(f"stabilizer orders: {','.join(map(str, summary.stabilizer_orders))}")
@@ -212,7 +208,7 @@ def cmd_sieve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    rows = classify(args.v, args.k)
+    rows = catalog.classify(args.v, args.k)
     if not rows:
         print("none")
         return 0
@@ -248,16 +244,16 @@ def cmd_rnagell(args) -> int:
 def cmd_groupgens(args) -> int:
     if args.family == "affine":
         if args.d is None:
-            raise CatalogError("affine generators need --d")
-        gens = affine_group_generators(args.kind, args.d)
+            raise catalog.CatalogError("affine generators need --d")
+        gens = catalog.affine_group_generators(args.kind, args.d)
         label = f"{args.kind} d={args.d}"
     else:
         if args.q is None or args.e is None:
-            raise CatalogError("projective generators need --q and --e")
-        gens = projective_group_generators(args.kind, args.q, args.e)
+            raise catalog.CatalogError("projective generators need --q and --e")
+        gens = catalog.projective_group_generators(args.kind, args.q, args.e)
         label = f"{args.kind} q={args.q} e={args.e}"
     Path(args.out).write_text(
-        format_generators(gens, comment=label), encoding="utf-8"
+        permgrp.format_generators(gens, comment=label), encoding="utf-8"
     )
     print(f"degree: {gens.degree}")
     print(f"generators: {len(gens.gens)}")

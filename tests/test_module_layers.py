@@ -17,11 +17,12 @@ FREE = {"__init__", "cli"}
 LAYERS = {
     "errors": set(),
     "trace": set(),
+    "kinds": set(),
     "gf": {"errors"},
     "design": {"errors"},
     "sieve": {"errors", "gf", "trace"},
     "permgrp": {"design", "errors", "trace"},
-    "catalog": {"design", "errors", "gf", "permgrp", "trace"},
+    "catalog": {"design", "errors", "gf", "kinds", "permgrp", "trace"},
 }
 
 
