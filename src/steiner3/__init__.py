@@ -75,8 +75,13 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _MODULES = {"catalog", "design", "errors", "gf", "kinds", "permgrp", "sieve", "trace"}
 
-__all__ = list(_HOME)
+# the names and the modules the old eager imports bound (kinds is newer)
+__all__ = [*_HOME, *sorted(_MODULES - {"kinds"})]
 __version__ = "0.1.0"
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
 
 
 def __getattr__(name: str):
